@@ -203,8 +203,8 @@ def mc_dof(n: int, p: int, config: McDofConfig, fitter=None, X=None,
         tree path with ``config.s_max`` and ``config.min_leaf``.  Must
         be picklable when ``threads > 1``.
     threads : int
-        Worker processes across runs; results are identical for any
-        value because every run derives its own random stream.
+        Worker processes across runs, at least 1; results are identical
+        for any value because every run derives its own random stream.
 
     Returns
     -------
@@ -212,6 +212,8 @@ def mc_dof(n: int, p: int, config: McDofConfig, fitter=None, X=None,
     """
     if n < 1 or p < 1:
         raise ValidationError(f"need n >= 1 and p >= 1, got n = {n}, p = {p}")
+    if threads < 1:
+        raise ValidationError(f"threads must be >= 1, got {threads}")
     mu = np.zeros(n) if config.mu is None else np.asarray(config.mu, dtype=float)
     if mu.shape != (n,):
         raise ValidationError(f"mu must have shape ({n},), got {mu.shape}")

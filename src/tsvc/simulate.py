@@ -293,8 +293,11 @@ def run_simulation(config: ScenarioConfig, threads: int = 1) -> SimSummary:
 
     One greedy path is fitted per replicate and shared by every DoF
     source; only the pruning differs.  Results are independent of
-    ``threads`` because each replicate derives its own random stream.
+    ``threads`` (at least 1) because each replicate derives its own
+    random stream.
     """
+    if threads < 1:
+        raise ValidationError(f"threads must be >= 1, got {threads}")
     jobs = [(config, r) for r in range(config.replications)]
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,6 +32,11 @@ from .errors import (
 # Candidates whose added design direction has squared norm below this
 # fraction of the column norm are treated as rank deficient and skipped.
 _DEGENERATE_RTOL = 1e-10
+
+# Cap on the array entries (segments x row positions x values per
+# position) that one block of the batched split search holds; it bounds
+# the search's working memory.
+_BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -247,25 +253,117 @@ def build_design(dataset: Dataset, trees) -> np.ndarray:
 # candidate enumeration and greedy growth
 # ---------------------------------------------------------------------------
 
-def _leaf_split_points(x_mod: np.ndarray, min_leaf: int):
-    """Admissible thresholds within one leaf, given the modifier values.
+def _stable_argsort(X: np.ndarray) -> np.ndarray:
+    """Stable argsort of each column (ties keep row order).
 
-    Returns (order, boundary_positions, thresholds) where ``order``
-    sorts the leaf observations by modifier value and each boundary
-    position t means the left child takes the first t+1 sorted rows.
-    Thresholds are midpoints between adjacent distinct values, kept
-    only when both children hold at least ``min_leaf`` observations.
+    The default sort is several times faster and gives the same order
+    on a column without ties, so only tied columns are sorted stably.
     """
-    size = x_mod.shape[0]
-    order = np.argsort(x_mod, kind="stable")
-    xs = x_mod[order]
-    boundaries = np.nonzero(xs[1:] > xs[:-1])[0]
-    if boundaries.size:
-        left_counts = boundaries + 1
-        keep = (left_counts >= min_leaf) & (size - left_counts >= min_leaf)
-        boundaries = boundaries[keep]
-    thresholds = 0.5 * (xs[boundaries] + xs[boundaries + 1])
-    return order, boundaries, thresholds
+    order = np.argsort(X, axis=0)
+    xs = np.take_along_axis(X, order, axis=0)
+    tied = (xs[1:] == xs[:-1]).any(axis=0)
+    if tied.any():
+        order[:, tied] = np.argsort(X[:, tied], axis=0, kind="stable")
+    return order
+
+
+class _Segments(NamedTuple):
+    """The admissible (target, modifier, leaf) triples, in enumeration
+    order (target, then modifier, then leaf id), of leaves holding at
+    least ``2 * min_leaf`` rows.  Segment s's rows, in modifier order,
+    are ``rows[start[s]:start[s] + size[s]]``."""
+
+    target: np.ndarray
+    modifier: np.ndarray
+    leaf: np.ndarray
+    start: np.ndarray
+    size: np.ndarray
+    rows: np.ndarray
+    columns: np.ndarray  # X.T, contiguous
+
+    def values(self, covariate, rows) -> np.ndarray:
+        """``X[rows, covariate]``, elementwise over broadcast arguments."""
+        return np.take(self.columns, covariate * self.columns.shape[1] + rows)
+
+    def thresholds(self, seg, pos) -> np.ndarray:
+        """Midpoint between the rows at ``pos`` and ``pos + 1`` of segment ``seg``."""
+        at = self.start[seg] + pos
+        k = self.modifier[seg]
+        return 0.5 * (self.values(k, self.rows[at]) + self.values(k, self.rows[at + 1]))
+
+    def rule(self, seg: int, pos: int) -> SplitRule:
+        return SplitRule(target=int(self.target[seg]), modifier=int(self.modifier[seg]),
+                         threshold=float(self.thresholds(seg, pos)),
+                         parent_leaf=int(self.leaf[seg]))
+
+
+def _segments(dataset: Dataset, trees, min_leaf: int) -> _Segments:
+    """Sort each modifier once; a split tree's leaves take their rows
+    from that order, grouped by leaf id."""
+    X = dataset.X
+    n, p = X.shape
+    order = _stable_argsort(X)
+    leaf_of = np.stack([tree.assign(X) for tree in trees])
+    n_ids = max(tree.n_created for tree in trees)
+    counts = np.bincount(
+        (np.arange(len(trees))[:, None] * n_ids + leaf_of).ravel(),
+        minlength=len(trees) * n_ids,
+    ).reshape(len(trees), n_ids)
+    first = np.cumsum(counts, axis=1) - counts
+    # Row k of slot 0 is modifier k's order.  A split tree gets its own
+    # slot, whose row k holds the same rows grouped by leaf id.
+    rank = np.empty((p, n), dtype=np.int64)
+    rank[np.arange(p)[:, None], order.T] = np.arange(n)
+    split = [i for i, tree in enumerate(trees) if len(tree.leaves) > 1]
+    slot = np.zeros(len(trees), dtype=np.int64)
+    slot[split] = np.arange(1, len(split) + 1)
+    rows = np.empty((1 + len(split), p, n), dtype=np.int64)
+    rows[0] = order.T
+    for s, i in enumerate(split, start=1):
+        rows[s] = np.argsort(leaf_of[i] * n + rank, axis=-1)
+    targets = np.array([tree.target for tree in trees])
+    tree_of, modifier, leaf = np.nonzero(
+        (counts >= 2 * min_leaf)[:, None, :]
+        & (np.arange(p) != targets[:, None])[:, :, None]
+    )
+    return _Segments(
+        target=targets[tree_of], modifier=modifier, leaf=leaf,
+        start=(slot[tree_of] * p + modifier) * n + first[tree_of, leaf],
+        size=counts[tree_of, leaf],
+        rows=rows.ravel(),
+        columns=np.ascontiguousarray(X.T),
+    )
+
+
+def _candidate_blocks(segs: _Segments, min_leaf: int, width: int):
+    """Yield the segments in blocks, as (seg, rows, admissible).
+
+    ``seg`` lists a block's segments; row b of ``rows`` starts with
+    segment ``seg[b]``'s rows and runs on into rows of other segments,
+    which only positions that are never admissible read.  Position t of
+    a row is admissible when a cut there (left child: positions 0..t)
+    falls between distinct modifier values and leaves both children
+    ``min_leaf`` rows.  Blocks take segments from the longest down,
+    which keeps the unread tails short, and hold at most
+    ``_BLOCK_ELEMENTS`` entries of a (segments x positions x width)
+    array.
+    """
+    longest_first = np.argsort(-segs.size, kind="stable")
+    pos = 0
+    while pos < longest_first.size:
+        length = int(segs.size[longest_first[pos]])
+        seg = longest_first[pos:pos + max(1, _BLOCK_ELEMENTS // (length * width))]
+        pos += seg.size
+        size = segs.size[seg, None]
+        # the right child keeps min_leaf rows: no cut reads further
+        span = np.arange(length - min_leaf + 1)
+        rows = np.take(segs.rows, segs.start[seg, None] + span, mode="clip")
+        xs = segs.values(segs.modifier[seg, None], rows)
+        admissible = np.zeros(xs.shape, dtype=bool)
+        admissible[:, :-1] = xs[:, 1:] > xs[:, :-1]
+        left = span + 1  # rows sent left by a cut at each position
+        admissible &= (left >= min_leaf) & (size - left >= min_leaf)
+        yield seg, rows, admissible
 
 
 def enumerate_candidates(dataset: Dataset, trees, min_leaf: int) -> list[SplitRule]:
@@ -276,24 +374,21 @@ def enumerate_candidates(dataset: Dataset, trees, min_leaf: int) -> list[SplitRu
     """
     if min_leaf < 1:
         raise ValidationError(f"min_leaf must be >= 1, got {min_leaf}")
-    X = dataset.X
-    rules = []
-    for tree in trees:
-        j = tree.target
-        leaf_of = tree.assign(X)
-        for k in range(dataset.p):
-            if k == j:
-                continue
-            for leaf in sorted(tree.leaves):
-                idx = np.nonzero(leaf_of == leaf)[0]
-                if idx.size < 2 * min_leaf:
-                    continue
-                _, _, thresholds = _leaf_split_points(X[idx, k], min_leaf)
-                for c in thresholds:
-                    rules.append(
-                        SplitRule(target=j, modifier=k, threshold=float(c), parent_leaf=leaf)
-                    )
-    return rules
+    segs = _segments(dataset, trees, min_leaf)
+    seg, pos = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for block_seg, _, admissible in _candidate_blocks(segs, min_leaf, width=3):
+        b, t = np.nonzero(admissible)
+        seg.append(block_seg[b])
+        pos.append(t)
+    seg, pos = np.concatenate(seg), np.concatenate(pos)
+    order = np.lexsort((pos, seg))
+    seg, pos = seg[order], pos[order]
+    return [
+        SplitRule(target=j, modifier=k, threshold=c, parent_leaf=leaf)
+        for j, k, leaf, c in zip(segs.target[seg].tolist(), segs.modifier[seg].tolist(),
+                                 segs.leaf[seg].tolist(),
+                                 segs.thresholds(seg, pos).tolist())
+    ]
 
 
 def _make_model(dataset: Dataset, trees, fit: LinearFit) -> TsvcModel:
@@ -316,6 +411,39 @@ def _make_model(dataset: Dataset, trees, fit: LinearFit) -> TsvcModel:
     )
 
 
+def _score_candidates(segs: _Segments, min_leaf: int, resid, Q):
+    """Rss drop of every admissible candidate, from one batched pass.
+
+    Returns one (seg, gains) pair per block of segments: ``gains[b, t]``
+    scores the cut after position t of segment ``seg[b]``, and is -inf
+    where no admissible, non-degenerate cut is.  Per candidate the
+    arithmetic is the per-leaf scan's: the same products and the same
+    sequential cumulative sums.
+    """
+    q = Q.shape[1]
+    scored = []
+    # per row position: q cumulative sums plus about eight scalars
+    for seg, rows, admissible in _candidate_blocks(segs, min_leaf, width=q + 8):
+        v = segs.values(segs.target[seg, None], rows)
+        cum_vr = np.take(resid, rows)
+        cum_vr *= v
+        np.cumsum(cum_vr, axis=1, out=cum_vr)
+        uu = v * v
+        np.cumsum(uu, axis=1, out=uu)
+        cum_vQ = np.take(Q, rows, axis=0)
+        np.multiply(v[:, :, None], cum_vQ, out=cum_vQ)
+        np.cumsum(cum_vQ, axis=1, out=cum_vQ)
+        flat_vQ = cum_vQ.reshape(-1, q)
+        den = np.einsum("ij,ij->i", flat_vQ, flat_vQ).reshape(uu.shape)
+        np.subtract(uu, den, out=den)
+        good = admissible & (uu > 0.0) & (den > _DEGENERATE_RTOL * uu)
+        gains = np.square(cum_vr, out=cum_vr)
+        np.divide(gains, den, out=gains, where=good)
+        gains[~good] = -np.inf
+        scored.append((seg, gains))
+    return scored
+
+
 def grow_one_split(dataset: Dataset, trees, min_leaf: int = 10):
     """Best one-split refinement of the current trees.
 
@@ -326,7 +454,9 @@ def grow_one_split(dataset: Dataset, trees, min_leaf: int = 10):
     spans the same space as adding the left-child column, so the rss
     drop is ``(u.r)^2 / ||u_perp||^2`` for the added column u, the
     base-fit residual r and the component u_perp of u orthogonal to
-    the base design.  The winning rule is then refitted exactly.
+    the base design.  All candidates are scored in one batched pass;
+    the winning rule is then refitted exactly, and a winner that turns
+    out singular is dropped in favour of the next best.
 
     Returns
     -------
@@ -339,70 +469,32 @@ def grow_one_split(dataset: Dataset, trees, min_leaf: int = 10):
     """
     if min_leaf < 1:
         raise ValidationError(f"min_leaf must be >= 1, got {min_leaf}")
-    X, y = dataset.X, dataset.y
+    y = dataset.y
     base_design = build_design(dataset, trees)
     base_fit, Q = solve_least_squares(base_design, y, return_basis=True)
-    resid = y - base_fit.fitted
-
-    banned: set[tuple[int, int, int, float]] = set()
-    while True:
-        best_gain = -1.0
-        best_rule = None
-        for tree in trees:
-            j = tree.target
-            leaf_of = tree.assign(X)
-            for k in range(dataset.p):
-                if k == j:
-                    continue
-                for leaf in sorted(tree.leaves):
-                    idx = np.nonzero(leaf_of == leaf)[0]
-                    if idx.size < 2 * min_leaf:
-                        continue
-                    order, bnd, thresholds = _leaf_split_points(X[idx, k], min_leaf)
-                    if bnd.size == 0:
-                        continue
-                    ids = idx[order]
-                    v = X[ids, j]
-                    cum_vr = np.cumsum(v * resid[ids])
-                    cum_vv = np.cumsum(v * v)
-                    cum_vQ = np.cumsum(v[:, None] * Q[ids, :], axis=0)
-                    uu = cum_vv[bnd]
-                    den = uu - np.einsum("ij,ij->i", cum_vQ[bnd, :], cum_vQ[bnd, :])
-                    good = (uu > 0.0) & (den > _DEGENERATE_RTOL * uu)
-                    if banned:
-                        good &= np.array(
-                            [(j, k, leaf, float(c)) not in banned for c in thresholds]
-                        )
-                    if not good.any():
-                        continue
-                    gains = np.where(good, cum_vr[bnd] ** 2 / np.where(den > 0, den, 1.0), -np.inf)
-                    t = int(np.argmax(gains))
-                    if gains[t] > best_gain:
-                        best_gain = float(gains[t])
-                        best_rule = SplitRule(
-                            target=j,
-                            modifier=k,
-                            threshold=float(thresholds[t]),
-                            parent_leaf=leaf,
-                        )
-        if best_rule is None:
-            raise NoAdmissibleSplitError("no admissible split candidate")
-
+    segs = _segments(dataset, trees, min_leaf)
+    scored = _score_candidates(segs, min_leaf, y - base_fit.fitted, Q)
+    while (best := max((gains.max() for _, gains in scored), default=-np.inf)) > -np.inf:
+        # ties go to the first in enumeration order: segment, then position
+        ties = [
+            (int(seg[b]), int(pos), gains, b)
+            for seg, gains in scored
+            for b, pos in zip(*np.nonzero(gains == best))
+        ]
+        seg, pos, gains, b = min(ties, key=lambda tie: tie[:2])
+        rule = segs.rule(seg, pos)
         new_trees = tuple(
-            tree.split(best_rule) if tree.target == best_rule.target else tree
-            for tree in trees
+            tree.split(rule) if tree.target == rule.target else tree for tree in trees
         )
         try:
             fit = solve_least_squares(build_design(dataset, new_trees), y)
         except RankDeficientError:
             # Scored as improving but singular on exact refit: drop the
-            # candidate and rescan.
-            banned.add(
-                (best_rule.target, best_rule.modifier, best_rule.parent_leaf,
-                 best_rule.threshold)
-            )
+            # candidate and take the next best.
+            gains[b, pos] = -np.inf
             continue
-        return best_rule, _make_model(dataset, new_trees, fit)
+        return rule, _make_model(dataset, new_trees, fit)
+    raise NoAdmissibleSplitError("no admissible split candidate")
 
 
 def fit_path(dataset: Dataset, s_max: int, min_leaf: int = 10) -> ModelPath:

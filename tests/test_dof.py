@@ -112,6 +112,13 @@ def test_mc_dof_deterministic_and_thread_independent():
     assert a.to_csv() == b.to_csv()
 
 
+def test_mc_dof_rejects_thread_counts_below_one():
+    config = McDofConfig(m=2, runs=1, s_max=1, min_leaf=8, seed=1)
+    for threads in (0, -2):
+        with pytest.raises(ValidationError, match="threads"):
+            mc_dof(n=40, p=2, config=config, threads=threads)
+
+
 def test_mc_dof_exceeds_naive_for_searching_fitter():
     config = McDofConfig(m=40, runs=2, s_max=2, min_leaf=10, seed=3)
     result = mc_dof(n=60, p=2, config=config)

@@ -201,6 +201,13 @@ def test_run_simulation_structure_and_determinism():
         a.approach("nope")
 
 
+def test_run_simulation_rejects_thread_counts_below_one():
+    cfg = ScenarioConfig(scenario=1, s_dgp=1, n=100, replications=1, seed=2)
+    for threads in (0, -1):
+        with pytest.raises(ValidationError, match="threads"):
+            run_simulation(cfg, threads=threads)
+
+
 def test_single_replication_has_zero_sd():
     cfg = ScenarioConfig(scenario=1, s_dgp=0, n=100, replications=1, seed=3)
     summary = run_simulation(cfg)

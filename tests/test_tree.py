@@ -193,6 +193,27 @@ def test_grow_one_split_finds_planted_split():
     assert model.rss <= base.rss + 1e-8
 
 
+def _oracle_step(ds, trees, min_leaf):
+    """Exhaustive search: refit every enumerated candidate exactly and
+    keep the first one with the lowest rss (enumeration order breaks
+    ties within round-off)."""
+    best = None
+    for cand in enumerate_candidates(ds, trees, min_leaf=min_leaf):
+        refined = list(trees)
+        refined[cand.target] = refined[cand.target].split(cand)
+        try:
+            fit = solve_least_squares(build_design(ds, tuple(refined)), ds.y)
+        except RankDeficientError:
+            continue
+        if best is None or fit.rss < best[0] - 1e-12 * max(1.0, best[0]):
+            best = (fit.rss, cand)
+    return best
+
+
+def _key(rule):
+    return (rule.target, rule.modifier, rule.parent_leaf, rule.threshold)
+
+
 def test_grow_one_split_matches_exhaustive_oracle():
     rng = np.random.default_rng(7)
     for i in range(25):
@@ -206,20 +227,65 @@ def test_grow_one_split_matches_exhaustive_oracle():
             rule, model = grow_one_split(ds, base.trees, min_leaf=4)
         except NoAdmissibleSplitError:
             continue
-        best = None
-        for cand in enumerate_candidates(ds, base.trees, min_leaf=4):
-            trees = list(base.trees)
-            trees[cand.target] = trees[cand.target].split(cand)
-            try:
-                fit = solve_least_squares(build_design(ds, tuple(trees)), ds.y)
-            except RankDeficientError:
-                continue
-            if best is None or fit.rss < best[0] - 1e-12 * max(1.0, best[0]):
-                best = (fit.rss, cand)
-        assert (rule.target, rule.modifier, rule.parent_leaf, rule.threshold) \
-            == (best[1].target, best[1].modifier, best[1].parent_leaf,
-                best[1].threshold), f"dataset {i}"
+        best = _oracle_step(ds, base.trees, min_leaf=4)
+        assert _key(rule) == _key(best[1]), f"dataset {i}"
         assert model.rss == pytest.approx(best[0], rel=1e-9, abs=1e-9)
+
+
+def test_grow_one_split_matches_exhaustive_oracle_after_splits():
+    # steps 2 and 3: the trees already hold splits, so segments are
+    # leaves of different sizes and the scores must see the wider basis
+    rng = np.random.default_rng(17)
+    checked = 0
+    for i in range(20):
+        n = int(rng.integers(40, 91))
+        p = int(rng.integers(2, 5))
+        X = rng.standard_normal((n, p))
+        y = (X @ rng.standard_normal(p) + (X[:, 1] > 0) * X[:, 0]
+             + rng.standard_normal(n))
+        ds = Dataset.from_arrays(y, X)
+        path = fit_path(ds, s_max=2, min_leaf=4)
+        for model in path.models[1:]:
+            trees = model.trees
+            assert any(len(t.leaves) >= 2 for t in trees)
+            assert all(
+                (t.assign(ds.X) == leaf).sum() >= 2 for t in trees for leaf in t.leaves
+            )
+            best = _oracle_step(ds, trees, min_leaf=4)
+            if best is None:
+                with pytest.raises(NoAdmissibleSplitError):
+                    grow_one_split(ds, trees, min_leaf=4)
+                continue
+            rule, grown = grow_one_split(ds, trees, min_leaf=4)
+            assert _key(rule) == _key(best[1]), f"dataset {i}, s = {model.s}"
+            assert grown.rss == pytest.approx(best[0], rel=1e-9, abs=1e-9)
+            checked += 1
+    assert checked >= 30
+
+
+def test_exact_tie_goes_to_the_lower_modifier():
+    # x3 = exp(x2) orders the rows exactly as x2 does, so splits on
+    # either give the same partitions and bit-equal gains; enumeration
+    # order then picks modifier 1 with its own midpoint threshold
+    rng = np.random.default_rng(21)
+    x1, x2 = rng.standard_normal(60), rng.standard_normal(60)
+    X = np.column_stack([x1, x2, np.exp(x2)])
+    y = x1 * np.where(x2 > 0.3, 2.0, -1.0) + 0.05 * rng.standard_normal(60)
+    ds = Dataset.from_arrays(y, X)
+    base = fit_path(ds, s_max=0, min_leaf=5).models[0]
+    rule, model = grow_one_split(ds, base.trees, min_leaf=5)
+    assert (rule.target, rule.modifier) == (0, 1)
+    x2_sorted = np.sort(x2)
+    below = x2_sorted[x2_sorted <= rule.threshold].max()
+    above = x2_sorted[x2_sorted > rule.threshold].min()
+    assert rule.threshold == 0.5 * (below + above)
+    # the same cut on modifier 2 is also a candidate, with a bit-equal refit
+    twin = [r for r in enumerate_candidates(ds, base.trees, min_leaf=5)
+            if (r.target, r.modifier) == (0, 2)
+            and (np.exp(x2) <= r.threshold).sum() == (x2 <= rule.threshold).sum()]
+    assert len(twin) == 1
+    refined = (base.trees[0].split(twin[0]),) + base.trees[1:]
+    assert solve_least_squares(build_design(ds, refined), ds.y).rss == model.rss
 
 
 def test_no_admissible_split_when_min_leaf_too_large():
