@@ -111,7 +111,11 @@ def _add_threads(parser):
 
 
 def _threads(args) -> int:
-    return args.threads if args.threads and args.threads > 0 else _default_threads()
+    if args.threads is None:
+        return _default_threads()
+    if args.threads < 1:
+        raise ValidationError(f"--threads must be >= 1, got {args.threads}")
+    return args.threads
 
 
 # ---------------------------------------------------------------------------

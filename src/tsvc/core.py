@@ -70,6 +70,15 @@ class Dataset:
             raise ValidationError(f"expected {p} column names, got {len(self.names)}")
         if len(set(self.names)) != p:
             raise ValidationError("column names must be unique")
+        # A constant column is collinear with the intercept and a repeated
+        # one with its twin, so every design built on them is singular.
+        seen: dict[bytes, str] = {}
+        for name, column in zip(self.names, X.T + 0.0):  # + 0.0 turns -0.0 into 0.0
+            if (column == column[0]).all():
+                raise ValidationError(f"column {name!r} is constant")
+            twin = seen.setdefault(column.tobytes(), name)
+            if twin != name:
+                raise ValidationError(f"column {name!r} duplicates column {twin!r}")
 
     @property
     def n(self) -> int:

@@ -23,9 +23,9 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, replace
+from statistics import NormalDist
 
 import numpy as np
-from scipy import stats
 
 from .core import Dataset, solve_least_squares
 from .errors import (
@@ -237,6 +237,15 @@ def _rss(dataset: Dataset, forms, interactions) -> float | None:
         return None
 
 
+def _chi2_critical_values(alpha: float) -> dict[int, float]:
+    """Upper-alpha critical values of chi-square on 1 and 2 df.
+
+    Chi-square on 1 df is a squared standard normal and on 2 df an
+    exponential with mean 2, so both quantiles have closed forms.
+    """
+    return {1: NormalDist().inv_cdf(1.0 - alpha / 2.0) ** 2, 2: -2.0 * math.log(alpha)}
+
+
 class _LrTester:
     """Likelihood-ratio chi-square tests with a numerical-zero floor."""
 
@@ -245,7 +254,7 @@ class _LrTester:
         self.alpha = alpha
         scale = float(np.mean(dataset.y ** 2))
         self.floor = max(_RSS_FLOOR_RTOL * self.n * max(scale, 1e-300), 1e-300)
-        self._crit = {df: float(stats.chi2.ppf(1.0 - alpha, df)) for df in (1, 2)}
+        self._crit = _chi2_critical_values(alpha)
 
     def statistic(self, rss_null: float, rss_alt: float) -> float:
         rss_null = max(rss_null, self.floor)

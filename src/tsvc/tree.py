@@ -217,27 +217,34 @@ def _column_layout(trees) -> list[tuple[int, int]]:
     return [(tree.target, leaf) for tree in trees for leaf in tree.leaves]
 
 
-def build_design(dataset: Dataset, trees) -> np.ndarray:
+def _leaf_ids(dataset: Dataset, trees) -> np.ndarray:
+    """(trees x rows) array: the leaf id of every row in every tree."""
+    if len(trees) != dataset.p:
+        raise DimensionMismatchError(
+            f"expected {dataset.p} trees, got {len(trees)}"
+        )
+    return np.stack([tree.assign(dataset.X) for tree in trees])
+
+
+def build_design(dataset: Dataset, trees, *, _leaf_of=None) -> np.ndarray:
     """Expand the trees into a least-squares design matrix.
 
     Column 0 is all ones; then for each covariate j in index order, one
     column per leaf of its tree in creation order, equal to
-    ``x_j * I(row falls in that leaf)``.
+    ``x_j * I(row falls in that leaf)``.  ``_leaf_of`` is internal: the
+    rows' leaf ids, which the greedy search keeps from step to step
+    instead of routing every row through every tree again.
 
     Raises
     ------
     EmptyLeafError
         If some leaf captures no observation.
     """
+    if _leaf_of is None:
+        _leaf_of = _leaf_ids(dataset, trees)
     X = dataset.X
-    n = X.shape[0]
-    if len(trees) != dataset.p:
-        raise DimensionMismatchError(
-            f"expected {dataset.p} trees, got {len(trees)}"
-        )
-    cols = [np.ones(n)]
-    for tree in trees:
-        leaf_of = tree.assign(X)
+    cols = [np.ones(X.shape[0])]
+    for tree, leaf_of in zip(trees, _leaf_of):
         xj = X[:, tree.target]
         for leaf in tree.leaves:
             mask = leaf_of == leaf
@@ -297,13 +304,53 @@ class _Segments(NamedTuple):
                          parent_leaf=int(self.leaf[seg]))
 
 
-def _segments(dataset: Dataset, trees, min_leaf: int) -> _Segments:
-    """Sort each modifier once; a split tree's leaves take their rows
-    from that order, grouped by leaf id."""
+class _StepState(NamedTuple):
+    """What one greedy step takes over from the step before it.
+
+    ``order`` is ``_stable_argsort(X)``, sorted once per fit;
+    ``leaf_of[i]`` holds every row's leaf id in tree i; ``fit`` and
+    ``Q`` are the least-squares fit of the current trees and the
+    orthonormal basis of its design.  A snapshot is never modified: a
+    step makes a new one for the next step, and the sort, the leaf ids
+    and Q are read-only arrays.
+    """
+
+    order: np.ndarray
+    leaf_of: np.ndarray
+    fit: LinearFit
+    Q: np.ndarray
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+def _start_state(dataset: Dataset, trees) -> _StepState:
+    """Sort X and fit the current trees: the state of a path's first step."""
+    leaf_of = _leaf_ids(dataset, trees)
+    fit, Q = solve_least_squares(build_design(dataset, trees, _leaf_of=leaf_of),
+                                 dataset.y, return_basis=True)
+    return _StepState(_frozen(_stable_argsort(dataset.X)), _frozen(leaf_of), fit, _frozen(Q))
+
+
+def _route_split(dataset: Dataset, leaf_of: np.ndarray, i: int, rule: SplitRule,
+                 tree: CoefficientTree) -> np.ndarray:
+    """``leaf_of`` after tree i split by ``rule`` into ``tree``: only the
+    parent leaf's rows move, to the children ``tree.assign`` gives them."""
+    out = leaf_of.copy()
+    rows = np.flatnonzero(leaf_of[i] == rule.parent_leaf)
+    left, right = tree.leaves[-2:]
+    out[i, rows] = np.where(dataset.X[rows, rule.modifier] <= rule.threshold, left, right)
+    return _frozen(out)
+
+
+def _segments(dataset: Dataset, trees, min_leaf: int, order: np.ndarray,
+              leaf_of: np.ndarray) -> _Segments:
+    """Take each modifier's rows in ``order``; a split tree's leaves
+    take theirs from that order, grouped by leaf id (``leaf_of``)."""
     X = dataset.X
     n, p = X.shape
-    order = _stable_argsort(X)
-    leaf_of = np.stack([tree.assign(X) for tree in trees])
     n_ids = max(tree.n_created for tree in trees)
     counts = np.bincount(
         (np.arange(len(trees))[:, None] * n_ids + leaf_of).ravel(),
@@ -366,15 +413,22 @@ def _candidate_blocks(segs: _Segments, min_leaf: int, width: int):
         yield seg, rows, admissible
 
 
-def enumerate_candidates(dataset: Dataset, trees, min_leaf: int) -> list[SplitRule]:
+def enumerate_candidates(dataset: Dataset, trees, min_leaf: int, *,
+                         _state: _StepState | None = None) -> list[SplitRule]:
     """All admissible one-split refinements, deterministically ordered.
 
     Order: target covariate ascending, then modifier ascending, then
-    parent leaf id ascending, then threshold ascending.
+    parent leaf id ascending, then threshold ascending.  ``_state`` is
+    internal: the snapshot ``fit_path`` hands to ``grow_one_split``,
+    whose sort and leaf ids are used instead of being recomputed.
     """
     if min_leaf < 1:
         raise ValidationError(f"min_leaf must be >= 1, got {min_leaf}")
-    segs = _segments(dataset, trees, min_leaf)
+    if _state is None:
+        order, leaf_of = _stable_argsort(dataset.X), _leaf_ids(dataset, trees)
+    else:
+        order, leaf_of = _state.order, _state.leaf_of
+    segs = _segments(dataset, trees, min_leaf, order, leaf_of)
     seg, pos = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     for block_seg, _, admissible in _candidate_blocks(segs, min_leaf, width=3):
         b, t = np.nonzero(admissible)
@@ -444,7 +498,8 @@ def _score_candidates(segs: _Segments, min_leaf: int, resid, Q):
     return scored
 
 
-def grow_one_split(dataset: Dataset, trees, min_leaf: int = 10):
+def grow_one_split(dataset: Dataset, trees, min_leaf: int = 10, *,
+                   _state: _StepState | None = None):
     """Best one-split refinement of the current trees.
 
     Every admissible rule is scored by the residual sum of squares of
@@ -458,9 +513,14 @@ def grow_one_split(dataset: Dataset, trees, min_leaf: int = 10):
     the winning rule is then refitted exactly, and a winner that turns
     out singular is dropped in favour of the next best.
 
+    ``_state`` is internal to ``fit_path``: the previous step's sort,
+    leaf ids, fit and basis, so that the base design is neither rebuilt
+    nor factorised again.  Without it the step computes them itself.
+
     Returns
     -------
-    (SplitRule, TsvcModel)
+    (SplitRule, TsvcModel), followed by the next step's state when
+    ``_state`` is given.
 
     Raises
     ------
@@ -470,10 +530,9 @@ def grow_one_split(dataset: Dataset, trees, min_leaf: int = 10):
     if min_leaf < 1:
         raise ValidationError(f"min_leaf must be >= 1, got {min_leaf}")
     y = dataset.y
-    base_design = build_design(dataset, trees)
-    base_fit, Q = solve_least_squares(base_design, y, return_basis=True)
-    segs = _segments(dataset, trees, min_leaf)
-    scored = _score_candidates(segs, min_leaf, y - base_fit.fitted, Q)
+    state = _start_state(dataset, trees) if _state is None else _state
+    segs = _segments(dataset, trees, min_leaf, state.order, state.leaf_of)
+    scored = _score_candidates(segs, min_leaf, y - state.fit.fitted, state.Q)
     while (best := max((gains.max() for _, gains in scored), default=-np.inf)) > -np.inf:
         # ties go to the first in enumeration order: segment, then position
         ties = [
@@ -483,17 +542,21 @@ def grow_one_split(dataset: Dataset, trees, min_leaf: int = 10):
         ]
         seg, pos, gains, b = min(ties, key=lambda tie: tie[:2])
         rule = segs.rule(seg, pos)
-        new_trees = tuple(
-            tree.split(rule) if tree.target == rule.target else tree for tree in trees
-        )
+        i = next(i for i, tree in enumerate(trees) if tree.target == rule.target)
+        new_trees = tuple(trees[:i]) + (trees[i].split(rule),) + tuple(trees[i + 1:])
+        leaf_of = _route_split(dataset, state.leaf_of, i, rule, new_trees[i])
         try:
-            fit = solve_least_squares(build_design(dataset, new_trees), y)
+            fit, Q = solve_least_squares(build_design(dataset, new_trees, _leaf_of=leaf_of),
+                                         y, return_basis=True)
         except RankDeficientError:
             # Scored as improving but singular on exact refit: drop the
             # candidate and take the next best.
             gains[b, pos] = -np.inf
             continue
-        return rule, _make_model(dataset, new_trees, fit)
+        model = _make_model(dataset, new_trees, fit)
+        if _state is None:
+            return rule, model
+        return rule, model, _StepState(state.order, leaf_of, fit, _frozen(Q))
     raise NoAdmissibleSplitError("no admissible split candidate")
 
 
@@ -501,17 +564,20 @@ def fit_path(dataset: Dataset, s_max: int, min_leaf: int = 10) -> ModelPath:
     """Greedy nested path of models with 0 .. s_max splits.
 
     The path may stop early when no admissible split remains.  The
-    residual sum of squares never increases along the path.
+    residual sum of squares never increases along the path.  X is
+    sorted once per path, and each step's exact refit is the next
+    step's base fit.
     """
     if s_max < 0:
         raise ValidationError(f"s_max must be >= 0, got {s_max}")
     trees = tuple(CoefficientTree.stump(j) for j in range(dataset.p))
-    fit0 = solve_least_squares(build_design(dataset, trees), dataset.y)
-    models = [_make_model(dataset, trees, fit0)]
+    state = _start_state(dataset, trees)
+    models = [_make_model(dataset, trees, state.fit)]
     rules: list[SplitRule] = []
     while len(rules) < s_max:
         try:
-            rule, model = grow_one_split(dataset, models[-1].trees, min_leaf)
+            rule, model, state = grow_one_split(dataset, models[-1].trees, min_leaf,
+                                                _state=state)
         except NoAdmissibleSplitError:
             break
         models.append(model)

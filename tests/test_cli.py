@@ -113,9 +113,26 @@ def test_fit_numeric_failures_exit_3(tmp_path, capsys):
         writer = csv.writer(handle)
         writer.writerow(["y", "x1", "x2"])
         for i in range(40):
-            writer.writerow([repr(float(X[i, 0])), repr(float(X[i, 0])), 0.0])
+            writer.writerow([repr(float(X[i, 0])), repr(float(X[i, 0])),
+                             repr(float(2.0 * X[i, 0]))])
     assert main(["fit", "--input", str(degenerate), "--response", "y"]) == 3
     assert "numeric failure:" in capsys.readouterr().err
+
+
+def test_fit_degenerate_columns_exit_2(tmp_path, capsys):
+    rng = np.random.default_rng(2)
+    X = rng.normal(size=(40, 2))
+    for name, x2, message in (("const.csv", np.full(40, 0.5), "'x2' is constant"),
+                              ("dup.csv", X[:, 0], "'x2' duplicates column 'x1'")):
+        path = tmp_path / name
+        with open(path, "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["y", "x1", "x2"])
+            for i in range(40):
+                writer.writerow([repr(float(X[i, 1])), repr(float(X[i, 0])),
+                                 repr(float(x2[i]))])
+        assert main(["fit", "--input", str(path), "--response", "y"]) == 2
+        assert message in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -299,3 +316,14 @@ def test_threads_env_parsing(monkeypatch, capsys):
     monkeypatch.setenv("TSVC_THREADS", "not-a-number")
     assert main(argv) == 0
     assert capsys.readouterr().out == baseline
+
+
+def test_threads_flag_must_be_positive(capsys):
+    commands = (["mc-dof", "--n", "40", "--p", "2", "--smax", "1", "--m", "4",
+                 "--runs", "2"],
+                ["simulate", "--scenario", "1", "--s-dgp", "0", "--n", "100",
+                 "--reps", "2"])
+    for argv in commands:
+        for value in ("0", "-3"):
+            assert main(argv + ["--threads", value]) == 2
+            assert f"--threads must be >= 1, got {value}" in capsys.readouterr().err

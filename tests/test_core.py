@@ -60,6 +60,28 @@ def test_dataset_rejects_nonfinite_and_bad_names():
         Dataset.from_arrays(y, X, names=("a",))
 
 
+def test_dataset_rejects_constant_and_duplicate_columns():
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((10, 3))
+    X[:4, 0] = 0.0
+    y = rng.standard_normal(10)
+    names = ("a", "b", "c")
+    const = X.copy()
+    const[:, 1] = 2.5
+    with pytest.raises(ValidationError, match="'b' is constant"):
+        Dataset.from_arrays(y, const, names=names)
+    dup = X.copy()
+    dup[:, 2] = dup[:, 0]
+    with pytest.raises(ValidationError, match="'c' duplicates column 'a'"):
+        Dataset.from_arrays(y, dup, names=names)
+    dup[:4, 2] = -0.0  # the same values, whatever the sign of zero
+    with pytest.raises(ValidationError, match="'c' duplicates column 'a'"):
+        Dataset.from_arrays(y, dup, names=names)
+    # a rescaled copy is not an input error; the rank check handles it
+    dup[:, 2] = 2.0 * dup[:, 0]
+    Dataset.from_arrays(y, dup, names=names)
+
+
 # ---------------------------------------------------------------------------
 # gaussian_log_lik
 # ---------------------------------------------------------------------------

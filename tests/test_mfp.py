@@ -1,6 +1,9 @@
 """Fractional-polynomial transforms, closed-test selection, surface fit."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from tsvc.errors import (
 )
 from tsvc.mfp import (
     FP_POWERS,
+    _chi2_critical_values,
     _fp_power_sets,
     best_fp,
     derive_dof_formula,
@@ -289,3 +293,23 @@ def test_mfp_fit_expression_and_json():
     assert {t["covariate"] for t in doc["terms"]} == {"s", "p"}
     assert [i["covariates"] for i in doc["interactions"]] == [["s", "p"],
                                                               ["s", "p", "n"]]
+
+
+@pytest.mark.parametrize("alpha", [0.01, 0.05, 0.1, 0.2])
+def test_chi2_critical_values_match_scipy(alpha):
+    from scipy.stats import chi2
+
+    crit = _chi2_critical_values(alpha)
+    for df in (1, 2):
+        assert crit[df] == pytest.approx(chi2.ppf(1.0 - alpha, df), rel=1e-12, abs=0)
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    import tsvc
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tsvc.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, tsvc.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

@@ -161,11 +161,14 @@ def test_min_leaf_filters_candidates():
 
 
 def test_constant_modifier_yields_no_candidates():
-    X = np.column_stack([np.linspace(-1, 1, 8), np.full(8, 3.0)])
+    # a constant column is refused by Dataset; here x2 takes two values
+    # and tree 0 is split on it, so x2 is constant inside each leaf
+    X = np.column_stack([np.linspace(-1, 1, 8), np.repeat([3.0, 7.0], 4)])
     ds = Dataset.from_arrays(np.zeros(8), X)
-    trees = tuple(CoefficientTree.stump(j) for j in range(2))
-    rules = enumerate_candidates(ds, trees, min_leaf=1)
-    assert all(r.modifier != 1 for r in rules)
+    t0 = CoefficientTree.stump(0).split(
+        SplitRule(target=0, modifier=1, threshold=5.0, parent_leaf=0))
+    rules = enumerate_candidates(ds, (t0, CoefficientTree.stump(1)), min_leaf=1)
+    assert rules and all(r.modifier != 1 for r in rules)
 
 
 def test_candidates_sorted_by_enumeration_key():
@@ -351,6 +354,68 @@ def test_fit_path_stops_early_without_candidates():
     path = fit_path(ds, s_max=5, min_leaf=6)
     assert len(path.rules) <= 2
     assert path.models[-1].s == len(path.rules) < 5
+
+
+def _carried_state_dataset(kind):
+    rng = np.random.default_rng(1)
+    if kind == "ties":
+        # few distinct values per column: tied modifier values everywhere
+        X = rng.integers(0, 6, size=(90, 3)).astype(float)
+        y = X[:, 0] * (X[:, 1] > 2) + rng.standard_normal(90)
+        return Dataset.from_arrays(y, X), 8, 4
+    if kind == "p2":
+        X = rng.standard_normal((70, 2))
+        y = X[:, 0] * np.where(X[:, 1] > 0.2, 1.5, -0.5) + 0.3 * rng.standard_normal(70)
+        return Dataset.from_arrays(y, X), 8, 3
+    # mixed scales: the exact refit finds some well-scored winners singular
+    X = rng.standard_normal((50, 2)) * np.array([1e-5, 1e5])
+    return Dataset.from_arrays(X[:, 1] * 1e-4 + rng.standard_normal(50), X), 8, 3
+
+
+@pytest.mark.parametrize("kind", ["ties", "p2", "mixed_scale"])
+def test_fit_path_carried_state_matches_fresh_steps(kind, monkeypatch):
+    # fit_path hands each step the previous step's sort, leaf ids and
+    # refit; a loop of self-contained steps must give the same bits
+    import tsvc.tree as tree_module
+
+    ds, s_max, min_leaf = _carried_state_dataset(kind)
+    steps, bans = [], []
+    real_grow, real_solve = tree_module.grow_one_split, tree_module.solve_least_squares
+
+    def grow(*args, **kwargs):
+        steps.append((args, kwargs))
+        return real_grow(*args, **kwargs)
+
+    def solve(*args, **kwargs):
+        try:
+            return real_solve(*args, **kwargs)
+        except RankDeficientError:
+            bans.append(len(steps))
+            raise
+
+    monkeypatch.setattr(tree_module, "grow_one_split", grow)
+    monkeypatch.setattr(tree_module, "solve_least_squares", solve)
+    path = fit_path(ds, s_max=s_max, min_leaf=min_leaf)
+    monkeypatch.undo()
+    assert len(path.rules) == s_max
+    assert len(steps) == s_max
+    if kind == "mixed_scale":
+        assert bans
+
+    trees = tuple(CoefficientTree.stump(j) for j in range(ds.p))
+    first = solve_least_squares(build_design(ds, trees), ds.y)
+    assert path.models[0].fit.fitted.tobytes() == first.fitted.tobytes()
+    for k, (args, kwargs) in enumerate(steps):
+        assert args[1] == path.models[k].trees
+        rule, model = grow_one_split(ds, trees, min_leaf)
+        assert rule == path.rules[k], f"step {k + 1}"
+        assert model.rss == path.models[k + 1].rss
+        assert model.fit.fitted.tobytes() == path.models[k + 1].fit.fitted.tobytes()
+        assert model.fit.coefficients.tobytes() == path.models[k + 1].fit.coefficients.tobytes()
+        # replayed after the whole path, as a trace would: the snapshot a
+        # step received is unchanged and lists the same candidates
+        assert enumerate_candidates(*args, **kwargs) == enumerate_candidates(ds, trees, min_leaf)
+        trees = model.trees
 
 
 def test_model_at_and_missing_s():
