@@ -16,39 +16,25 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from .core import Dataset
-from .dof import (
-    DofSpec,
-    McDofConfig,
-    McDofTable,
-    dof_mfp,
-    dof_naive,
-    dof_table_lookup,
-    mc_dof,
-)
+from .dof import DofSpec, McDofConfig, McDofTable, mc_dof
 from .errors import (
     DimensionMismatchError,
     DomainError,
+    MissingDofError,
     NonPositiveValuesError,
-    OffGridError,
     TsvcError,
     ValidationError,
 )
 from .mfp import derive_dof_formula
 from .selection import prune_path
-from .simulate import (
-    SCENARIO_S_MAX,
-    ScenarioConfig,
-    make_dgp_dof_spec,
-    make_null_dof_spec,
-    run_simulation,
-)
+from .simulate import MC_DOF_SOURCES, ScenarioConfig, run_simulation
 from .tree import fit_path, model_to_json
 
 THREADS_ENV = "TSVC_THREADS"
@@ -83,19 +69,6 @@ def _read_dataset_csv(path: str, response: str) -> Dataset:
     return Dataset.from_arrays(data[:, y_col], data[:, keep], names=names)
 
 
-def _dof_spec_from_name(name: str, table_path: str | None = None) -> DofSpec:
-    table = McDofTable.load(table_path) if table_path else None
-    if name == "naive":
-        return DofSpec.naive()
-    if name == "mfp":
-        return DofSpec.mfp()
-    if name == "table":
-        return DofSpec.from_table(mode="exact", table=table)
-    if name == "table-nearest":
-        return DofSpec.from_table(mode="nearest", table=table)
-    raise ValidationError(f"unknown DoF source {name!r}")
-
-
 def _default_threads() -> int:
     raw = os.environ.get(THREADS_ENV, "")
     try:
@@ -124,7 +97,7 @@ def _threads(args) -> int:
 
 def cmd_fit(args) -> int:
     dataset = _read_dataset_csv(args.input, args.response)
-    spec = _dof_spec_from_name(args.dof, args.table)
+    spec = DofSpec.parse(args.dof, args.table)
     path = fit_path(dataset, args.smax, args.min_leaf)
     report = prune_path(path, spec)
     model = path.model_at(report.selected_s)
@@ -153,27 +126,7 @@ def cmd_mc_dof(args) -> int:
 
 
 def cmd_derive_formula(args) -> int:
-    try:
-        with open(args.table, "r", encoding="utf-8", newline="") as handle:
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            if header is None:
-                raise ValidationError(f"{args.table}: empty file")
-            header = [h.strip() for h in header]
-            for col in ("p", "n", "s", "dof"):
-                if col not in header:
-                    raise ValidationError(f"{args.table}: missing column {col!r}")
-            idx = [header.index(c) for c in ("p", "n", "s", "dof")]
-            rows = []
-            for line in reader:
-                if not line:
-                    continue
-                try:
-                    rows.append([float(line[i]) for i in idx])
-                except (IndexError, ValueError) as exc:
-                    raise ValidationError(f"{args.table}: bad row {line!r}") from exc
-    except OSError as exc:
-        raise ValidationError(f"cannot read {args.table}: {exc}") from exc
+    rows = [row[:4] for row in McDofTable.load(args.table).rows]
     fit, expression = derive_dof_formula(rows, alpha=args.alpha)
     if args.out_json:
         with open(args.out_json, "w", encoding="utf-8") as handle:
@@ -184,40 +137,23 @@ def cmd_derive_formula(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    spec_names = [token.strip() for token in args.dof.split(",") if token.strip()]
-    if not spec_names:
-        raise ValidationError("no DoF sources given")
+    names = [token.strip() for token in args.dof.split(",") if token.strip()]
     threads = _threads(args)
-    plain = [name for name in spec_names if name not in ("mc-null", "mc-dgp")]
-    specs = [_dof_spec_from_name(name, args.table) for name in plain]
     config = ScenarioConfig(
         scenario=args.scenario, s_dgp=args.s_dgp, n=args.n,
         replications=args.reps, seed=args.seed, s_max=args.smax,
-        min_leaf=args.min_leaf,
-        dof_specs=tuple(specs) or (DofSpec.naive(),),
-        allow_nonstandard=args.allow_custom,
+        min_leaf=args.min_leaf, allow_nonstandard=args.allow_custom,
     )
-    if "mc-null" in spec_names or "mc-dgp" in spec_names:
-        extra = []
-        if "mc-null" in spec_names:
-            extra.append(make_null_dof_spec(config, m=args.mc_m, runs=args.mc_runs,
-                                            threads=threads))
-        if "mc-dgp" in spec_names:
-            extra.append(make_dgp_dof_spec(config, m=args.mc_m, runs=args.mc_runs,
-                                           threads=threads))
-        ordered = []
-        for name in spec_names:
-            if name in ("mc-null", "mc-dgp"):
-                ordered.append(next(s for s in extra if s.name == name))
-            else:
-                ordered.append(next(s for s in specs if s.name == name))
-        config = ScenarioConfig(
-            scenario=args.scenario, s_dgp=args.s_dgp, n=args.n,
-            replications=args.reps, seed=args.seed, s_max=args.smax,
-            min_leaf=args.min_leaf, dof_specs=tuple(ordered),
-            allow_nonstandard=args.allow_custom,
-        )
-    summary = run_simulation(config, threads=threads)
+    # Every name is checked before any Monte Carlo runs.
+    cheap = {name: DofSpec.parse(name, args.table)
+             for name in names if name not in MC_DOF_SOURCES}
+    if len(set(names)) != len(names):
+        raise ValidationError(f"DoF source names must be unique, got {args.dof!r}")
+    specs = tuple(
+        cheap[name] if name in cheap else
+        MC_DOF_SOURCES[name](config, m=args.mc_m, runs=args.mc_runs, threads=threads)
+        for name in names)
+    summary = run_simulation(replace(config, dof_specs=specs), threads=threads)
     text = summary.to_csv(args.out)
     if not args.out:
         sys.stdout.write(text)
@@ -232,19 +168,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_dof(args) -> int:
-    if args.approach == "naive":
-        value = dof_naive(args.p, args.s)
-    elif args.approach == "mfp":
-        value = dof_mfp(args.s, args.p, args.n)
-    elif args.approach in ("table", "table-nearest"):
-        table = McDofTable.load(args.table) if args.table else None
-        mode = "exact" if args.approach == "table" else "nearest"
-        if args.s == 0:
-            value = float(args.p + 1)
-        else:
-            value = dof_table_lookup(args.p, args.n, args.s, mode=mode, table=table)
-    else:
-        raise ValidationError(f"unknown approach {args.approach!r}")
+    spec = DofSpec.parse(args.approach, args.table)
+    try:
+        value = spec.dof_for(args.s, args.p, args.n)
+    except MissingDofError as exc:
+        # the cell is the user's own choice, so a miss is bad input
+        raise ValidationError(str(exc)) from exc
     print(f"{value!r}")
     return 0
 
@@ -265,8 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--response", required=True, help="name of the response column")
     q.add_argument("--smax", type=int, default=5)
     q.add_argument("--min-leaf", type=int, default=10)
-    q.add_argument("--dof", default="mfp",
-                   choices=["naive", "mfp", "table", "table-nearest"])
+    q.add_argument("--dof", default="mfp", choices=DofSpec.SOURCES)
     q.add_argument("--table", default=None, help="custom DoF grid CSV")
     q.add_argument("--out-model", default=None, help="write model JSON here")
     q.add_argument("--out-report", default=None, help="write BIC table CSV here")
@@ -299,8 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--reps", type=int, default=25)
     q.add_argument("--dof", default="naive,mfp",
-                   help="comma list: naive, mfp, table, table-nearest, "
-                        "mc-null, mc-dgp")
+                   help="comma list: "
+                        + ", ".join(DofSpec.SOURCES + tuple(MC_DOF_SOURCES)))
     q.add_argument("--table", default=None, help="custom DoF grid CSV")
     q.add_argument("--smax", type=int, default=None)
     q.add_argument("--min-leaf", type=int, default=10)
@@ -316,8 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=cmd_simulate)
 
     q = sub.add_parser("dof", help="evaluate one DoF value")
-    q.add_argument("--approach", required=True,
-                   choices=["naive", "mfp", "table", "table-nearest"])
+    q.add_argument("--approach", required=True, choices=DofSpec.SOURCES)
     q.add_argument("--s", type=int, required=True)
     q.add_argument("--p", type=int, required=True)
     q.add_argument("--n", type=int, default=0)
@@ -333,10 +260,6 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OffGridError as exc:
-        # a lookup miss on user-chosen coordinates is an input problem
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TsvcError as exc:

@@ -131,7 +131,7 @@ def gaussian_log_lik(rss: float, n: int) -> float:
     Returns
     -------
     float
-        ``-(n / 2) * (log(2 * pi * rss / n) + 1)``.
+        ``-(n / 2) * (log(2 * pi * (rss / n)) + 1)``.
     """
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
@@ -139,7 +139,7 @@ def gaussian_log_lik(rss: float, n: int) -> float:
         raise ValidationError(f"rss must be nonnegative, got {rss}")
     if rss == 0:
         raise DegenerateFitError("zero residual sum of squares: likelihood is unbounded")
-    return -0.5 * n * (math.log(2.0 * math.pi * rss / n) + 1.0)
+    return -0.5 * n * (math.log(2.0 * math.pi * (rss / n)) + 1.0)
 
 
 def solve_least_squares(design, y, return_basis: bool = False):
@@ -188,17 +188,12 @@ def solve_least_squares(design, y, return_basis: bool = False):
     rss = float(resid @ resid)
     if rss <= RSS_ZERO_RTOL * max(1.0, float(y @ y)):
         rss = 0.0
-    sigma2_hat = rss / n
-    if rss == 0.0:
-        log_lik = math.inf
-    else:
-        log_lik = -0.5 * n * (math.log(2.0 * math.pi * sigma2_hat) + 1.0)
     fit = LinearFit(
         coefficients=coefficients,
         fitted=fitted,
         rss=rss,
-        sigma2_hat=sigma2_hat,
-        log_lik=log_lik,
+        sigma2_hat=rss / n,
+        log_lik=math.inf if rss == 0.0 else gaussian_log_lik(rss, n),
         n_params=q,
     )
     if return_basis:

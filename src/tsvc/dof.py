@@ -41,6 +41,20 @@ from .tree import fit_path
 MFP_SURFACE = (2.13, 2.02, 1.26, 0.61, 0.00016)
 
 
+def _write_csv(header, rows, path=None) -> str:
+    """CSV text of a header and rows with ``\\n`` line ends, also written
+    to ``path`` when one is given."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    text = buf.getvalue()
+    if path is not None:
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+    return text
+
+
 def dof_naive(p: int, s: int) -> float:
     """Raw free-coefficient count of a model with s splits: p + s + 1."""
     if p < 1:
@@ -138,16 +152,9 @@ class McDofResult:
 
     def to_csv(self, path=None) -> str:
         """Write rows (p, n, s, dof, se); returns the text."""
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["p", "n", "s", "dof", "se"])
-        for entry in self.entries:
-            writer.writerow([self.p, self.n, entry.s, repr(entry.dof), repr(entry.se)])
-        text = buf.getvalue()
-        if path is not None:
-            with open(path, "w", encoding="utf-8", newline="") as handle:
-                handle.write(text)
-        return text
+        return _write_csv(["p", "n", "s", "dof", "se"],
+                          ([self.p, self.n, e.s, repr(e.dof), repr(e.se)]
+                           for e in self.entries), path)
 
 
 @dataclass(frozen=True)
@@ -258,25 +265,31 @@ def mc_dof(n: int, p: int, config: McDofConfig, fitter=None, X=None,
 
 @dataclass(frozen=True)
 class McDofTable:
-    """Grid of Monte-Carlo DoF estimates indexed by (p, n, s)."""
+    """Grid of Monte-Carlo DoF estimates: rows (p, n, s, dof, se), where
+    se is None when the grid has no standard errors."""
 
-    rows: tuple[tuple[int, int, int, float, float], ...]
+    rows: tuple[tuple[int, int, int, float, float | None], ...]
 
     @classmethod
     def from_csv_text(cls, text: str) -> "McDofTable":
+        """Parse a grid CSV.  Columns p, n, s and dof are found by header
+        name, se is optional and any other column is ignored; p, n and s
+        must be integers."""
         reader = csv.reader(io.StringIO(text))
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:5]] != ["p", "n", "s", "dof", "se"]:
-            raise ValidationError("expected header p,n,s,dof,se")
+        header = [h.strip() for h in next(reader, [])]
+        missing = [c for c in ("p", "n", "s", "dof") if c not in header]
+        if missing:
+            raise ValidationError(f"grid CSV lacks column(s) {', '.join(missing)}")
+        ip, i_n, i_s, i_dof = (header.index(c) for c in ("p", "n", "s", "dof"))
+        i_se = header.index("se") if "se" in header else None
         rows = []
         for line in reader:
             if not line:
                 continue
             try:
-                rows.append(
-                    (int(line[0]), int(line[1]), int(line[2]),
-                     float(line[3]), float(line[4]))
-                )
+                rows.append((int(line[ip]), int(line[i_n]), int(line[i_s]),
+                             float(line[i_dof]),
+                             None if i_se is None else float(line[i_se])))
             except (IndexError, ValueError) as exc:
                 raise ValidationError(f"bad table row {line!r}") from exc
         if not rows:
@@ -285,8 +298,15 @@ class McDofTable:
 
     @classmethod
     def load(cls, path) -> "McDofTable":
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_csv_text(handle.read())
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                text = handle.read()
+        except OSError as exc:
+            raise ValidationError(f"cannot read {path}: {exc}") from exc
+        try:
+            return cls.from_csv_text(text)
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: {exc}") from exc
 
     def lookup(self, p: int, n: int, s: int, mode: str = "exact") -> float:
         """DoF for the cell (p, n, s).
@@ -344,7 +364,8 @@ class DofSpec:
     Kinds: ``naive`` (p + s + 1), ``mfp`` (closed-form surface),
     ``table`` (grid lookup, exact or nearest) and ``custom`` (a
     Monte-Carlo result supplied by the caller).  Every kind charges a
-    split-free model exactly p + 1.
+    split-free model exactly p + 1.  ``SOURCES`` are the names that
+    ``parse`` accepts.
     """
 
     kind: str
@@ -354,12 +375,26 @@ class DofSpec:
     label: str | None = None
 
     _KINDS = ("naive", "mfp", "table", "custom")
+    SOURCES = ("naive", "mfp", "table", "table-nearest")
 
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise ValidationError(f"unknown DoF kind {self.kind!r}")
         if self.kind == "custom" and self.custom is None:
             raise ValidationError("custom DofSpec needs an McDofResult")
+
+    @classmethod
+    def parse(cls, name: str, table_path=None) -> "DofSpec":
+        """The source called ``name`` in ``SOURCES``; ``table_path`` is a
+        grid CSV that replaces the packaged grid."""
+        if name not in cls.SOURCES:
+            raise ValidationError(
+                f"unknown DoF source {name!r}; choose from {', '.join(cls.SOURCES)}")
+        table = McDofTable.load(table_path) if table_path else None
+        if name.startswith("table"):
+            return cls.from_table(mode="nearest" if name == "table-nearest" else "exact",
+                                  table=table)
+        return cls(kind=name)
 
     @classmethod
     def naive(cls) -> "DofSpec":
@@ -387,6 +422,10 @@ class DofSpec:
         return self.kind
 
     def dof_for(self, s: int, p: int, n: int) -> float:
+        if p < 1:
+            raise DomainError(f"p must be >= 1, got {p}")
+        if s < 0:
+            raise DomainError(f"s must be >= 0, got {s}")
         if s == 0:
             return float(p + 1)
         if self.kind == "naive":

@@ -247,14 +247,16 @@ def _chi2_critical_values(alpha: float) -> dict[int, float]:
 
 
 class _LrTester:
-    """Likelihood-ratio chi-square tests with a numerical-zero floor."""
+    """Likelihood-ratio chi-square tests with a numerical-zero floor.
 
-    def __init__(self, dataset: Dataset, alpha: float):
+    Without ``alpha`` it gives statistics only, not test decisions.
+    """
+
+    def __init__(self, dataset: Dataset, alpha: float | None = None):
         self.n = dataset.n
-        self.alpha = alpha
         scale = float(np.mean(dataset.y ** 2))
         self.floor = max(_RSS_FLOOR_RTOL * self.n * max(scale, 1e-300), 1e-300)
-        self._crit = _chi2_critical_values(alpha)
+        self._crit = None if alpha is None else _chi2_critical_values(alpha)
 
     def statistic(self, rss_null: float, rss_alt: float) -> float:
         rss_null = max(rss_null, self.floor)
@@ -284,16 +286,12 @@ def order_covariates(dataset: Dataset) -> list[int]:
     full = _rss(dataset, forms, [])
     if full is None:
         raise RankDeficientError("full linear model is singular")
-    floor = max(_RSS_FLOOR_RTOL * dataset.n * max(float(np.mean(dataset.y ** 2)), 1e-300),
-                1e-300)
+    tester = _LrTester(dataset)
     scores = []
     for j in range(dataset.p):
         reduced = {k: v for k, v in forms.items() if k != j}
         rss_j = _rss(dataset, reduced, [])
-        if rss_j is None:
-            stat = math.inf
-        else:
-            stat = max(dataset.n * math.log(max(rss_j, floor) / max(full, floor)), 0.0)
+        stat = math.inf if rss_j is None else tester.statistic(rss_j, full)
         scores.append((-stat, j))
     return [j for _, j in sorted(scores)]
 

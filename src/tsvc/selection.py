@@ -14,7 +14,7 @@ import io
 import math
 from dataclasses import dataclass
 
-from .dof import DofSpec
+from .dof import DofSpec, _write_csv
 from .errors import DegenerateFitError, ValidationError
 from .tree import ModelPath
 
@@ -48,17 +48,9 @@ class PruneReport:
     selected_s: int
 
     def to_csv(self, path=None) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["s", "dof", "log_lik", "bic", "selected"])
-        for e in self.entries:
-            writer.writerow([e.s, repr(e.dof), repr(e.log_lik), repr(e.bic),
-                             int(e.selected)])
-        text = buf.getvalue()
-        if path is not None:
-            with open(path, "w", encoding="utf-8", newline="") as handle:
-                handle.write(text)
-        return text
+        return _write_csv(["s", "dof", "log_lik", "bic", "selected"],
+                          ([e.s, repr(e.dof), repr(e.log_lik), repr(e.bic), int(e.selected)]
+                           for e in self.entries), path)
 
     @classmethod
     def from_csv_text(cls, text: str, dof_name: str = "") -> "PruneReport":

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dataset
-from .dof import DofSpec, McDofConfig, mc_dof
+from .dof import DofSpec, McDofConfig, _write_csv, mc_dof
 from .errors import DegenerateFitError, ValidationError
 from .selection import prune_path
 from .tree import TsvcModel, fit_path, predict
@@ -219,35 +219,20 @@ class SimSummary:
         raise ValidationError(f"no results for DoF source {name!r}")
 
     def to_csv(self, path=None) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["scenario", "n", "s_dgp", "dof_approach", "replications",
-                         "mean_splits", "sd_splits", "mean_pred_loglik",
-                         "sd_pred_loglik"])
-        for row in self.approaches:
-            writer.writerow([self.scenario, self.n, self.s_dgp, row.dof_name,
-                             self.replications, repr(row.mean_splits),
-                             repr(row.sd_splits), repr(row.mean_pred_log_lik),
-                             repr(row.sd_pred_log_lik)])
-        text = buf.getvalue()
-        if path is not None:
-            with open(path, "w", encoding="utf-8", newline="") as handle:
-                handle.write(text)
-        return text
+        return _write_csv(
+            ["scenario", "n", "s_dgp", "dof_approach", "replications",
+             "mean_splits", "sd_splits", "mean_pred_loglik", "sd_pred_loglik"],
+            ([self.scenario, self.n, self.s_dgp, row.dof_name, self.replications,
+              repr(row.mean_splits), repr(row.sd_splits),
+              repr(row.mean_pred_log_lik), repr(row.sd_pred_log_lik)]
+             for row in self.approaches), path)
 
     def records_to_csv(self, path=None) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["scenario", "n", "s_dgp", "replicate", "dof_approach",
-                         "selected_splits", "pred_loglik"])
-        for rec in self.records:
-            writer.writerow([self.scenario, self.n, self.s_dgp, rec.replicate,
-                             rec.dof_name, rec.selected_s, repr(rec.pred_log_lik)])
-        text = buf.getvalue()
-        if path is not None:
-            with open(path, "w", encoding="utf-8", newline="") as handle:
-                handle.write(text)
-        return text
+        return _write_csv(
+            ["scenario", "n", "s_dgp", "replicate", "dof_approach",
+             "selected_splits", "pred_loglik"],
+            ([self.scenario, self.n, self.s_dgp, rec.replicate, rec.dof_name,
+              rec.selected_s, repr(rec.pred_log_lik)] for rec in self.records), path)
 
 
 def read_summary_csv(text: str) -> list[dict]:
@@ -362,3 +347,7 @@ def make_dgp_dof_spec(config: ScenarioConfig, m: int = 100, runs: int = 10,
                             mu=mu_train)
     result = mc_dof(config.n, config.p, mc_config, X=train.X, threads=threads)
     return DofSpec.from_custom(result, label="mc-dgp")
+
+
+# The DoF sources a setting estimates for itself, by the name they carry.
+MC_DOF_SOURCES = {"mc-null": make_null_dof_spec, "mc-dgp": make_dgp_dof_spec}

@@ -293,10 +293,16 @@ class _Segments(NamedTuple):
         return np.take(self.columns, covariate * self.columns.shape[1] + rows)
 
     def thresholds(self, seg, pos) -> np.ndarray:
-        """Midpoint between the rows at ``pos`` and ``pos + 1`` of segment ``seg``."""
+        """Cut between the rows at ``pos`` and ``pos + 1`` of segment ``seg``:
+        their midpoint, or the lower value where the midpoint of two
+        adjacent floats rounds up to the upper one, so that ``x <= cut``
+        always splits the rows where they were scored."""
         at = self.start[seg] + pos
         k = self.modifier[seg]
-        return 0.5 * (self.values(k, self.rows[at]) + self.values(k, self.rows[at + 1]))
+        lower = self.values(k, self.rows[at])
+        upper = self.values(k, self.rows[at + 1])
+        mid = 0.5 * (lower + upper)
+        return np.where(mid < upper, mid, lower)
 
     def rule(self, seg: int, pos: int) -> SplitRule:
         return SplitRule(target=int(self.target[seg]), modifier=int(self.modifier[seg]),

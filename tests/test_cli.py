@@ -7,8 +7,11 @@ import json
 import numpy as np
 import pytest
 
+import tsvc.cli
+import tsvc.simulate
 from tsvc.cli import main
 from tsvc.dof import MFP_SURFACE, McDofTable, dof_mfp, dof_table_lookup
+from tsvc.simulate import make_dgp_dof_spec, make_null_dof_spec
 from tsvc.selection import PruneReport
 from tsvc.tree import model_from_json, predict
 
@@ -135,6 +138,29 @@ def test_fit_degenerate_columns_exit_2(tmp_path, capsys):
         assert message in capsys.readouterr().err
 
 
+def test_fit_cut_between_adjacent_floats_keeps_the_scored_split(tmp_path, capsys):
+    # The midpoint of 1 + 2^-52 and 1 + 2^-51 rounds up to the upper value,
+    # so ``x2 <= midpoint`` would send every row left of the scored cut.
+    lower, upper = 1.0 + 2.0 ** -52, 1.0 + 2.0 ** -51
+    rng = np.random.default_rng(0)
+    x2 = np.concatenate([rng.uniform(-3.0, 0.5, 9), [lower] * 3, [upper] * 3])
+    x1 = rng.normal(size=x2.size)
+    y = x1 * np.where(x2 > lower, 5.0, -1.0) + 0.01 * rng.normal(size=x2.size)
+    data = tmp_path / "adjacent.csv"
+    with open(data, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["y", "x1", "x2"])
+        writer.writerows([repr(float(v)) for v in row] for row in zip(y, x1, x2))
+    model_path = tmp_path / "model.json"
+    assert main(["fit", "--input", str(data), "--response", "y", "--min-leaf", "3",
+                 "--out-model", str(model_path)]) == 0
+    capsys.readouterr()
+    model = model_from_json(model_path.read_text())
+    root = model.trees[0].root
+    assert root.modifier == 1
+    assert lower <= root.threshold < upper
+
+
 # ---------------------------------------------------------------------------
 # mc-dof
 # ---------------------------------------------------------------------------
@@ -198,6 +224,44 @@ def test_derive_formula_input_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_derive_formula_reads_columns_by_name(tmp_path, capsys):
+    texts = []
+    for p in (2, 3, 4, 5):
+        for n in (40, 60):
+            out = tmp_path / f"cell_{p}_{n}.csv"
+            assert main(["mc-dof", "--n", str(n), "--p", str(p), "--smax", "3",
+                         "--m", "4", "--runs", "2", "--min-leaf", "5", "--seed", "1",
+                         "--out", str(out)]) == 0
+            texts.append(out.read_text())
+    grid = tmp_path / "grid.csv"
+    grid.write_text(texts[0] + "".join(t.split("\n", 1)[1] for t in texts[1:]))
+    table = McDofTable.load(grid)
+    reordered = tmp_path / "reordered.csv"
+    with open(reordered, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["dof", "s", "n", "p"])
+        writer.writerows([repr(dof), s, n, p] for p, n, s, dof, _ in table.rows)
+    payloads = []
+    for path in (grid, reordered):
+        out_json = tmp_path / f"{path.stem}.json"
+        assert main(["derive-formula", "--table", str(path),
+                     "--out-json", str(out_json)]) == 0
+        payloads.append(out_json.read_text())
+    capsys.readouterr()
+    assert payloads[0] == payloads[1]
+
+
+def test_derive_formula_refuses_non_integer_cells(tmp_path, capsys):
+    grid = tmp_path / "grid.csv"
+    _surface_csv(grid)
+    lines = grid.read_text().splitlines()
+    assert lines[1].startswith("2,")
+    lines[1] = "2.0" + lines[1][1:]
+    grid.write_text("\n".join(lines) + "\n")
+    assert main(["derive-formula", "--table", str(grid)]) == 2
+    assert f"error: {grid}: bad table row ['2.0'," in capsys.readouterr().err
+
+
 def test_derive_formula_on_packaged_grid(tmp_path, capsys):
     from importlib.resources import files
 
@@ -256,6 +320,46 @@ def test_simulate_monte_carlo_dof_source(tmp_path):
     assert [row["dof_approach"] for row in reader] == ["mc-null"]
 
 
+def test_simulate_keeps_dof_source_order(tmp_path, monkeypatch, capsys):
+    configs = []
+
+    def recording_run_simulation(config, threads=1):
+        configs.append(config)
+        return tsvc.simulate.run_simulation(config, threads=threads)
+
+    monkeypatch.setattr(tsvc.cli, "run_simulation", recording_run_simulation)
+    out = tmp_path / "summary.csv"
+    assert main(["simulate", "--scenario", "1", "--s-dgp", "1", "--n", "64",
+                 "--reps", "1", "--smax", "2", "--allow-custom", "--seed", "3",
+                 "--dof", "mfp,mc-dgp,naive,mc-null", "--mc-m", "4", "--mc-runs", "2",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    order = ["mfp", "mc-dgp", "naive", "mc-null"]
+    reader = csv.DictReader(io.StringIO(out.read_text()))
+    assert [row["dof_approach"] for row in reader] == order
+    (config,) = configs
+    specs = dict(zip(order, config.dof_specs))
+    assert [spec.name for spec in config.dof_specs] == order
+    assert specs["mc-dgp"].custom == make_dgp_dof_spec(config, m=4, runs=2).custom
+    assert specs["mc-null"].custom == make_null_dof_spec(config, m=4, runs=2).custom
+
+
+def test_simulate_checks_every_name_before_monte_carlo(tmp_path, monkeypatch, capsys):
+    def no_monte_carlo(*args, **kwargs):
+        raise AssertionError("Monte Carlo ran before the DoF sources were checked")
+
+    monkeypatch.setattr(tsvc.simulate, "mc_dof", no_monte_carlo)
+    monkeypatch.setattr(tsvc.cli, "mc_dof", no_monte_carlo)
+    base = ["simulate", "--scenario", "1", "--s-dgp", "1", "--n", "100", "--reps", "1"]
+    missing = ["--table", str(tmp_path / "missing.csv")]
+    for dof, message in ((["mc-null,mc-null"], "must be unique"),
+                         (["mc-dgp,naive,mfp,naive"], "must be unique"),
+                         (["mc-null,bogus"], "unknown DoF source 'bogus'"),
+                         (["mc-dgp,table"] + missing, "cannot read")):
+        assert main(base + ["--dof"] + dof) == 2
+        assert message in capsys.readouterr().err
+
+
 def test_simulate_input_errors(capsys):
     base = ["simulate", "--scenario", "1", "--n", "100", "--reps", "1"]
     assert main(base + ["--s-dgp", "9"]) == 2
@@ -289,6 +393,38 @@ def test_dof_values_match_library(capsys):
                  "--n", "550"]) == 0
     assert float(capsys.readouterr().out) == pytest.approx(
         dof_table_lookup(2, 550, 1, mode="nearest"))
+
+
+def test_dof_prints_what_pruning_charges(capsys):
+    # s = 0 costs p + 1 under every source, whatever n is
+    for approach in ("naive", "mfp", "table", "table-nearest"):
+        assert main(["dof", "--approach", approach, "--s", "0", "--p", "3",
+                     "--n", "0"]) == 0
+        assert capsys.readouterr().out == "4.0\n"
+    # the arguments are checked before that shortcut
+    for approach in ("naive", "mfp", "table", "table-nearest"):
+        assert main(["dof", "--approach", approach, "--s", "0", "--p", "-5"]) == 2
+        assert "p must be >= 1, got -5" in capsys.readouterr().err
+        assert main(["dof", "--approach", approach, "--s", "-1", "--p", "2"]) == 2
+        assert "s must be >= 0, got -1" in capsys.readouterr().err
+
+
+def test_missing_table_file_exits_2(tmp_path, capsys):
+    missing = str(tmp_path / "missing.csv")
+    data = tmp_path / "data.csv"
+    _write_fit_csv(data)
+    commands = (
+        ["fit", "--input", str(data), "--response", "y", "--dof", "table",
+         "--table", missing],
+        ["dof", "--approach", "table", "--s", "1", "--p", "2", "--n", "100",
+         "--table", missing],
+        ["simulate", "--scenario", "1", "--s-dgp", "1", "--n", "100", "--reps", "1",
+         "--dof", "naive,table", "--table", missing],
+        ["derive-formula", "--table", missing],
+    )
+    for argv in commands:
+        assert main(argv) == 2
+        assert f"error: cannot read {missing}" in capsys.readouterr().err
 
 
 def test_dof_off_grid_exits_2(capsys):

@@ -208,9 +208,49 @@ def test_table_parser_rejects_bad_input():
         McDofTable.from_csv_text("p,n,s,dof,se\n2,100,1,x,0.1\n")
 
 
+def test_table_parser_finds_columns_by_name():
+    table = McDofTable.from_csv_text("dof,extra,s,n,p\n7.5,x,1,100,2\n")
+    assert table.rows == ((2, 100, 1, 7.5, None),)
+    table = McDofTable.from_csv_text(" se , p,n,s,dof\n0.25,2,100,1,7.5\n")
+    assert table.rows == ((2, 100, 1, 7.5, 0.25),)
+    with pytest.raises(ValidationError, match="lacks column"):
+        McDofTable.from_csv_text("p,n,dof\n2,100,7.5\n")
+    with pytest.raises(ValidationError, match="bad table row"):
+        McDofTable.from_csv_text("p,n,s,dof\n2,100.0,1,7.5\n")
+
+
+def test_table_load_turns_os_errors_into_validation_errors(tmp_path):
+    with pytest.raises(ValidationError, match="cannot read"):
+        McDofTable.load(tmp_path / "missing.csv")
+    with pytest.raises(ValidationError, match="cannot read"):
+        McDofTable.load(tmp_path)
+
+
 # ---------------------------------------------------------------------------
 # DofSpec
 # ---------------------------------------------------------------------------
+
+def test_dof_spec_parse_covers_every_source(tmp_path):
+    grid = tmp_path / "grid.csv"
+    grid.write_text("p,n,s,dof\n3,50,1,9.5\n")
+    for name in DofSpec.SOURCES:
+        assert DofSpec.parse(name).name == name
+        assert DofSpec.parse(name, grid).name == name
+    assert DofSpec.parse("table", grid).dof_for(1, 3, 50) == 9.5
+    assert DofSpec.parse("table-nearest", grid).dof_for(1, 4, 70) == 9.5
+    assert DofSpec.parse("table").dof_for(1, 2, 100) == dof_table_lookup(2, 100, 1)
+    for name in ("custom", "mc-null", "Naive", ""):
+        with pytest.raises(ValidationError, match="unknown DoF source"):
+            DofSpec.parse(name)
+
+
+def test_dof_spec_checks_arguments_before_zero_splits():
+    for spec in (DofSpec.naive(), DofSpec.mfp(), DofSpec.from_table()):
+        with pytest.raises(DomainError):
+            spec.dof_for(0, 0, 100)
+        with pytest.raises(DomainError):
+            spec.dof_for(-1, 2, 100)
+        assert spec.dof_for(0, 1, 0) == 2.0
 
 def test_dof_spec_names():
     assert DofSpec.naive().name == "naive"
