@@ -198,8 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--table", default=None, help="custom DoF grid CSV")
     q.add_argument("--out-model", default=None, help="write model JSON here")
     q.add_argument("--out-report", default=None, help="write BIC table CSV here")
-    q.add_argument("--seed", type=int, default=0,
-                   help="accepted for interface uniformity; fitting is deterministic")
     q.set_defaults(func=cmd_fit)
 
     q = sub.add_parser("mc-dof", help="Monte-Carlo degrees of freedom")

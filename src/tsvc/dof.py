@@ -55,6 +55,41 @@ def _write_csv(header, rows, path=None) -> str:
     return text
 
 
+def _read_csv(text: str, columns: dict, optional: dict | None = None) -> list[dict]:
+    """Rows of a CSV as dicts of typed cells, blank lines skipped.
+    ``columns`` and ``optional`` map header names to cell types; columns
+    are found by name and others ignored, and the rows lack the key of
+    an optional column the header lacks.  A missing column or a bad
+    cell raises ValidationError."""
+    reader = csv.reader(io.StringIO(text))
+    header = [h.strip() for h in next(reader, [])]
+    missing = [c for c in columns if c not in header]
+    if missing:
+        raise ValidationError(f"CSV lacks column(s) {', '.join(missing)}")
+    types = {**columns, **{c: t for c, t in (optional or {}).items() if c in header}}
+    where = {c: header.index(c) for c in types}
+    rows = []
+    for line in reader:
+        if not line:
+            continue
+        try:
+            rows.append({c: t(line[where[c]]) for c, t in types.items()})
+        except (IndexError, ValueError) as exc:
+            raise ValidationError(f"bad table row {line!r}") from exc
+    return rows
+
+
+def _map_jobs(fn, jobs, threads: int) -> list:
+    """``[fn(job) for job in jobs]``; above one thread the jobs run in
+    that many worker processes, so ``fn`` and the jobs must pickle."""
+    if threads < 1:
+        raise ValidationError(f"threads must be >= 1, got {threads}")
+    if threads == 1:
+        return [fn(job) for job in jobs]
+    with ProcessPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, jobs))
+
+
 def dof_naive(p: int, s: int) -> float:
     """Raw free-coefficient count of a model with s splits: p + s + 1."""
     if p < 1:
@@ -219,8 +254,6 @@ def mc_dof(n: int, p: int, config: McDofConfig, fitter=None, X=None,
     """
     if n < 1 or p < 1:
         raise ValidationError(f"need n >= 1 and p >= 1, got n = {n}, p = {p}")
-    if threads < 1:
-        raise ValidationError(f"threads must be >= 1, got {threads}")
     mu = np.zeros(n) if config.mu is None else np.asarray(config.mu, dtype=float)
     if mu.shape != (n,):
         raise ValidationError(f"mu must have shape ({n},), got {mu.shape}")
@@ -235,11 +268,7 @@ def mc_dof(n: int, p: int, config: McDofConfig, fitter=None, X=None,
         (n, p, config.seed, r, config.m, mu, X, fitter)
         for r in range(config.runs)
     ]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            per_run = list(pool.map(_mc_dof_run, jobs))
-    else:
-        per_run = [_mc_dof_run(job) for job in jobs]
+    per_run = _map_jobs(_mc_dof_run, jobs, threads)
 
     keys = sorted({s for run in per_run for s in run})
     entries = []
@@ -275,26 +304,12 @@ class McDofTable:
         """Parse a grid CSV.  Columns p, n, s and dof are found by header
         name, se is optional and any other column is ignored; p, n and s
         must be integers."""
-        reader = csv.reader(io.StringIO(text))
-        header = [h.strip() for h in next(reader, [])]
-        missing = [c for c in ("p", "n", "s", "dof") if c not in header]
-        if missing:
-            raise ValidationError(f"grid CSV lacks column(s) {', '.join(missing)}")
-        ip, i_n, i_s, i_dof = (header.index(c) for c in ("p", "n", "s", "dof"))
-        i_se = header.index("se") if "se" in header else None
-        rows = []
-        for line in reader:
-            if not line:
-                continue
-            try:
-                rows.append((int(line[ip]), int(line[i_n]), int(line[i_s]),
-                             float(line[i_dof]),
-                             None if i_se is None else float(line[i_se])))
-            except (IndexError, ValueError) as exc:
-                raise ValidationError(f"bad table row {line!r}") from exc
+        rows = _read_csv(text, {"p": int, "n": int, "s": int, "dof": float},
+                         optional={"se": float})
         if not rows:
             raise ValidationError("table has no data rows")
-        return cls(rows=tuple(rows))
+        return cls(rows=tuple((r["p"], r["n"], r["s"], r["dof"], r.get("se"))
+                              for r in rows))
 
     @classmethod
     def load(cls, path) -> "McDofTable":
@@ -314,25 +329,20 @@ class McDofTable:
         ``mode='exact'`` requires the cell to be present.  In
         ``'nearest'`` mode p snaps to the closest tabulated value
         (ties to the smaller), then n likewise; s must still match a
-        tabulated split count exactly.
+        tabulated split count exactly.  Either mode raises DomainError
+        for p < 1 or n < 1.
         """
         if mode not in ("exact", "nearest"):
             raise ValidationError(f"unknown lookup mode {mode!r}")
-        if mode == "exact":
-            for rp, rn, rs, dof, _ in self.rows:
-                if (rp, rn, rs) == (p, n, s):
-                    return dof
-            raise OffGridError(f"cell (p={p}, n={n}, s={s}) not in the table")
-        ps = sorted({r[0] for r in self.rows})
-        p_near = min(ps, key=lambda v: (abs(v - p), v))
-        ns = sorted({r[1] for r in self.rows if r[0] == p_near})
-        n_near = min(ns, key=lambda v: (abs(v - n), v))
+        if p < 1 or n < 1:
+            raise DomainError(f"need p >= 1 and n >= 1, got p = {p}, n = {n}")
+        if mode == "nearest":
+            p = min({r[0] for r in self.rows}, key=lambda v: (abs(v - p), v))
+            n = min({r[1] for r in self.rows if r[0] == p}, key=lambda v: (abs(v - n), v))
         for rp, rn, rs, dof, _ in self.rows:
-            if (rp, rn, rs) == (p_near, n_near, s):
+            if (rp, rn, rs) == (p, n, s):
                 return dof
-        raise OffGridError(
-            f"no row for s = {s} at the nearest cell (p={p_near}, n={n_near})"
-        )
+        raise OffGridError(f"cell (p={p}, n={n}, s={s}) not in the table")
 
 
 _REFERENCE: McDofTable | None = None

@@ -298,16 +298,21 @@ def order_covariates(dataset: Dataset) -> list[int]:
 
 def best_fp(dataset: Dataset, j: int, degree: int,
             current_forms: dict[int, FpTerm] | None = None,
-            interactions=(), shift: bool = True) -> FpTerm:
+            interactions=()) -> FpTerm:
     """Best fractional-polynomial form of the given degree for covariate j.
 
     All candidate power tuples are scored by the rss of the refitted
     model, holding the other covariates at ``current_forms`` (and any
     supplied interactions in the model); ties go to the
-    lexicographically smallest tuple.
+    lexicographically smallest tuple.  The covariate is shifted by its
+    ``positivity_shift``.
     """
+    if degree not in (1, 2):
+        raise ValidationError(f"degree must be 1 or 2, got {degree}")
+    if j < 0 or j >= dataset.p:
+        raise ValidationError(f"no covariate {j}")
     term, _ = _best_fp_with_rss(dataset, j, degree, current_forms or {},
-                                interactions, shift)
+                                interactions, positivity_shift(dataset.X[:, j]))
     if term is None:
         raise RankDeficientError(
             f"every degree-{degree} candidate for covariate {j} is singular"
@@ -315,17 +320,9 @@ def best_fp(dataset: Dataset, j: int, degree: int,
     return term
 
 
-def _best_fp_with_rss(dataset, j, degree, current_forms, interactions, shift):
-    if degree not in (1, 2):
-        raise ValidationError(f"degree must be 1 or 2, got {degree}")
-    if j < 0 or j >= dataset.p:
-        raise ValidationError(f"no covariate {j}")
-    x = dataset.X[:, j]
-    delta = positivity_shift(x) if shift else 0.0
-    if np.any(x + delta <= 0):
-        raise NonPositiveValuesError(
-            f"covariate {j} has nonpositive values and shifting is disabled"
-        )
+def _best_fp_with_rss(dataset, j, degree, current_forms, interactions, delta):
+    """``best_fp`` with covariate j shifted by ``delta``, and the rss of
+    its fit; (None, inf) when every candidate is singular."""
     others = {k: v for k, v in current_forms.items() if k != j}
     best = None
     best_rss = math.inf
@@ -340,7 +337,7 @@ def _best_fp_with_rss(dataset, j, degree, current_forms, interactions, shift):
 
 
 def mfp_select(dataset: Dataset, alpha: float = 0.05, interactions: int = 0,
-               max_cycles: int = 10, shift: bool = True) -> MfpFit:
+               max_cycles: int = 10) -> MfpFit:
     """Multivariable fractional-polynomial selection with a closed test.
 
     Per covariate and cycle: (1) the best degree-2 form against the
@@ -365,13 +362,7 @@ def mfp_select(dataset: Dataset, alpha: float = 0.05, interactions: int = 0,
 
     p = dataset.p
     tester = _LrTester(dataset, alpha)
-    shifts = tuple(positivity_shift(dataset.X[:, j]) if shift else 0.0
-                   for j in range(p))
-    for j in range(p):
-        if np.any(dataset.X[:, j] + shifts[j] <= 0):
-            raise NonPositiveValuesError(
-                f"covariate {j} has nonpositive values and shifting is disabled"
-            )
+    shifts = tuple(positivity_shift(dataset.X[:, j]) for j in range(p))
     forms: dict[int, FpTerm] = {j: FpTerm(j, LINEAR, shifts[j]) for j in range(p)}
     inter_candidates: list[tuple[int, ...]] = []
     if interactions:
@@ -386,7 +377,7 @@ def mfp_select(dataset: Dataset, alpha: float = 0.05, interactions: int = 0,
         for j in order:
             others = {k: v for k, v in forms.items() if k != j}
             fp2, rss_fp2 = _best_fp_with_rss(dataset, j, 2, others,
-                                             included_inters, shift)
+                                             included_inters, shifts[j])
             if fp2 is None:
                 forms.pop(j, None)
                 continue
@@ -401,7 +392,7 @@ def mfp_select(dataset: Dataset, alpha: float = 0.05, interactions: int = 0,
                 forms[j] = linear[j]
                 continue
             fp1, rss_fp1 = _best_fp_with_rss(dataset, j, 1, others,
-                                             included_inters, shift)
+                                             included_inters, shifts[j])
             if fp1 is not None and not tester.significant(rss_fp1, rss_fp2, df=1):
                 forms[j] = fp1
             else:

@@ -9,12 +9,10 @@ the criterion honest about adaptively chosen splits.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
-from .dof import DofSpec, _write_csv
+from .dof import DofSpec, _read_csv, _write_csv
 from .errors import DegenerateFitError, ValidationError
 from .tree import ModelPath
 
@@ -54,19 +52,9 @@ class PruneReport:
 
     @classmethod
     def from_csv_text(cls, text: str, dof_name: str = "") -> "PruneReport":
-        reader = csv.reader(io.StringIO(text))
-        header = next(reader, None)
-        if header != ["s", "dof", "log_lik", "bic", "selected"]:
-            raise ValidationError("expected header s,dof,log_lik,bic,selected")
-        entries = []
-        for line in reader:
-            if not line:
-                continue
-            entries.append(
-                PruneEntry(s=int(line[0]), dof=float(line[1]),
-                           log_lik=float(line[2]), bic=float(line[3]),
-                           selected=bool(int(line[4])))
-            )
+        rows = _read_csv(text, {"s": int, "dof": float, "log_lik": float,
+                                "bic": float, "selected": int})
+        entries = [PruneEntry(**{**r, "selected": bool(r["selected"])}) for r in rows]
         selected = [e.s for e in entries if e.selected]
         if len(selected) != 1:
             raise ValidationError("report must mark exactly one selected row")

@@ -22,16 +22,13 @@ the same size (using the training variance estimate).
 
 from __future__ import annotations
 
-import csv
-import io
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import Dataset
-from .dof import DofSpec, McDofConfig, _write_csv, mc_dof
+from .dof import DofSpec, McDofConfig, _map_jobs, _read_csv, _write_csv, mc_dof
 from .errors import DegenerateFitError, ValidationError
 from .selection import prune_path
 from .tree import TsvcModel, fit_path, predict
@@ -237,21 +234,11 @@ class SimSummary:
 
 def read_summary_csv(text: str) -> list[dict]:
     """Parse a summary CSV back into dict rows (numbers converted)."""
-    reader = csv.DictReader(io.StringIO(text))
-    rows = []
-    for raw in reader:
-        rows.append({
-            "scenario": int(raw["scenario"]),
-            "n": int(raw["n"]),
-            "s_dgp": int(raw["s_dgp"]),
-            "dof_approach": raw["dof_approach"],
-            "replications": int(raw["replications"]),
-            "mean_splits": float(raw["mean_splits"]),
-            "sd_splits": float(raw["sd_splits"]),
-            "mean_pred_loglik": float(raw["mean_pred_loglik"]),
-            "sd_pred_loglik": float(raw["sd_pred_loglik"]),
-        })
-    return rows
+    return _read_csv(text, {
+        "scenario": int, "n": int, "s_dgp": int, "dof_approach": str,
+        "replications": int, "mean_splits": float, "sd_splits": float,
+        "mean_pred_loglik": float, "sd_pred_loglik": float,
+    })
 
 
 def _run_replicate(args):
@@ -281,14 +268,8 @@ def run_simulation(config: ScenarioConfig, threads: int = 1) -> SimSummary:
     ``threads`` (at least 1) because each replicate derives its own
     random stream.
     """
-    if threads < 1:
-        raise ValidationError(f"threads must be >= 1, got {threads}")
     jobs = [(config, r) for r in range(config.replications)]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            nested = list(pool.map(_run_replicate, jobs))
-    else:
-        nested = [_run_replicate(job) for job in jobs]
+    nested = _map_jobs(_run_replicate, jobs, threads)
     records = tuple(rec for group in nested for rec in group)
 
     approaches = []

@@ -260,20 +260,6 @@ def build_design(dataset: Dataset, trees, *, _leaf_of=None) -> np.ndarray:
 # candidate enumeration and greedy growth
 # ---------------------------------------------------------------------------
 
-def _stable_argsort(X: np.ndarray) -> np.ndarray:
-    """Stable argsort of each column (ties keep row order).
-
-    The default sort is several times faster and gives the same order
-    on a column without ties, so only tied columns are sorted stably.
-    """
-    order = np.argsort(X, axis=0)
-    xs = np.take_along_axis(X, order, axis=0)
-    tied = (xs[1:] == xs[:-1]).any(axis=0)
-    if tied.any():
-        order[:, tied] = np.argsort(X[:, tied], axis=0, kind="stable")
-    return order
-
-
 class _Segments(NamedTuple):
     """The admissible (target, modifier, leaf) triples, in enumeration
     order (target, then modifier, then leaf id), of leaves holding at
@@ -313,7 +299,8 @@ class _Segments(NamedTuple):
 class _StepState(NamedTuple):
     """What one greedy step takes over from the step before it.
 
-    ``order`` is ``_stable_argsort(X)``, sorted once per fit;
+    ``order`` is the stable argsort of X's columns (ties keep row
+    order), sorted once per fit;
     ``leaf_of[i]`` holds every row's leaf id in tree i; ``fit`` and
     ``Q`` are the least-squares fit of the current trees and the
     orthonormal basis of its design.  A snapshot is never modified: a
@@ -337,18 +324,8 @@ def _start_state(dataset: Dataset, trees) -> _StepState:
     leaf_of = _leaf_ids(dataset, trees)
     fit, Q = solve_least_squares(build_design(dataset, trees, _leaf_of=leaf_of),
                                  dataset.y, return_basis=True)
-    return _StepState(_frozen(_stable_argsort(dataset.X)), _frozen(leaf_of), fit, _frozen(Q))
-
-
-def _route_split(dataset: Dataset, leaf_of: np.ndarray, i: int, rule: SplitRule,
-                 tree: CoefficientTree) -> np.ndarray:
-    """``leaf_of`` after tree i split by ``rule`` into ``tree``: only the
-    parent leaf's rows move, to the children ``tree.assign`` gives them."""
-    out = leaf_of.copy()
-    rows = np.flatnonzero(leaf_of[i] == rule.parent_leaf)
-    left, right = tree.leaves[-2:]
-    out[i, rows] = np.where(dataset.X[rows, rule.modifier] <= rule.threshold, left, right)
-    return _frozen(out)
+    order = np.argsort(dataset.X, axis=0, kind="stable")
+    return _StepState(_frozen(order), _frozen(leaf_of), fit, _frozen(Q))
 
 
 def _segments(dataset: Dataset, trees, min_leaf: int, order: np.ndarray,
@@ -431,7 +408,8 @@ def enumerate_candidates(dataset: Dataset, trees, min_leaf: int, *,
     if min_leaf < 1:
         raise ValidationError(f"min_leaf must be >= 1, got {min_leaf}")
     if _state is None:
-        order, leaf_of = _stable_argsort(dataset.X), _leaf_ids(dataset, trees)
+        order = np.argsort(dataset.X, axis=0, kind="stable")
+        leaf_of = _leaf_ids(dataset, trees)
     else:
         order, leaf_of = _state.order, _state.leaf_of
     segs = _segments(dataset, trees, min_leaf, order, leaf_of)
@@ -550,7 +528,10 @@ def grow_one_split(dataset: Dataset, trees, min_leaf: int = 10, *,
         rule = segs.rule(seg, pos)
         i = next(i for i, tree in enumerate(trees) if tree.target == rule.target)
         new_trees = tuple(trees[:i]) + (trees[i].split(rule),) + tuple(trees[i + 1:])
-        leaf_of = _route_split(dataset, state.leaf_of, i, rule, new_trees[i])
+        # only the parent leaf's rows move
+        leaf_of = state.leaf_of.copy()
+        rows = np.flatnonzero(leaf_of[i] == rule.parent_leaf)
+        leaf_of[i, rows] = new_trees[i].assign(dataset.X[rows])
         try:
             fit, Q = solve_least_squares(build_design(dataset, new_trees, _leaf_of=leaf_of),
                                          y, return_basis=True)
@@ -562,7 +543,7 @@ def grow_one_split(dataset: Dataset, trees, min_leaf: int = 10, *,
         model = _make_model(dataset, new_trees, fit)
         if _state is None:
             return rule, model
-        return rule, model, _StepState(state.order, leaf_of, fit, _frozen(Q))
+        return rule, model, _StepState(state.order, _frozen(leaf_of), fit, _frozen(Q))
     raise NoAdmissibleSplitError("no admissible split candidate")
 
 
@@ -638,6 +619,12 @@ def _node_from_dict(doc):
     )
 
 
+def _node_leaf_ids(node) -> list[int]:
+    if isinstance(node, LeafNode):
+        return [node.leaf_id]
+    return _node_leaf_ids(node.left) + _node_leaf_ids(node.right)
+
+
 def model_to_dict(model: TsvcModel) -> dict:
     return {
         "intercept": model.intercept,
@@ -663,23 +650,22 @@ def model_to_dict(model: TsvcModel) -> dict:
 def model_from_dict(doc: dict) -> TsvcModel:
     trees = []
     for tdoc in doc["trees"]:
+        target = int(tdoc["target"])
         root = _node_from_dict(tdoc["root"])
         leaves = tuple(int(item["id"]) for item in tdoc["leaves"])
         coefficients = tuple(float(item["coefficient"]) for item in tdoc["leaves"])
-        max_id = max(leaves)
-
-        def walk(node):
-            if isinstance(node, LeafNode):
-                return node.leaf_id
-            return max(walk(node.left), walk(node.right))
-
-        max_id = max(max_id, walk(root))
+        root_leaves = sorted(_node_leaf_ids(root))
+        if sorted(leaves) != root_leaves:
+            raise ValidationError(
+                f"tree for covariate {target}: leaves {sorted(leaves)} differ "
+                f"from the leaves of its root {root_leaves}"
+            )
         trees.append(
             CoefficientTree(
-                target=int(tdoc["target"]),
+                target=target,
                 root=root,
                 leaves=leaves,
-                n_created=max_id + 1,
+                n_created=max(leaves) + 1,
                 coefficients=coefficients,
             )
         )

@@ -409,6 +409,16 @@ def test_dof_prints_what_pruning_charges(capsys):
         assert "s must be >= 0, got -1" in capsys.readouterr().err
 
 
+def test_dof_table_nearest_refuses_impossible_cells(capsys):
+    for n in ("-500", "0"):
+        assert main(["dof", "--approach", "table-nearest", "--s", "1", "--p", "2",
+                     "--n", n]) == 2
+        assert f"need p >= 1 and n >= 1, got p = 2, n = {n}" in capsys.readouterr().err
+    # --n defaults to 0, which only the table sources need to refuse
+    assert main(["dof", "--approach", "naive", "--s", "1", "--p", "2"]) == 0
+    assert capsys.readouterr().out == "4.0\n"
+
+
 def test_missing_table_file_exits_2(tmp_path, capsys):
     missing = str(tmp_path / "missing.csv")
     data = tmp_path / "data.csv"

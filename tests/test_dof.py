@@ -9,6 +9,8 @@ from tsvc.core import solve_least_squares
 from tsvc.dof import (
     DofSpec,
     McDofConfig,
+    McDofEntry,
+    McDofResult,
     McDofTable,
     TsvcPathFitter,
     dof_mfp,
@@ -217,6 +219,26 @@ def test_table_parser_finds_columns_by_name():
         McDofTable.from_csv_text("p,n,dof\n2,100,7.5\n")
     with pytest.raises(ValidationError, match="bad table row"):
         McDofTable.from_csv_text("p,n,s,dof\n2,100.0,1,7.5\n")
+
+
+def test_table_reads_back_reordered_columns():
+    result = McDofResult(n=100, p=2, m=5, runs=2, seed=0,
+                         entries=(McDofEntry(1, 7.25, 0.1, 2, 0),
+                                  McDofEntry(2, 11.0 / 3.0, 1e-17, 2, 1)))
+    text = result.to_csv()
+    reordered = "".join(",".join(reversed(line.split(","))) + "\n"
+                        for line in text.splitlines())
+    assert reordered.startswith("se,dof,s,n,p\n")
+    assert McDofTable.from_csv_text(reordered) == McDofTable.from_csv_text(text)
+    assert McDofTable.from_csv_text(text).rows[1] == (2, 100, 2, 11.0 / 3.0, 1e-17)
+
+
+def test_table_lookup_refuses_impossible_cells():
+    table = reference_table()
+    for mode in ("exact", "nearest"):
+        for p, n in ((2, 0), (2, -500), (0, 100)):
+            with pytest.raises(DomainError, match="need p >= 1 and n >= 1"):
+                table.lookup(p, n, 1, mode=mode)
 
 
 def test_table_load_turns_os_errors_into_validation_errors(tmp_path):

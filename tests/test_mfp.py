@@ -132,8 +132,6 @@ def test_best_fp_applies_shift_for_nonpositive_data():
     y = 2.0 * x + 1.0
     term = best_fp(_one_covariate(y, x), 0, 1)
     assert term.shift == positivity_shift(x) > 0
-    with pytest.raises(NonPositiveValuesError):
-        best_fp(_one_covariate(y, x), 0, 1, shift=False)
 
 
 def test_best_fp_validates_arguments():

@@ -153,3 +153,23 @@ def test_prune_report_csv_round_trip():
     assert clone.selected_s == report.selected_s
     with pytest.raises(ValidationError):
         PruneReport.from_csv_text("s,dof\n")
+
+
+def test_prune_report_reads_back_reordered_columns():
+    report = prune_path(_stub_path([-50.0, -10.0, -9.9]), DofSpec.naive())
+    reordered = "".join(",".join(reversed(line.split(","))) + "\n"
+                        for line in report.to_csv().splitlines())
+    assert reordered.startswith("selected,bic,log_lik,dof,s\n")
+    clone = PruneReport.from_csv_text(reordered)
+    assert clone.entries == report.entries
+    assert clone.selected_s == report.selected_s
+
+
+@pytest.mark.parametrize("text, match", [
+    ("s,dof,log_lik,bic\n0,3.0,-50.0,107.8\n", "lacks column"),
+    ("s,dof,log_lik,bic,selected\n0,3.0,low,107.8,1\n", "bad table row"),
+    ("s,dof,log_lik,bic,selected\n0,3.0,-50.0\n", "bad table row"),
+])
+def test_prune_report_reader_refuses_bad_tables(text, match):
+    with pytest.raises(ValidationError, match=match):
+        PruneReport.from_csv_text(text)

@@ -10,7 +10,9 @@ from tsvc.dof import DofSpec
 from tsvc.errors import DegenerateFitError, ValidationError
 from tsvc.simulate import (
     SCENARIO_P,
+    ApproachSummary,
     ScenarioConfig,
+    SimSummary,
     generate_scenario,
     make_dgp_dof_spec,
     make_null_dof_spec,
@@ -240,6 +242,26 @@ def test_summary_csv_round_trip(tmp_path):
     assert raw.splitlines()[0] == ("scenario,n,s_dgp,replicate,dof_approach,"
                                    "selected_splits,pred_loglik")
     assert len(raw.splitlines()) == 1 + len(summary.records)
+
+
+def test_summary_reader_takes_columns_by_name_and_refuses_bad_cells():
+    summary = SimSummary(scenario=1, n=100, s_dgp=1, replications=2, seed=0,
+                         approaches=(ApproachSummary("naive", 1.5, 0.5, -140.25, 0.1),
+                                     ApproachSummary("mfp", 1.0, 0.0, -139.5, 2.0 / 3.0)),
+                         records=())
+    text = summary.to_csv()
+    rows = read_summary_csv(text)
+    assert rows[1]["sd_pred_loglik"] == 2.0 / 3.0
+    reordered = "".join(",".join(reversed(line.split(","))) + "\n"
+                        for line in text.splitlines())
+    assert reordered.startswith("sd_pred_loglik,")
+    assert read_summary_csv(reordered) == rows
+    with pytest.raises(ValidationError, match="lacks column"):
+        read_summary_csv(text.replace("sd_splits", "sd"))
+    with pytest.raises(ValidationError, match="bad table row"):
+        read_summary_csv(text.replace("-140.25", "low"))
+    with pytest.raises(ValidationError, match="bad table row"):
+        read_summary_csv(text.replace("\n1,", "\n1.0,"))
 
 
 def test_monte_carlo_dof_sources():

@@ -480,3 +480,12 @@ def test_json_round_trip_is_stable():
     doc = json.loads(text)
     for key in ("intercept", "s", "n", "p", "rss", "names", "trees"):
         assert key in doc
+
+
+def test_json_leaf_ids_must_match_the_tree():
+    ds = _dataset(n=70, p=3, seed=17)
+    doc = json.loads(model_to_json(fit_path(ds, s_max=3, min_leaf=5).models[-1]))
+    tree = next(t for t in doc["trees"] if len(t["leaves"]) > 1)
+    tree["leaves"][0]["id"] += 100
+    with pytest.raises(ValidationError, match="differ from the leaves of its root"):
+        model_from_json(json.dumps(doc))
