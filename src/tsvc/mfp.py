@@ -171,15 +171,20 @@ def positivity_shift(x: np.ndarray) -> float:
     """Shift delta such that min(x) + delta > 0, zero when unneeded.
 
     Uses the smallest positive gap between adjacent distinct values as
-    the margin above zero (1.0 when all values coincide).
+    the margin above zero (1.0 when all values coincide).  Where that
+    gap is too small to survive ``gap - min(x)``, the shift is rounded
+    up to the next float that keeps ``min(x) + delta`` above zero.
     """
     x = np.asarray(x, dtype=float)
-    lo = x.min()
+    lo = float(x.min())
     if lo > 0:
         return 0.0
     distinct = np.unique(x)
     gap = 1.0 if distinct.size < 2 else float(np.min(np.diff(distinct)))
-    return gap - float(lo)
+    shift = gap - lo
+    while lo + shift <= 0:
+        shift = float(np.nextafter(shift, np.inf))
+    return shift
 
 
 def fp_columns(x_pos: np.ndarray, powers) -> np.ndarray:

@@ -33,6 +33,19 @@ from .errors import (
 # fraction of the column norm are treated as rank deficient and skipped.
 _DEGENERATE_RTOL = 1e-10
 
+# After a split the carried scores of the other segments are downdated,
+# not rescored, and downdated gains only screen: when more than one
+# candidate lies within this relative margin of the best gain, their
+# segments are rescored exactly before the pick.  Downdated gains stay
+# within 1e-9 of the best gain of the exact ones (tests/test_tree.py
+# checks it on random, tied and mixed-scale paths; about 1e-12 is
+# typical), so the margin keeps every candidate that could win or tie.
+_SCREEN_RTOL = 1e-6
+
+# A downdated denominator at or below this fraction of ||u||^2 has lost
+# too many digits to cancellation to screen by; its segment is rescored.
+_DOWNDATE_FLOOR = 1e-6
+
 # Cap on the array entries (segments x row positions x values per
 # position) that one block of the batched split search holds; it bounds
 # the search's working memory.
@@ -264,8 +277,10 @@ class _Segments(NamedTuple):
     """The admissible (target, modifier, leaf) triples, in enumeration
     order (target, then modifier, then leaf id), of leaves holding at
     least ``2 * min_leaf`` rows.  Segment s's rows, in modifier order,
-    are ``rows[start[s]:start[s] + size[s]]``."""
+    are ``rows[start[s]:start[s] + size[s]]``; ``tree[s]`` indexes its
+    tree in the trees tuple."""
 
+    tree: np.ndarray
     target: np.ndarray
     modifier: np.ndarray
     leaf: np.ndarray
@@ -290,10 +305,50 @@ class _Segments(NamedTuple):
         mid = 0.5 * (lower + upper)
         return np.where(mid < upper, mid, lower)
 
+    def keys(self) -> np.ndarray:
+        """One integer per segment, ascending along the table, that
+        names its (tree, modifier, leaf) in any step of a path."""
+        p, n = self.columns.shape
+        # leaf ids stay below 2n: a split needs a leaf of two rows or more
+        return (self.tree * p + self.modifier) * (2 * n) + self.leaf
+
     def rule(self, seg: int, pos: int) -> SplitRule:
         return SplitRule(target=int(self.target[seg]), modifier=int(self.modifier[seg]),
                          threshold=float(self.thresholds(seg, pos)),
                          parent_leaf=int(self.leaf[seg]))
+
+
+class _Block(NamedTuple):
+    """Scores of the cuts of a block of segments, as ``_score_candidates``
+    makes them: row b holds segment ``seg[b]``'s rows (then the unread
+    tail of ``_candidate_blocks``), their target values ``v`` and, per
+    position t, whether the cut after it is admissible and its
+    left-child column u's ``num = u.r``, ``den = ||u||^2 - ||Q^T u||^2``
+    and ``uu = ||u||^2`` against a residual r and basis Q."""
+
+    seg: np.ndarray
+    rows: np.ndarray
+    v: np.ndarray
+    admissible: np.ndarray
+    num: np.ndarray
+    den: np.ndarray
+    uu: np.ndarray
+
+
+class _Carry(NamedTuple):
+    """The previous step's candidate scores and the split that ended it.
+
+    ``blocks`` hold the scores of every segment of that step against its
+    residual r and basis Q, with ``seg`` indexing its segment table,
+    whose ``keys`` are ``keys``.  The split added the unit direction
+    ``direction`` to the basis and took ``rq`` (its product with r) out
+    of the residual.
+    """
+
+    keys: np.ndarray
+    blocks: tuple[_Block, ...]
+    direction: np.ndarray
+    rq: float
 
 
 class _StepState(NamedTuple):
@@ -303,15 +358,17 @@ class _StepState(NamedTuple):
     order), sorted once per fit;
     ``leaf_of[i]`` holds every row's leaf id in tree i; ``fit`` and
     ``Q`` are the least-squares fit of the current trees and the
-    orthonormal basis of its design.  A snapshot is never modified: a
-    step makes a new one for the next step, and the sort, the leaf ids
-    and Q are read-only arrays.
+    orthonormal basis of its design; ``carry`` holds the previous
+    step's candidate scores, and is None on a path's first step.  A
+    snapshot is never modified: a step makes a new one for the next
+    step, and its arrays are read-only.
     """
 
     order: np.ndarray
     leaf_of: np.ndarray
     fit: LinearFit
     Q: np.ndarray
+    carry: _Carry | None = None
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -357,7 +414,7 @@ def _segments(dataset: Dataset, trees, min_leaf: int, order: np.ndarray,
         & (np.arange(p) != targets[:, None])[:, :, None]
     )
     return _Segments(
-        target=targets[tree_of], modifier=modifier, leaf=leaf,
+        tree=tree_of, target=targets[tree_of], modifier=modifier, leaf=leaf,
         start=(slot[tree_of] * p + modifier) * n + first[tree_of, leaf],
         size=counts[tree_of, leaf],
         rows=rows.ravel(),
@@ -365,8 +422,9 @@ def _segments(dataset: Dataset, trees, min_leaf: int, order: np.ndarray,
     )
 
 
-def _candidate_blocks(segs: _Segments, min_leaf: int, width: int):
-    """Yield the segments in blocks, as (seg, rows, admissible).
+def _candidate_blocks(segs: _Segments, min_leaf: int, width: int, which=None):
+    """Yield the segments ``which`` (default: all) in blocks, as
+    (seg, rows, admissible).
 
     ``seg`` lists a block's segments; row b of ``rows`` starts with
     segment ``seg[b]``'s rows and runs on into rows of other segments,
@@ -378,7 +436,9 @@ def _candidate_blocks(segs: _Segments, min_leaf: int, width: int):
     ``_BLOCK_ELEMENTS`` entries of a (segments x positions x width)
     array.
     """
-    longest_first = np.argsort(-segs.size, kind="stable")
+    if which is None:
+        which = np.arange(segs.size.size)
+    longest_first = which[np.argsort(-segs.size[which], kind="stable")]
     pos = 0
     while pos < longest_first.size:
         length = int(segs.size[longest_first[pos]])
@@ -449,23 +509,22 @@ def _make_model(dataset: Dataset, trees, fit: LinearFit) -> TsvcModel:
     )
 
 
-def _score_candidates(segs: _Segments, min_leaf: int, resid, Q):
-    """Rss drop of every admissible candidate, from one batched pass.
+def _score_candidates(segs: _Segments, min_leaf: int, resid, Q, which):
+    """Exact scores of every cut of the segments ``which``, from one
+    batched pass.
 
-    Returns one (seg, gains) pair per block of segments: ``gains[b, t]``
-    scores the cut after position t of segment ``seg[b]``, and is -inf
-    where no admissible, non-degenerate cut is.  Per candidate the
-    arithmetic is the per-leaf scan's: the same products and the same
+    Yields one ``_Block`` per block of segments.  A segment's scores do
+    not depend on the other segments of its block: per candidate the
+    arithmetic is the per-leaf scan's, the same products and the same
     sequential cumulative sums.
     """
     q = Q.shape[1]
-    scored = []
     # per row position: q cumulative sums plus about eight scalars
-    for seg, rows, admissible in _candidate_blocks(segs, min_leaf, width=q + 8):
+    for seg, rows, admissible in _candidate_blocks(segs, min_leaf, q + 8, which):
         v = segs.values(segs.target[seg, None], rows)
-        cum_vr = np.take(resid, rows)
-        cum_vr *= v
-        np.cumsum(cum_vr, axis=1, out=cum_vr)
+        num = np.take(resid, rows)
+        num *= v
+        np.cumsum(num, axis=1, out=num)
         uu = v * v
         np.cumsum(uu, axis=1, out=uu)
         cum_vQ = np.take(Q, rows, axis=0)
@@ -474,12 +533,142 @@ def _score_candidates(segs: _Segments, min_leaf: int, resid, Q):
         flat_vQ = cum_vQ.reshape(-1, q)
         den = np.einsum("ij,ij->i", flat_vQ, flat_vQ).reshape(uu.shape)
         np.subtract(uu, den, out=den)
-        good = admissible & (uu > 0.0) & (den > _DEGENERATE_RTOL * uu)
-        gains = np.square(cum_vr, out=cum_vr)
-        np.divide(gains, den, out=gains, where=good)
-        gains[~good] = -np.inf
-        scored.append((seg, gains))
-    return scored
+        yield _Block(seg, rows, v, admissible, num, den, uu)
+
+
+def _gains(block: _Block, floor: float):
+    """Rss drops ``num^2 / den`` of the block's admissible cuts whose
+    ``den`` exceeds ``floor * uu``, -inf elsewhere; and that mask."""
+    good = block.admissible & (block.uu > 0.0) & (block.den > floor * block.uu)
+    gains = np.full(block.num.shape, -np.inf)
+    np.divide(np.square(block.num), block.den, out=gains, where=good)
+    return gains, good
+
+
+def _downdate(block: _Block, carry: _Carry) -> _Block:
+    """A block's scores after the last split: that split added the unit
+    direction d to the basis and took ``rq = d.r`` out of the residual,
+    so ``num`` drops by ``rq * (u.d)`` and ``den`` by ``(u.d)^2``."""
+    c = np.take(carry.direction, block.rows)
+    c *= block.v
+    np.cumsum(c, axis=1, out=c)  # u.d
+    num = block.num - carry.rq * c
+    return block._replace(num=num, den=np.subtract(block.den, np.square(c, out=c), out=c))
+
+
+class _Screen:
+    """One greedy step's split search over the segment table ``segs``.
+
+    Without carried scores every segment is scored exactly.  With them
+    only the segments of the leaves the last split made are; the others
+    downdate their carried scores by the direction that split added to
+    the basis, which costs one cumulative sum per position instead of
+    q + 2.  Downdated gains only screen: before ``pick`` settles a
+    near-tie it rescores exactly every segment that holds a candidate
+    within ``_SCREEN_RTOL`` of the best, so the rule is the one a fresh
+    search picks.  ``blocks`` collect this step's scores, downdated or
+    exact, for the next step.
+    """
+
+    def __init__(self, segs: _Segments, min_leaf: int, resid, Q, carry: _Carry | None):
+        self.segs, self.min_leaf, self.resid, self.Q = segs, min_leaf, resid, Q
+        n_segs = segs.size.size
+        self.best = np.full(n_segs, -np.inf)  # per segment
+        self.exact = np.zeros(n_segs, dtype=bool)
+        # segment s's scores and gains sit in row home_row[s] of
+        # blocks[home[s]] and gains[home[s]]
+        self.blocks, self.gains = [], []
+        self.home = np.zeros(n_segs, dtype=np.int64)
+        self.home_row = np.zeros(n_segs, dtype=np.int64)
+        carried = np.zeros(n_segs, dtype=bool)
+        near_floor = np.zeros(n_segs, dtype=bool)
+        if carry is not None and n_segs:
+            keys = segs.keys()
+            for block in carry.blocks:
+                old = carry.keys[block.seg]
+                seg = np.minimum(np.searchsorted(keys, old), n_segs - 1)
+                kept = keys[seg] == old  # a split leaf's segments are gone
+                if not kept.any():
+                    continue
+                block = _Block(seg, *block[1:])
+                if not kept.all():
+                    block = _Block(*(a[kept] for a in block))
+                block = _downdate(block, carry)
+                good = self._keep(block, exact=False)
+                carried[block.seg] = True
+                # too close to the degeneracy floor to screen by
+                near_floor[block.seg] = (block.admissible & (block.uu > 0.0) & ~good).any(axis=1)
+        for block in _score_candidates(segs, min_leaf, resid, Q, np.flatnonzero(~carried)):
+            self._keep(block, exact=True)
+        if near_floor.any():
+            self.rescore(np.flatnonzero(near_floor))
+
+    def _keep(self, block: _Block, exact: bool):
+        gains, good = _gains(block, _DEGENERATE_RTOL if exact else _DOWNDATE_FLOOR)
+        self.home[block.seg] = len(self.blocks)
+        self.home_row[block.seg] = np.arange(block.seg.size)
+        self.blocks.append(block)
+        self.gains.append(gains)
+        self.best[block.seg] = gains.max(axis=1)
+        self.exact[block.seg] = exact
+        return good
+
+    def _row(self, seg) -> np.ndarray:
+        return self.gains[self.home[seg]][self.home_row[seg]]
+
+    def rescore(self, which):
+        """Score the screened segments ``which`` exactly, in place of
+        their downdated scores."""
+        for block in _score_candidates(self.segs, self.min_leaf, self.resid, self.Q, which):
+            gains, _ = _gains(block, _DEGENERATE_RTOL)
+            for b, seg in enumerate(block.seg):
+                home, row = self.home[seg], self.home_row[seg]
+                # both rows run past the segment's last admissible cut
+                width = min(gains.shape[1], self.gains[home].shape[1])
+                for kept, exact in ((self.blocks[home].num, block.num),
+                                    (self.blocks[home].den, block.den),
+                                    (self.gains[home], gains)):
+                    kept[row, :width] = exact[b, :width]
+            self.best[block.seg] = gains.max(axis=1)
+            self.exact[block.seg] = True
+
+    def pick(self):
+        """The candidate with the highest exact gain, ties going to the
+        first in enumeration order, as (seg, pos); None when no
+        candidate is left.  A candidate alone within the margin of the
+        best needs no rescoring: no other candidate can overtake it."""
+        while (best := self.best.max(initial=-np.inf)) > -np.inf:
+            floor = best - _SCREEN_RTOL * best
+            close = np.flatnonzero(self.best >= floor)
+            found = [(int(seg), int(pos)) for seg in close
+                     for pos in np.flatnonzero(self._row(seg) >= floor)]
+            screened = close[~self.exact[close]]
+            if screened.size and len(found) > 1:
+                self.rescore(screened)
+                continue
+            return min((seg, pos) for seg, pos in found if self._row(seg)[pos] == best)
+        return None
+
+    def ban(self, seg: int, pos: int):
+        """Drop a candidate whose exact refit is singular."""
+        row = self._row(seg)
+        row[pos] = -np.inf
+        self.best[seg] = row.max()
+
+    def carry(self, seg: int, pos: int) -> _Carry:
+        """What the next step needs after this step's split at the cut
+        after position ``pos`` of segment ``seg``: the scores, and the
+        unit part of the cut's left-child column orthogonal to the
+        basis."""
+        segs = self.segs
+        left = segs.rows[segs.start[seg]:segs.start[seg] + pos + 1]
+        u = np.zeros(self.Q.shape[0])
+        u[left] = segs.values(segs.target[seg], left)
+        for _ in range(2):  # the second pass restores what cancellation lost
+            u -= self.Q @ (self.Q.T @ u)
+        u /= np.linalg.norm(u)
+        blocks = tuple(_Block(*map(_frozen, block)) for block in self.blocks)
+        return _Carry(_frozen(segs.keys()), blocks, _frozen(u), float(u @ self.resid))
 
 
 def grow_one_split(dataset: Dataset, trees, min_leaf: int = 10, *,
@@ -493,13 +682,15 @@ def grow_one_split(dataset: Dataset, trees, min_leaf: int = 10, *,
     spans the same space as adding the left-child column, so the rss
     drop is ``(u.r)^2 / ||u_perp||^2`` for the added column u, the
     base-fit residual r and the component u_perp of u orthogonal to
-    the base design.  All candidates are scored in one batched pass;
-    the winning rule is then refitted exactly, and a winner that turns
-    out singular is dropped in favour of the next best.
+    the base design.  Candidates are scored in batched passes; the
+    winning rule is then refitted exactly, and a winner that turns out
+    singular is dropped in favour of the next best.
 
     ``_state`` is internal to ``fit_path``: the previous step's sort,
-    leaf ids, fit and basis, so that the base design is neither rebuilt
-    nor factorised again.  Without it the step computes them itself.
+    leaf ids, fit, basis and candidate scores, so that the base design
+    is neither rebuilt nor factorised again, and only the new leaves
+    are scored in full (see ``_Screen``).  Without it the step computes
+    everything itself.
 
     Returns
     -------
@@ -516,17 +707,11 @@ def grow_one_split(dataset: Dataset, trees, min_leaf: int = 10, *,
     y = dataset.y
     state = _start_state(dataset, trees) if _state is None else _state
     segs = _segments(dataset, trees, min_leaf, state.order, state.leaf_of)
-    scored = _score_candidates(segs, min_leaf, y - state.fit.fitted, state.Q)
-    while (best := max((gains.max() for _, gains in scored), default=-np.inf)) > -np.inf:
-        # ties go to the first in enumeration order: segment, then position
-        ties = [
-            (int(seg[b]), int(pos), gains, b)
-            for seg, gains in scored
-            for b, pos in zip(*np.nonzero(gains == best))
-        ]
-        seg, pos, gains, b = min(ties, key=lambda tie: tie[:2])
+    screen = _Screen(segs, min_leaf, y - state.fit.fitted, state.Q, state.carry)
+    while (picked := screen.pick()) is not None:
+        seg, pos = picked
         rule = segs.rule(seg, pos)
-        i = next(i for i, tree in enumerate(trees) if tree.target == rule.target)
+        i = int(segs.tree[seg])
         new_trees = tuple(trees[:i]) + (trees[i].split(rule),) + tuple(trees[i + 1:])
         # only the parent leaf's rows move
         leaf_of = state.leaf_of.copy()
@@ -538,12 +723,13 @@ def grow_one_split(dataset: Dataset, trees, min_leaf: int = 10, *,
         except RankDeficientError:
             # Scored as improving but singular on exact refit: drop the
             # candidate and take the next best.
-            gains[b, pos] = -np.inf
+            screen.ban(seg, pos)
             continue
         model = _make_model(dataset, new_trees, fit)
         if _state is None:
             return rule, model
-        return rule, model, _StepState(state.order, _frozen(leaf_of), fit, _frozen(Q))
+        return rule, model, _StepState(state.order, _frozen(leaf_of), fit, _frozen(Q),
+                                       screen.carry(seg, pos))
     raise NoAdmissibleSplitError("no admissible split candidate")
 
 

@@ -51,6 +51,30 @@ def test_positivity_shift():
     assert positivity_shift(np.array([0.0, 0.0])) == 1.0
 
 
+def _tiny_gap_column(n=40, seed=3):
+    # the smallest gap (1e-300, between 0 and 1e-300) vanishes next to
+    # min(x) = -1e6, so gap - min(x) rounds to exactly -min(x)
+    rng = np.random.default_rng(seed)
+    return np.concatenate([[-1e6, 0.0, 1e-300], rng.uniform(1.0, 5.0, n - 3)])
+
+
+def test_positivity_shift_keeps_a_tiny_gap_above_zero():
+    x = _tiny_gap_column()
+    shift = positivity_shift(x)
+    assert x.min() + shift > 0
+    assert np.all(x + shift > 0)
+    # the next float above 1e6: no larger than it must be
+    assert shift == np.nextafter(1e6, np.inf)
+
+
+def test_mfp_select_on_a_column_with_a_tiny_gap():
+    rng = np.random.default_rng(4)
+    X = np.column_stack([_tiny_gap_column(), rng.uniform(1.0, 3.0, 40)])
+    y = 0.5 * X[:, 1] + rng.standard_normal(40)
+    fit = mfp_select(Dataset.from_arrays(y, X))
+    assert all(term.shift == positivity_shift(X[:, term.covariate]) for term in fit.terms)
+
+
 def test_fp_columns_power_zero_is_log():
     x = np.array([1.0, np.e, np.e ** 2])
     np.testing.assert_allclose(fp_columns(x, (0.0,))[:, 0], [0.0, 1.0, 2.0],

@@ -418,6 +418,201 @@ def test_fit_path_carried_state_matches_fresh_steps(kind, monkeypatch):
         trees = model.trees
 
 
+# ---------------------------------------------------------------------------
+# carried scores: downdated gains screen, near-ties are rescored exactly
+# ---------------------------------------------------------------------------
+
+def _random_path_dataset(rng, kind, n, p):
+    if kind == "normal":
+        X = rng.standard_normal((n, p))
+    elif kind == "tied":
+        # integer values: tied modifier values and exact-tie candidates
+        X = rng.integers(0, 5, size=(n, p)).astype(float)
+    else:
+        X = rng.standard_normal((n, p)) * np.array([1e-5, 1e5, 1.0, 1e-5])[:p]
+    unit = X / np.abs(X).mean(axis=0)
+    y = unit @ rng.standard_normal(p) + (unit[:, -1] > 0.5) * unit[:, 0] + rng.standard_normal(n)
+    return Dataset.from_arrays(y, X)
+
+
+def _short_paths(seed, count, kinds=("normal", "tied", "mixed")):
+    """(dataset, min_leaf) pairs for short paths; X of a draw whose s = 0
+    design the rank check refuses is drawn again."""
+    rng = np.random.default_rng(seed)
+    made = 0
+    while made < count:
+        kind = kinds[made % len(kinds)]
+        ds = _random_path_dataset(rng, kind, int(rng.integers(30, 61)), int(rng.integers(2, 5)))
+        try:
+            fit_path(ds, s_max=0)
+        except RankDeficientError:
+            continue
+        made += 1
+        yield ds, int(rng.integers(3, 5))
+
+
+def test_fit_path_matches_exhaustive_oracle_at_every_step():
+    # every step of short paths, tied integer columns included: the
+    # rule of the carried search is the exhaustive oracle's, and so is
+    # its rss.  Tied columns can make two different partitions tie in
+    # exact arithmetic; there the oracle's first and the search's pick
+    # (decided by last-bit differences of the gains) may differ, and
+    # only their rss must agree.
+    checked = ties = 0
+    for ds, min_leaf in _short_paths(seed=31, count=30):
+        path = fit_path(ds, s_max=6, min_leaf=min_leaf)
+        for k, model in enumerate(path.models):
+            best = _oracle_step(ds, model.trees, min_leaf)
+            if k == len(path.rules):
+                assert best is None or len(path.rules) == 6
+                continue
+            assert best is not None
+            rule, grown = path.rules[k], path.models[k + 1]
+            if _key(rule) != _key(best[1]):
+                ties += 1
+                assert grown.rss == pytest.approx(best[0], rel=1e-12)
+            assert grown.rss == pytest.approx(best[0], rel=1e-9, abs=1e-9)
+            checked += 1
+    assert checked >= 150
+    assert ties <= checked // 50
+
+
+# Downdated gains stay within this fraction of the step's best exact
+# gain; tree._SCREEN_RTOL rescores near-ties with a margin 1000 times wider.
+_DOWNDATE_BOUND = 1e-9
+
+
+def test_downdated_gains_stay_within_the_bound_of_fresh_gains():
+    # after each step of a path, the screen over the carried state holds
+    # downdated gains, and one without it scores every segment afresh
+    from tsvc.tree import _Screen, _segments, _start_state
+
+    steps = compared = 0
+    worst = 0.0
+    for ds, min_leaf in _short_paths(seed=41, count=210):
+        trees = tuple(CoefficientTree.stump(j) for j in range(ds.p))
+        state = _start_state(ds, trees)
+        for _ in range(6):
+            try:
+                _, model, state = grow_one_split(ds, trees, min_leaf, _state=state)
+            except NoAdmissibleSplitError:
+                break
+            trees = model.trees
+            segs = _segments(ds, trees, min_leaf, state.order, state.leaf_of)
+            if not segs.size.size:
+                break
+            resid = ds.y - state.fit.fitted
+            carried = _Screen(segs, min_leaf, resid, state.Q, state.carry)
+            fresh = _Screen(segs, min_leaf, resid, state.Q, None)
+            best = fresh.best.max()
+            for seg in range(segs.size.size):
+                screened, exact = carried._row(seg), fresh._row(seg)
+                width = min(screened.size, exact.size)
+                screened, exact = screened[:width], exact[:width]
+                both = np.isfinite(screened) & np.isfinite(exact)
+                if both.any():
+                    worst = max(worst, np.abs(screened[both] - exact[both]).max() / best)
+                    compared += both.sum()
+            steps += 1
+    assert steps >= 600 and compared >= 100_000
+    assert worst <= _DOWNDATE_BOUND
+
+
+def _count_rescored(monkeypatch):
+    """Segments rescored exactly, one list entry per greedy step."""
+    import tsvc.tree as tree_module
+
+    per_step = []
+    real_init, real_rescore = tree_module._Screen.__init__, tree_module._Screen.rescore
+
+    def init(self, *args, **kwargs):
+        per_step.append(0)
+        real_init(self, *args, **kwargs)
+
+    def rescore(self, which):
+        per_step[-1] += len(which)
+        return real_rescore(self, which)
+
+    monkeypatch.setattr(tree_module._Screen, "__init__", init)
+    monkeypatch.setattr(tree_module._Screen, "rescore", rescore)
+    return per_step
+
+
+def test_few_segments_are_rescored(monkeypatch):
+    from tsvc.tree import _segments
+
+    per_step = _count_rescored(monkeypatch)
+    rescored, segments = [], []
+    for ds, min_leaf in _short_paths(seed=51, count=30):
+        path = fit_path(ds, s_max=6, min_leaf=min_leaf)
+        # the first step of a path scores every segment in full
+        rescored.extend(per_step[1:len(path.models)])
+        for model in path.models[1:]:
+            order = np.argsort(ds.X, axis=0, kind="stable")
+            leaf_of = np.stack([t.assign(ds.X) for t in model.trees])
+            segments.append(_segments(ds, model.trees, min_leaf, order, leaf_of).size.size)
+        per_step.clear()
+    assert np.median(rescored) <= 0.1 * np.median(segments)
+    assert np.mean(rescored) <= 0.2 * np.mean(segments)
+
+
+def test_exact_tie_after_a_first_split_goes_to_the_lower_modifier(monkeypatch):
+    # x3 = exp(x2) orders the rows as x2 does.  The first split refines
+    # the tree of x4 on x1; the second refines x1's tree on x2 or x3,
+    # whose carried scores downdate to bit-equal gains.  Both twins are
+    # rescored exactly, and enumeration order picks modifier 1.
+    rng = np.random.default_rng(23)
+    x1, x2, x4 = (rng.standard_normal(80) for _ in range(3))
+    X = np.column_stack([x1, x2, np.exp(x2), x4])
+    y = (4.0 * x4 * np.where(x1 > 0.0, 1.0, -1.0) + x1 * np.where(x2 > 0.3, 2.0, -1.0)
+         + 0.05 * rng.standard_normal(80))
+    ds = Dataset.from_arrays(y, X)
+    per_step = _count_rescored(monkeypatch)
+    path = fit_path(ds, s_max=2, min_leaf=5)
+    assert (path.rules[0].target, path.rules[0].modifier) == (3, 0)
+    rule = path.rules[1]
+    assert (rule.target, rule.modifier) == (0, 1)
+    assert per_step[1] >= 2
+    x2_sorted = np.sort(x2)
+    below = x2_sorted[x2_sorted <= rule.threshold].max()
+    above = x2_sorted[x2_sorted > rule.threshold].min()
+    assert rule.threshold == 0.5 * (below + above)
+    trees = path.models[1].trees
+    twin = [r for r in enumerate_candidates(ds, trees, min_leaf=5)
+            if (r.target, r.modifier) == (0, 2)
+            and (np.exp(x2) <= r.threshold).sum() == (x2 <= rule.threshold).sum()]
+    assert len(twin) == 1
+    refined = (trees[0].split(twin[0]),) + trees[1:]
+    assert solve_least_squares(build_design(ds, refined), ds.y).rss == path.models[2].rss
+
+
+def test_degenerate_candidates_are_rescored_not_screened(monkeypatch):
+    # x1 is zero above the median of x2: a cut on x2 there leaves all
+    # of x1's leaf column on the left, which the basis already spans.
+    # The first split refines x1's tree on x3; from the third step on,
+    # its leaves' segments on x2 are carried, downdate to a denominator
+    # near zero and are rescored every step, and the path equals fresh
+    # steps.
+    rng = np.random.default_rng(29)
+    x2, x3 = rng.standard_normal(60), rng.standard_normal(60)
+    x1 = np.where(x2 > np.median(x2), 0.0, rng.standard_normal(60))
+    X = np.column_stack([x1, x2, x3])
+    y = x1 * np.where(x3 > 0.0, 2.0, -1.0) + x3 * (x2 > 0.5) + 0.1 * rng.standard_normal(60)
+    ds = Dataset.from_arrays(y, X)
+    per_step = _count_rescored(monkeypatch)
+    path = fit_path(ds, s_max=5, min_leaf=4)
+    assert len(path.rules) == 5
+    assert (path.rules[0].target, path.rules[0].modifier) == (0, 2)
+    assert all(count >= 1 for count in per_step[2:])
+    monkeypatch.undo()
+    trees = path.models[0].trees
+    for k, rule in enumerate(path.rules):
+        fresh_rule, model = grow_one_split(ds, trees, min_leaf=4)
+        assert fresh_rule == rule, f"step {k + 1}"
+        assert model.fit.fitted.tobytes() == path.models[k + 1].fit.fitted.tobytes()
+        trees = model.trees
+
+
 def test_model_at_and_missing_s():
     ds = _dataset(seed=12)
     path = fit_path(ds, s_max=2, min_leaf=5)
