@@ -59,6 +59,7 @@ from .tree import (
     build_design,
     enumerate_candidates,
     fit_path,
+    fit_paths,
     grow_one_split,
     model_from_dict,
     model_from_json,

@@ -149,15 +149,16 @@ def solve_least_squares(design, y, return_basis: bool = False):
     ----------
     design : ndarray, shape (n, q)
         Design matrix with q <= n.
-    y : ndarray, shape (n,)
-        Response vector.
+    y : ndarray, shape (n,) or (m, n)
+        Response vector, or m responses that share the one
+        factorisation of the design; each is solved as it would be alone.
     return_basis : bool
         When True, also return the orthonormal basis Q of the column
         space (used by the split search to score rank-one updates).
 
     Returns
     -------
-    LinearFit or (LinearFit, ndarray)
+    LinearFit or (LinearFit, ndarray); a list of m fits for m responses.
 
     Raises
     ------
@@ -166,7 +167,7 @@ def solve_least_squares(design, y, return_basis: bool = False):
     """
     design = np.asarray(design, dtype=float)
     y = np.asarray(y, dtype=float)
-    if design.ndim != 2 or y.ndim != 1 or design.shape[0] != y.shape[0]:
+    if design.ndim != 2 or y.ndim not in (1, 2) or design.shape[0] != y.shape[-1]:
         raise DimensionMismatchError(
             f"incompatible shapes {design.shape} and {y.shape}"
         )
@@ -180,6 +181,17 @@ def solve_least_squares(design, y, return_basis: bool = False):
         rank = 0 if diag[0] == 0.0 else int(np.sum(diag >= RANK_RTOL * diag[0]))
         raise RankDeficientError(f"design has numerical rank {rank} < {q}")
 
+    responses = y if y.ndim == 2 else [y]
+    fits = [_fit_factored(design, Q, R, piv, response) for response in responses]
+    fit = fits if y.ndim == 2 else fits[0]
+    if return_basis:
+        return fit, Q
+    return fit
+
+
+def _fit_factored(design, Q, R, piv, y) -> LinearFit:
+    """The fit of one response from the pivoted QR of the design."""
+    n, q = design.shape
     coef_piv = scipy.linalg.solve_triangular(R, Q.T @ y)
     coefficients = np.empty(q)
     coefficients[piv] = coef_piv
@@ -188,7 +200,7 @@ def solve_least_squares(design, y, return_basis: bool = False):
     rss = float(resid @ resid)
     if rss <= RSS_ZERO_RTOL * max(1.0, float(y @ y)):
         rss = 0.0
-    fit = LinearFit(
+    return LinearFit(
         coefficients=coefficients,
         fitted=fitted,
         rss=rss,
@@ -196,6 +208,3 @@ def solve_least_squares(design, y, return_basis: bool = False):
         log_lik=math.inf if rss == 0.0 else gaussian_log_lik(rss, n),
         n_params=q,
     )
-    if return_basis:
-        return fit, Q
-    return fit

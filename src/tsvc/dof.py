@@ -35,7 +35,7 @@ from .errors import (
     OffGridError,
     ValidationError,
 )
-from .tree import fit_path
+from .tree import fit_path, fit_paths
 
 # Closed-form surface coefficients: intercept, s, p, p*s, p*s*n.
 MFP_SURFACE = (2.13, 2.02, 1.26, 0.61, 0.00016)
@@ -195,14 +195,23 @@ class McDofResult:
 @dataclass(frozen=True)
 class TsvcPathFitter:
     """Default path fitter for ``mc_dof``: one fitted-value vector per
-    split count 1 .. s_max actually reached by the greedy path."""
+    split count 1 .. s_max actually reached by the greedy path.  Its
+    ``block`` call fits the m responses of a run in lockstep; ``mc_dof``
+    uses it where a fitter has one."""
 
     s_max: int = 5
     min_leaf: int = 10
 
     def __call__(self, y: np.ndarray, X: np.ndarray) -> dict[int, np.ndarray]:
-        path = fit_path(Dataset.from_arrays(y, X), self.s_max, self.min_leaf)
-        return {m.s: m.fit.fitted for m in path.models if m.s >= 1}
+        return _fitted(fit_path(Dataset.from_arrays(y, X), self.s_max, self.min_leaf))
+
+    def block(self, Y: np.ndarray, X: np.ndarray) -> list[dict[int, np.ndarray]]:
+        """``[self(y, X) for y in Y]``, from paths grown in lockstep."""
+        return [_fitted(path) for path in fit_paths(X, Y, self.s_max, self.min_leaf)]
+
+
+def _fitted(path) -> dict[int, np.ndarray]:
+    return {m.s: m.fit.fitted for m in path.models if m.s >= 1}
 
 
 def _mc_dof_run(args):
@@ -211,7 +220,8 @@ def _mc_dof_run(args):
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(run_index,)))
     Xr = rng.standard_normal((n, p)) if X is None else X
     Y = mu[None, :] + rng.standard_normal((m, n))
-    fits = [fitter(Y[j], Xr) for j in range(m)]
+    block = getattr(fitter, "block", None)
+    fits = block(Y, Xr) if block is not None else [fitter(y, Xr) for y in Y]
     keys = sorted({s for f in fits for s in f})
     out = {}
     for s in keys:
@@ -242,8 +252,10 @@ def mc_dof(n: int, p: int, config: McDofConfig, fitter=None, X=None,
         Replicates per run, run count, seed and the fixed mean vector.
     fitter : callable, optional
         ``fitter(y, X) -> {s: fitted values}``.  Defaults to the greedy
-        tree path with ``config.s_max`` and ``config.min_leaf``.  Must
-        be picklable when ``threads > 1``.
+        tree path with ``config.s_max`` and ``config.min_leaf``, whose
+        ``block(Y, X)`` call fits the m responses of a run in lockstep;
+        a fitter without one is called once per response.  Must be
+        picklable when ``threads > 1``.
     threads : int
         Worker processes across runs, at least 1; results are identical
         for any value because every run derives its own random stream.
@@ -251,6 +263,12 @@ def mc_dof(n: int, p: int, config: McDofConfig, fitter=None, X=None,
     Returns
     -------
     McDofResult
+
+    Raises
+    ------
+    ValidationError
+        If no split count has an estimate: no two replicates of any run
+        reached s = 1.
     """
     if n < 1 or p < 1:
         raise ValidationError(f"need n >= 1 and p >= 1, got n = {n}, p = {p}")
@@ -281,6 +299,12 @@ def mc_dof(n: int, p: int, config: McDofConfig, fitter=None, X=None,
         se = float(np.std(values, ddof=1) / np.sqrt(len(values))) if len(values) > 1 else 0.0
         entries.append(
             McDofEntry(s=s, dof=mean, se=se, runs_used=len(values), short_paths=short)
+        )
+    if not entries:
+        raise ValidationError(
+            f"no estimate: no two replicates of a run reached s = 1 at n = {n}, "
+            f"p = {p}, min_leaf = {config.min_leaf} (a split needs p >= 2 and "
+            f"a leaf of 2 * min_leaf rows)"
         )
     return McDofResult(
         n=n, p=p, m=config.m, runs=config.runs, seed=config.seed,

@@ -51,6 +51,11 @@ _DOWNDATE_FLOOR = 1e-6
 # the search's working memory.
 _BLOCK_ELEMENTS = 1 << 16
 
+# Cap on the candidate positions (about p^2 * n per replicate) that the
+# replicates of one lockstep group of ``fit_paths`` carry from step to
+# step, at about 40 bytes each; it bounds a group's memory.
+_LOCKSTEP_POSITIONS = 1 << 20
+
 
 @dataclass(frozen=True)
 class LeafNode:
@@ -225,11 +230,6 @@ class ModelPath:
 # design expansion
 # ---------------------------------------------------------------------------
 
-def _column_layout(trees) -> list[tuple[int, int]]:
-    """(covariate, leaf id) pairs in design-column order, after the intercept."""
-    return [(tree.target, leaf) for tree in trees for leaf in tree.leaves]
-
-
 def _leaf_ids(dataset: Dataset, trees) -> np.ndarray:
     """(trees x rows) array: the leaf id of every row in every tree."""
     if len(trees) != dataset.p:
@@ -258,14 +258,8 @@ def build_design(dataset: Dataset, trees, *, _leaf_of=None) -> np.ndarray:
     X = dataset.X
     cols = [np.ones(X.shape[0])]
     for tree, leaf_of in zip(trees, _leaf_of):
-        xj = X[:, tree.target]
-        for leaf in tree.leaves:
-            mask = leaf_of == leaf
-            if not mask.any():
-                raise EmptyLeafError(
-                    f"leaf {leaf} of the tree for covariate {tree.target} is empty"
-                )
-            cols.append(np.where(mask, xj, 0.0))
+        cols += [_leaf_column(X[:, tree.target], leaf_of, leaf, tree.target)
+                 for leaf in tree.leaves]
     return np.column_stack(cols)
 
 
@@ -274,12 +268,15 @@ def build_design(dataset: Dataset, trees, *, _leaf_of=None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class _Segments(NamedTuple):
-    """The admissible (target, modifier, leaf) triples, in enumeration
-    order (target, then modifier, then leaf id), of leaves holding at
-    least ``2 * min_leaf`` rows.  Segment s's rows, in modifier order,
-    are ``rows[start[s]:start[s] + size[s]]``; ``tree[s]`` indexes its
-    tree in the trees tuple."""
+    """The admissible (replicate, target, modifier, leaf) quadruples, in
+    enumeration order (replicate, then target, then modifier, then leaf
+    id), of leaves holding at least ``2 * min_leaf`` rows.  Segment s's
+    rows, in modifier order, are ``rows[start[s]:start[s] + size[s]]``;
+    ``tree[s]`` indexes its tree in its replicate's trees tuple.  The
+    rows of replicate j are numbered ``j * n .. j * n + n - 1``, and
+    ``columns`` holds X.T once per replicate, contiguous."""
 
+    rep: np.ndarray
     tree: np.ndarray
     target: np.ndarray
     modifier: np.ndarray
@@ -287,7 +284,7 @@ class _Segments(NamedTuple):
     start: np.ndarray
     size: np.ndarray
     rows: np.ndarray
-    columns: np.ndarray  # X.T, contiguous
+    columns: np.ndarray
 
     def values(self, covariate, rows) -> np.ndarray:
         """``X[rows, covariate]``, elementwise over broadcast arguments."""
@@ -307,10 +304,10 @@ class _Segments(NamedTuple):
 
     def keys(self) -> np.ndarray:
         """One integer per segment, ascending along the table, that
-        names its (tree, modifier, leaf) in any step of a path."""
-        p, n = self.columns.shape
+        names its (replicate, tree, modifier, leaf) in any step of a path."""
+        p, width = self.columns.shape
         # leaf ids stay below 2n: a split needs a leaf of two rows or more
-        return (self.tree * p + self.modifier) * (2 * n) + self.leaf
+        return ((self.rep * p + self.tree) * p + self.modifier) * (2 * width) + self.leaf
 
     def rule(self, seg: int, pos: int) -> SplitRule:
         return SplitRule(target=int(self.target[seg]), modifier=int(self.modifier[seg]),
@@ -336,19 +333,19 @@ class _Block(NamedTuple):
 
 
 class _Carry(NamedTuple):
-    """The previous step's candidate scores and the split that ended it.
+    """The previous step's candidate scores and the splits that ended it.
 
     ``blocks`` hold the scores of every segment of that step against its
-    residual r and basis Q, with ``seg`` indexing its segment table,
-    whose ``keys`` are ``keys``.  The split added the unit direction
-    ``direction`` to the basis and took ``rq`` (its product with r) out
-    of the residual.
+    residuals and bases, with ``seg`` indexing its segment table, whose
+    ``keys`` are ``keys``.  Replicate j's split added the unit direction
+    ``direction[j * n:(j + 1) * n]`` to its basis and took ``rq[j]`` (its
+    product with the residual) out of its residual.
     """
 
     keys: np.ndarray
     blocks: tuple[_Block, ...]
     direction: np.ndarray
-    rq: float
+    rq: np.ndarray
 
 
 class _StepState(NamedTuple):
@@ -356,16 +353,20 @@ class _StepState(NamedTuple):
 
     ``order`` is the stable argsort of X's columns (ties keep row
     order), sorted once per fit;
-    ``leaf_of[i]`` holds every row's leaf id in tree i; ``fit`` and
-    ``Q`` are the least-squares fit of the current trees and the
-    orthonormal basis of its design; ``carry`` holds the previous
-    step's candidate scores, and is None on a path's first step.  A
-    snapshot is never modified: a step makes a new one for the next
-    step, and its arrays are read-only.
+    ``leaf_of[i]`` holds every row's leaf id in tree i, and
+    ``grouped[i]`` each modifier's rows in ``order`` grouped by leaf id,
+    a (p x n) array, or None while tree i is one leaf; ``design`` is the
+    design of the current trees, ``fit`` and ``Q`` its least-squares
+    fit and orthonormal basis; ``carry`` holds the previous step's
+    candidate scores, and is None on a path's first step.  A snapshot is
+    never modified: a step makes a new one for the next step, and its
+    arrays are read-only.
     """
 
     order: np.ndarray
     leaf_of: np.ndarray
+    grouped: tuple
+    design: np.ndarray
     fit: LinearFit
     Q: np.ndarray
     carry: _Carry | None = None
@@ -376,50 +377,88 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _start_state(dataset: Dataset, trees) -> _StepState:
-    """Sort X and fit the current trees: the state of a path's first step."""
-    leaf_of = _leaf_ids(dataset, trees)
-    fit, Q = solve_least_squares(build_design(dataset, trees, _leaf_of=leaf_of),
-                                 dataset.y, return_basis=True)
-    order = np.argsort(dataset.X, axis=0, kind="stable")
-    return _StepState(_frozen(order), _frozen(leaf_of), fit, _frozen(Q))
+def _grouped_orders(order: np.ndarray, leaf_of: np.ndarray, trees) -> tuple:
+    """``_StepState.grouped`` of the trees, sorted afresh."""
+    split = [len(tree.leaves) > 1 for tree in trees]
+    if not any(split):
+        return (None,) * len(trees)
+    n, p = order.shape
+    rank = np.empty((p, n), dtype=np.int64)
+    rank[np.arange(p)[:, None], order.T] = np.arange(n)
+    return tuple(_frozen(np.argsort(leaf_of[i] * n + rank, axis=-1)) if is_split else None
+                 for i, is_split in enumerate(split))
+
+
+def _regroup(grouped, order, old_leaf, new_leaf, parent: int, left: int) -> np.ndarray:
+    """A tree's grouped order after its leaf ``parent`` split into the
+    leaves ``left`` and ``left + 1``, the highest ids of the tree: the
+    parent's rows leave their place and follow the other leaves' rows,
+    the left child's then the right child's, each in modifier order.
+    ``grouped`` is the order before (None for a one-leaf tree) and
+    ``old_leaf``, ``new_leaf`` the rows' leaf ids before and after."""
+    before = order.T if grouped is None else grouped
+    first = np.count_nonzero(old_leaf < parent)
+    stop = first + np.count_nonzero(old_leaf == parent)
+    moved = before[:, first:stop]
+    to_left = new_leaf[moved] == left
+    p = before.shape[0]
+    return _frozen(np.concatenate([before[:, :first], before[:, stop:],
+                                   moved[to_left].reshape(p, -1),
+                                   moved[~to_left].reshape(p, -1)], axis=1))
+
+
+def _stacked_segments(columns: np.ndarray, min_leaf: int, order: np.ndarray,
+                      replicates) -> _Segments:
+    """The segment tables of ``replicates``, (j, trees, leaf_of, grouped)
+    for replicate j, stacked in one table over ``columns``: each
+    modifier's rows come in ``order``, and a split tree's leaves take
+    theirs from its grouped order."""
+    n, p = order.shape
+    leaf_of = np.stack([leaf_of for _, _, leaf_of, _ in replicates])
+    count, n_trees = leaf_of.shape[:2]
+    n_ids = max(tree.n_created for _, trees, _, _ in replicates for tree in trees)
+    counts = np.bincount(
+        (np.arange(count * n_trees)[:, None] * n_ids + leaf_of.reshape(-1, n)).ravel(),
+        minlength=count * n_trees * n_ids,
+    ).reshape(count, n_trees, n_ids)
+    first = np.cumsum(counts, axis=2) - counts
+    # A replicate's first slot holds each modifier's order in row k.  A
+    # split tree gets its own slot, whose row k holds the same rows
+    # grouped by leaf id.
+    slots, owner = [], []
+    slot = np.zeros((count, n_trees), dtype=np.int64)
+    for r, (j, trees, _, grouped) in enumerate(replicates):
+        split = [i for i, tree in enumerate(trees) if len(tree.leaves) > 1]
+        slot[r] = len(slots)
+        slot[r, split] += np.arange(1, len(split) + 1)
+        slots += [order.T] + [grouped[i] for i in split]
+        owner += [j] * (1 + len(split))
+    rows = np.stack(slots)
+    if any(owner):
+        rows += (n * np.array(owner))[:, None, None]
+    targets = np.array([[tree.target for tree in trees] for _, trees, _, _ in replicates])
+    r, tree_of, modifier, leaf = np.nonzero(
+        (counts >= 2 * min_leaf)[:, :, None, :]
+        & (np.arange(p) != targets[:, :, None])[:, :, :, None]
+    )
+    return _Segments(
+        rep=np.array([j for j, _, _, _ in replicates])[r],
+        tree=tree_of, target=targets[r, tree_of], modifier=modifier, leaf=leaf,
+        start=(slot[r, tree_of] * p + modifier) * n + first[r, tree_of, leaf],
+        size=counts[r, tree_of, leaf],
+        rows=rows.ravel(),
+        columns=columns,
+    )
 
 
 def _segments(dataset: Dataset, trees, min_leaf: int, order: np.ndarray,
-              leaf_of: np.ndarray) -> _Segments:
-    """Take each modifier's rows in ``order``; a split tree's leaves
-    take theirs from that order, grouped by leaf id (``leaf_of``)."""
-    X = dataset.X
-    n, p = X.shape
-    n_ids = max(tree.n_created for tree in trees)
-    counts = np.bincount(
-        (np.arange(len(trees))[:, None] * n_ids + leaf_of).ravel(),
-        minlength=len(trees) * n_ids,
-    ).reshape(len(trees), n_ids)
-    first = np.cumsum(counts, axis=1) - counts
-    # Row k of slot 0 is modifier k's order.  A split tree gets its own
-    # slot, whose row k holds the same rows grouped by leaf id.
-    rank = np.empty((p, n), dtype=np.int64)
-    rank[np.arange(p)[:, None], order.T] = np.arange(n)
-    split = [i for i, tree in enumerate(trees) if len(tree.leaves) > 1]
-    slot = np.zeros(len(trees), dtype=np.int64)
-    slot[split] = np.arange(1, len(split) + 1)
-    rows = np.empty((1 + len(split), p, n), dtype=np.int64)
-    rows[0] = order.T
-    for s, i in enumerate(split, start=1):
-        rows[s] = np.argsort(leaf_of[i] * n + rank, axis=-1)
-    targets = np.array([tree.target for tree in trees])
-    tree_of, modifier, leaf = np.nonzero(
-        (counts >= 2 * min_leaf)[:, None, :]
-        & (np.arange(p) != targets[:, None])[:, :, None]
-    )
-    return _Segments(
-        tree=tree_of, target=targets[tree_of], modifier=modifier, leaf=leaf,
-        start=(slot[tree_of] * p + modifier) * n + first[tree_of, leaf],
-        size=counts[tree_of, leaf],
-        rows=rows.ravel(),
-        columns=np.ascontiguousarray(X.T),
-    )
+              leaf_of: np.ndarray, grouped=None) -> _Segments:
+    """One fit's segment table (see ``_stacked_segments``); ``grouped``
+    defaults to sorting each split tree's rows by leaf id afresh."""
+    if grouped is None:
+        grouped = _grouped_orders(order, leaf_of, trees)
+    return _stacked_segments(np.ascontiguousarray(dataset.X.T), min_leaf, order,
+                             [(0, trees, leaf_of, grouped)])
 
 
 def _candidate_blocks(segs: _Segments, min_leaf: int, width: int, which=None):
@@ -463,16 +502,17 @@ def enumerate_candidates(dataset: Dataset, trees, min_leaf: int, *,
     Order: target covariate ascending, then modifier ascending, then
     parent leaf id ascending, then threshold ascending.  ``_state`` is
     internal: the snapshot ``fit_path`` hands to ``grow_one_split``,
-    whose sort and leaf ids are used instead of being recomputed.
+    whose sort, leaf ids and grouped orders are used instead of being
+    recomputed.
     """
     if min_leaf < 1:
         raise ValidationError(f"min_leaf must be >= 1, got {min_leaf}")
     if _state is None:
         order = np.argsort(dataset.X, axis=0, kind="stable")
-        leaf_of = _leaf_ids(dataset, trees)
+        segs = _segments(dataset, trees, min_leaf, order, _leaf_ids(dataset, trees))
     else:
-        order, leaf_of = _state.order, _state.leaf_of
-    segs = _segments(dataset, trees, min_leaf, order, leaf_of)
+        segs = _segments(dataset, trees, min_leaf, _state.order, _state.leaf_of,
+                         _state.grouped)
     seg, pos = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     for block_seg, _, admissible in _candidate_blocks(segs, min_leaf, width=3):
         b, t = np.nonzero(admissible)
@@ -490,17 +530,19 @@ def enumerate_candidates(dataset: Dataset, trees, min_leaf: int, *,
 
 
 def _make_model(dataset: Dataset, trees, fit: LinearFit) -> TsvcModel:
-    """Distribute fitted coefficients onto the trees."""
-    layout = _column_layout(trees)
-    per_tree: dict[int, list[float]] = {tree.target: [] for tree in trees}
-    for (j, _leaf), value in zip(layout, fit.coefficients[1:]):
-        per_tree[j].append(float(value))
-    fitted_trees = tuple(tree.with_coefficients(per_tree[tree.target]) for tree in trees)
-    s = sum(tree.n_splits for tree in trees)
+    """Distribute fitted coefficients onto the trees, in design-column
+    order (see ``build_design``)."""
+    values = fit.coefficients.tolist()
+    fitted_trees, at = [], 1
+    for tree in trees:
+        width = len(tree.leaves)
+        fitted_trees.append(CoefficientTree(tree.target, tree.root, tree.leaves,
+                                            tree.n_created, tuple(values[at:at + width])))
+        at += width
     return TsvcModel(
-        intercept=float(fit.coefficients[0]),
-        trees=fitted_trees,
-        s=s,
+        intercept=values[0],
+        trees=tuple(fitted_trees),
+        s=sum(tree.n_splits for tree in trees),
         n=dataset.n,
         p=dataset.p,
         names=dataset.names,
@@ -509,22 +551,30 @@ def _make_model(dataset: Dataset, trees, fit: LinearFit) -> TsvcModel:
     )
 
 
-def _score_candidates(segs: _Segments, min_leaf: int, resid, Q, which):
+def _score_candidates(segs: _Segments, min_leaf: int, resid, Q, which, copies: int = 1):
     """Exact scores of every cut of the segments ``which``, from one
     batched pass.
 
     Yields one ``_Block`` per block of segments.  A segment's scores do
     not depend on the other segments of its block: per candidate the
     arithmetic is the per-leaf scan's, the same products and the same
-    sequential cumulative sums.
+    sequential cumulative sums.  With ``copies`` > 1 the table is that
+    many copies of one table whose rows share the basis, ``which``
+    indexes the first copy, and ``resid`` stacks one residual per copy:
+    ``v``, ``den`` and ``uu`` are summed once and ``num`` once per copy,
+    and the blocks hold every copy's segments.
     """
     q = Q.shape[1]
+    # copy c's segments and rows follow copy 0's by c times these
+    seg_shift = segs.size.size // copies * np.arange(copies)[:, None]
+    row_shift = resid.size // copies * np.arange(copies)[:, None, None]
     # per row position: q cumulative sums plus about eight scalars
     for seg, rows, admissible in _candidate_blocks(segs, min_leaf, q + 8, which):
         v = segs.values(segs.target[seg, None], rows)
-        num = np.take(resid, rows)
+        copy_rows = rows if copies == 1 else rows + row_shift
+        num = np.take(resid, copy_rows)
         num *= v
-        np.cumsum(num, axis=1, out=num)
+        np.cumsum(num, axis=-1, out=num)
         uu = v * v
         np.cumsum(uu, axis=1, out=uu)
         cum_vQ = np.take(Q, rows, axis=0)
@@ -533,6 +583,11 @@ def _score_candidates(segs: _Segments, min_leaf: int, resid, Q, which):
         flat_vQ = cum_vQ.reshape(-1, q)
         den = np.einsum("ij,ij->i", flat_vQ, flat_vQ).reshape(uu.shape)
         np.subtract(uu, den, out=den)
+        if copies > 1:
+            seg = (seg + seg_shift).ravel()
+            rows = copy_rows.reshape(-1, rows.shape[1])
+            num = num.reshape(rows.shape)
+            v, admissible, den, uu = (np.tile(a, (copies, 1)) for a in (v, admissible, den, uu))
         yield _Block(seg, rows, v, admissible, num, den, uu)
 
 
@@ -545,14 +600,15 @@ def _gains(block: _Block, floor: float):
     return gains, good
 
 
-def _downdate(block: _Block, carry: _Carry) -> _Block:
+def _downdate(block: _Block, direction: np.ndarray, rq: np.ndarray) -> _Block:
     """A block's scores after the last split: that split added the unit
-    direction d to the basis and took ``rq = d.r`` out of the residual,
-    so ``num`` drops by ``rq * (u.d)`` and ``den`` by ``(u.d)^2``."""
-    c = np.take(carry.direction, block.rows)
+    direction d to the basis and took ``rq = d.r`` (one per block row)
+    out of the residual, so ``num`` drops by ``rq * (u.d)`` and ``den``
+    by ``(u.d)^2``."""
+    c = np.take(direction, block.rows)
     c *= block.v
     np.cumsum(c, axis=1, out=c)  # u.d
-    num = block.num - carry.rq * c
+    num = block.num - rq * c
     return block._replace(num=num, den=np.subtract(block.den, np.square(c, out=c), out=c))
 
 
@@ -567,10 +623,13 @@ class _Screen:
     near-tie it rescores exactly every segment that holds a candidate
     within ``_SCREEN_RTOL`` of the best, so the rule is the one a fresh
     search picks.  ``blocks`` collect this step's scores, downdated or
-    exact, for the next step.
+    exact, for the next step.  ``resid`` and ``Q`` stack the residual and
+    basis of every replicate in the table, and ``copies`` > 1 says that
+    the table is that many copies of one (see ``_score_candidates``).
     """
 
-    def __init__(self, segs: _Segments, min_leaf: int, resid, Q, carry: _Carry | None):
+    def __init__(self, segs: _Segments, min_leaf: int, resid, Q, carry: _Carry | None,
+                 copies: int = 1):
         self.segs, self.min_leaf, self.resid, self.Q = segs, min_leaf, resid, Q
         n_segs = segs.size.size
         self.best = np.full(n_segs, -np.inf)  # per segment
@@ -593,12 +652,13 @@ class _Screen:
                 block = _Block(seg, *block[1:])
                 if not kept.all():
                     block = _Block(*(a[kept] for a in block))
-                block = _downdate(block, carry)
+                block = _downdate(block, carry.direction, carry.rq[segs.rep[block.seg], None])
                 good = self._keep(block, exact=False)
                 carried[block.seg] = True
                 # too close to the degeneracy floor to screen by
                 near_floor[block.seg] = (block.admissible & (block.uu > 0.0) & ~good).any(axis=1)
-        for block in _score_candidates(segs, min_leaf, resid, Q, np.flatnonzero(~carried)):
+        fresh = np.flatnonzero(~carried[:n_segs // copies])
+        for block in _score_candidates(segs, min_leaf, resid, Q, fresh, copies):
             self._keep(block, exact=True)
         if near_floor.any():
             self.rescore(np.flatnonzero(near_floor))
@@ -632,14 +692,16 @@ class _Screen:
             self.best[block.seg] = gains.max(axis=1)
             self.exact[block.seg] = True
 
-    def pick(self):
-        """The candidate with the highest exact gain, ties going to the
-        first in enumeration order, as (seg, pos); None when no
-        candidate is left.  A candidate alone within the margin of the
-        best needs no rescoring: no other candidate can overtake it."""
-        while (best := self.best.max(initial=-np.inf)) > -np.inf:
+    def pick(self, lo: int = 0, hi: int | None = None):
+        """The candidate of the segments ``lo:hi`` (one replicate's) with
+        the highest exact gain, ties going to the first in enumeration
+        order, as (seg, pos); None when no candidate is left.  A
+        candidate alone within the margin of the best needs no
+        rescoring: no other candidate can overtake it."""
+        best_of = self.best[lo:hi]
+        while (best := best_of.max(initial=-np.inf)) > -np.inf:
             floor = best - _SCREEN_RTOL * best
-            close = np.flatnonzero(self.best >= floor)
+            close = lo + np.flatnonzero(best_of >= floor)
             found = [(int(seg), int(pos)) for seg in close
                      for pos in np.flatnonzero(self._row(seg) >= floor)]
             screened = close[~self.exact[close]]
@@ -655,20 +717,148 @@ class _Screen:
         row[pos] = -np.inf
         self.best[seg] = row.max()
 
-    def carry(self, seg: int, pos: int) -> _Carry:
-        """What the next step needs after this step's split at the cut
-        after position ``pos`` of segment ``seg``: the scores, and the
-        unit part of the cut's left-child column orthogonal to the
-        basis."""
+    def direction(self, seg: int, pos: int, Q, resid, offset: int):
+        """The unit part of the left-child column of the cut after
+        position ``pos`` of segment ``seg`` orthogonal to its replicate's
+        basis ``Q``, and its product with that replicate's residual;
+        ``offset`` is the number of the replicate's first row."""
         segs = self.segs
         left = segs.rows[segs.start[seg]:segs.start[seg] + pos + 1]
-        u = np.zeros(self.Q.shape[0])
-        u[left] = segs.values(segs.target[seg], left)
+        u = np.zeros(Q.shape[0])
+        u[left - offset] = segs.values(segs.target[seg], left)
         for _ in range(2):  # the second pass restores what cancellation lost
-            u -= self.Q @ (self.Q.T @ u)
+            u -= Q @ (Q.T @ u)
         u /= np.linalg.norm(u)
+        return u, float(u @ resid)
+
+    def carry(self, direction, rq) -> _Carry:
+        """What the next step needs: this step's scores, and the unit
+        directions the replicates' splits added with their products
+        with the residuals (see ``_Carry``)."""
         blocks = tuple(_Block(*map(_frozen, block)) for block in self.blocks)
-        return _Carry(_frozen(segs.keys()), blocks, _frozen(u), float(u @ self.resid))
+        return _Carry(_frozen(self.segs.keys()), blocks, _frozen(direction), _frozen(rq))
+
+
+def _leaf_column(xj: np.ndarray, leaf_of: np.ndarray, leaf: int, target: int) -> np.ndarray:
+    """The design column of one leaf: ``x_j`` on the leaf's rows, 0 elsewhere."""
+    mask = leaf_of == leaf
+    if not mask.any():
+        raise EmptyLeafError(f"leaf {leaf} of the tree for covariate {target} is empty")
+    return np.where(mask, xj, 0.0)
+
+
+def _split_design(design: np.ndarray, X: np.ndarray, trees, i: int, parent: int,
+                  leaf_of: np.ndarray, split: CoefficientTree) -> np.ndarray:
+    """``build_design`` after tree i's leaf ``parent`` split, giving the
+    tree ``split`` and its rows' leaf ids ``leaf_of``: the base design
+    without the parent's column, and with the children's at the end of
+    tree i's columns."""
+    before = 1 + sum(len(tree.leaves) for tree in trees[:i])
+    parent_col = before + trees[i].leaves.index(parent)
+    tail = before + len(trees[i].leaves)  # the children's columns: tail - 1, tail
+    out = np.empty((design.shape[0], design.shape[1] + 1))
+    out[:, :parent_col] = design[:, :parent_col]
+    out[:, parent_col:tail - 1] = design[:, parent_col + 1:tail]
+    for col, leaf in enumerate(split.leaves[-2:], start=tail - 1):
+        out[:, col] = _leaf_column(X[:, split.target], leaf_of, leaf, split.target)
+    out[:, tail + 1:] = design[:, tail:]
+    return out
+
+
+def _stack(parts, shape) -> np.ndarray:
+    """The replicates' arrays end to end, zeros of ``shape`` for the
+    inactive (None) ones; a single array is itself."""
+    if len(parts) == 1:
+        return parts[0]
+    return np.concatenate([np.zeros(shape) if part is None else part for part in parts])
+
+
+def _grow_splits(dataset: Dataset, Y, trees, states, min_leaf: int) -> list:
+    """One greedy step of every replicate j whose ``states[j]`` is not
+    None, with response ``Y[j]`` and current trees ``trees[j]``, all
+    in lockstep on the covariates of ``dataset``.
+
+    The replicates' segment tables are stacked into one table, with
+    replicate j's rows numbered from ``j * n`` in the stacked residuals,
+    bases and directions; every replicate has taken as many splits, so
+    their bases have one width.  One ``_Screen`` scores them all.  On a
+    first step (no carried scores) of more than one replicate they all
+    start from the same trees and basis, and share every sum but the
+    residual's.  Each replicate then picks, bans and refits its own
+    winner.
+
+    Returns
+    -------
+    Per replicate: (SplitRule, TsvcModel, next _StepState), or None when
+    it is inactive or has no admissible split left.
+    """
+    if min_leaf < 1:
+        raise ValidationError(f"min_leaf must be >= 1, got {min_leaf}")
+    n, width = dataset.n, len(states)
+    active = [j for j, state in enumerate(states) if state is not None]
+    lead = states[active[0]]
+    q = lead.Q.shape[1]
+    resid = [None if state is None else Y[j] - state.fit.fitted
+             for j, state in enumerate(states)]
+    segs = _stacked_segments(np.tile(dataset.X.T, (1, width)), min_leaf, lead.order,
+                             [(j, trees[j], states[j].leaf_of, states[j].grouped)
+                              for j in active])
+    copies = width if width > 1 and lead.carry is None else 1
+    screen = _Screen(segs, min_leaf, _stack(resid, (n,)),
+                     _stack([None if state is None else state.Q for state in states], (n, q)),
+                     lead.carry, copies)
+    bounds = np.searchsorted(segs.rep, np.arange(width + 1))
+    direction, rq = np.zeros(width * n), np.zeros(width)
+    grown = [None] * width
+    for j in active:
+        state = states[j]
+        while (picked := screen.pick(bounds[j], bounds[j + 1])) is not None:
+            seg, pos = picked
+            rule = segs.rule(seg, pos)
+            i = int(segs.tree[seg])
+            split = trees[j][i].split(rule)
+            new_trees = tuple(trees[j][:i]) + (split,) + tuple(trees[j][i + 1:])
+            # only the parent leaf's rows move
+            leaf_of = state.leaf_of.copy()
+            rows = np.flatnonzero(leaf_of[i] == rule.parent_leaf)
+            leaf_of[i, rows] = split.assign(dataset.X[rows])
+            design = _split_design(state.design, dataset.X, trees[j], i, rule.parent_leaf,
+                                   leaf_of[i], split)
+            try:
+                fit, Q = solve_least_squares(design, Y[j], return_basis=True)
+            except RankDeficientError:
+                # Scored as improving but singular on exact refit: drop the
+                # candidate and take the next best.
+                screen.ban(seg, pos)
+                continue
+            direction[j * n:(j + 1) * n], rq[j] = screen.direction(seg, pos, state.Q,
+                                                                   resid[j], j * n)
+            grouped = list(state.grouped)
+            grouped[i] = _regroup(grouped[i], state.order, state.leaf_of[i], leaf_of[i],
+                                  rule.parent_leaf, split.n_created - 2)
+            grown[j] = (rule, _make_model(dataset, new_trees, fit),
+                        _StepState(state.order, _frozen(leaf_of), tuple(grouped),
+                                   _frozen(design), fit, _frozen(Q)))
+            break
+    carry = screen.carry(direction, rq)
+    return [None if out is None else (*out[:2], out[2]._replace(carry=carry)) for out in grown]
+
+
+def _start_states(dataset: Dataset, trees, Y) -> list[_StepState]:
+    """Sort X and fit the current trees to each response of Y (m x n),
+    from one factorisation of their design: the states of the paths'
+    first step."""
+    leaf_of = _frozen(_leaf_ids(dataset, trees))
+    design = _frozen(build_design(dataset, trees, _leaf_of=leaf_of))
+    fits, Q = solve_least_squares(design, Y, return_basis=True)
+    order = _frozen(np.argsort(dataset.X, axis=0, kind="stable"))
+    grouped = _grouped_orders(order, leaf_of, trees)
+    return [_StepState(order, leaf_of, grouped, design, fit, _frozen(Q)) for fit in fits]
+
+
+def _start_state(dataset: Dataset, trees) -> _StepState:
+    """The state of a path's first step (see ``_start_states``)."""
+    return _start_states(dataset, trees, dataset.y[None])[0]
 
 
 def grow_one_split(dataset: Dataset, trees, min_leaf: int = 10, *,
@@ -684,13 +874,14 @@ def grow_one_split(dataset: Dataset, trees, min_leaf: int = 10, *,
     base-fit residual r and the component u_perp of u orthogonal to
     the base design.  Candidates are scored in batched passes; the
     winning rule is then refitted exactly, and a winner that turns out
-    singular is dropped in favour of the next best.
+    singular is dropped in favour of the next best.  This is the
+    one-response case of the lockstep step of ``fit_paths``.
 
     ``_state`` is internal to ``fit_path``: the previous step's sort,
-    leaf ids, fit, basis and candidate scores, so that the base design
-    is neither rebuilt nor factorised again, and only the new leaves
-    are scored in full (see ``_Screen``).  Without it the step computes
-    everything itself.
+    leaf ids, design, fit, basis and candidate scores, so that the base
+    design is neither rebuilt nor factorised again, and only the new
+    leaves are scored in full (see ``_Screen``).  Without it the step
+    computes everything itself.
 
     Returns
     -------
@@ -702,35 +893,11 @@ def grow_one_split(dataset: Dataset, trees, min_leaf: int = 10, *,
     NoAdmissibleSplitError
         If no candidate satisfies ``min_leaf`` (or all are degenerate).
     """
-    if min_leaf < 1:
-        raise ValidationError(f"min_leaf must be >= 1, got {min_leaf}")
-    y = dataset.y
     state = _start_state(dataset, trees) if _state is None else _state
-    segs = _segments(dataset, trees, min_leaf, state.order, state.leaf_of)
-    screen = _Screen(segs, min_leaf, y - state.fit.fitted, state.Q, state.carry)
-    while (picked := screen.pick()) is not None:
-        seg, pos = picked
-        rule = segs.rule(seg, pos)
-        i = int(segs.tree[seg])
-        new_trees = tuple(trees[:i]) + (trees[i].split(rule),) + tuple(trees[i + 1:])
-        # only the parent leaf's rows move
-        leaf_of = state.leaf_of.copy()
-        rows = np.flatnonzero(leaf_of[i] == rule.parent_leaf)
-        leaf_of[i, rows] = new_trees[i].assign(dataset.X[rows])
-        try:
-            fit, Q = solve_least_squares(build_design(dataset, new_trees, _leaf_of=leaf_of),
-                                         y, return_basis=True)
-        except RankDeficientError:
-            # Scored as improving but singular on exact refit: drop the
-            # candidate and take the next best.
-            screen.ban(seg, pos)
-            continue
-        model = _make_model(dataset, new_trees, fit)
-        if _state is None:
-            return rule, model
-        return rule, model, _StepState(state.order, _frozen(leaf_of), fit, _frozen(Q),
-                                       screen.carry(seg, pos))
-    raise NoAdmissibleSplitError("no admissible split candidate")
+    (grown,) = _grow_splits(dataset, [dataset.y], [tuple(trees)], [state], min_leaf)
+    if grown is None:
+        raise NoAdmissibleSplitError("no admissible split candidate")
+    return grown if _state is not None else grown[:2]
 
 
 def fit_path(dataset: Dataset, s_max: int, min_leaf: int = 10) -> ModelPath:
@@ -739,7 +906,7 @@ def fit_path(dataset: Dataset, s_max: int, min_leaf: int = 10) -> ModelPath:
     The path may stop early when no admissible split remains.  The
     residual sum of squares never increases along the path.  X is
     sorted once per path, and each step's exact refit is the next
-    step's base fit.
+    step's base fit.  ``fit_paths`` fits many responses on one X at once.
     """
     if s_max < 0:
         raise ValidationError(f"s_max must be >= 0, got {s_max}")
@@ -756,6 +923,54 @@ def fit_path(dataset: Dataset, s_max: int, min_leaf: int = 10) -> ModelPath:
         models.append(model)
         rules.append(rule)
     return ModelPath(models=tuple(models), rules=tuple(rules), s_max=s_max)
+
+
+def fit_paths(X, Y, s_max: int, min_leaf: int = 10) -> list[ModelPath]:
+    """``fit_path`` for each response row of Y (m x n) on the one
+    covariate matrix X: path j equals
+    ``fit_path(Dataset.from_arrays(Y[j], X), s_max, min_leaf)``, bit for
+    bit.
+
+    The paths advance in lockstep, a group of replicates at a time
+    (``_LOCKSTEP_POSITIONS`` bounds a group's memory): they share the sort
+    of X, the first step's design, factorisation and candidate sums,
+    and each step scores the candidates of all of them in one pass (see
+    ``_grow_splits``).  A path with no admissible split left stops while
+    the others go on.
+    """
+    if s_max < 0:
+        raise ValidationError(f"s_max must be >= 0, got {s_max}")
+    Y = np.asarray(Y, dtype=float)
+    if Y.ndim != 2 or Y.shape[0] < 1:
+        raise ValidationError(f"Y must hold one response per row, got shape {Y.shape}")
+    dataset = Dataset.from_arrays(Y[0], X)
+    if not np.isfinite(Y).all():
+        raise ValidationError("y and X must be finite")
+    group = max(1, _LOCKSTEP_POSITIONS // (dataset.p ** 2 * dataset.n))
+    return [path for lo in range(0, Y.shape[0], group)
+            for path in _lockstep(dataset, Y[lo:lo + group], s_max, min_leaf)]
+
+
+def _lockstep(dataset: Dataset, Y, s_max: int, min_leaf: int) -> list[ModelPath]:
+    """The paths of the responses Y on ``dataset``'s covariates, grown in lockstep."""
+    trees = tuple(CoefficientTree.stump(j) for j in range(dataset.p))
+    states = _start_states(dataset, trees, Y)
+    models = [[_make_model(dataset, trees, state.fit)] for state in states]
+    rules = [[] for _ in states]
+    current = [trees] * len(states)
+    for _ in range(s_max):
+        if all(state is None for state in states):
+            break
+        for j, grown in enumerate(_grow_splits(dataset, Y, current, states, min_leaf)):
+            if grown is None:
+                states[j] = None
+                continue
+            rule, model, states[j] = grown
+            rules[j].append(rule)
+            models[j].append(model)
+            current[j] = model.trees
+    return [ModelPath(models=tuple(path), rules=tuple(steps), s_max=s_max)
+            for path, steps in zip(models, rules)]
 
 
 # ---------------------------------------------------------------------------

@@ -188,6 +188,18 @@ def test_mc_dof_out_file(tmp_path, capsys):
     assert {row[2] for row in table.rows} == {1, 2}
 
 
+def test_mc_dof_without_any_split_exits_2(tmp_path, capsys):
+    # too few rows for two leaves of min_leaf, and a lone covariate
+    # without a modifier: an error, not a header-only grid
+    for n, p in (("15", "2"), ("40", "1")):
+        out = tmp_path / f"grid-{n}-{p}.csv"
+        assert main(["mc-dof", "--n", n, "--p", p, "--smax", "3", "--m", "3",
+                     "--runs", "2", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"n = {n}, p = {p}, min_leaf = 10" in err
+        assert not out.exists()
+
+
 def test_mc_dof_rejects_single_replicate():
     assert main(["mc-dof", "--n", "40", "--p", "2", "--m", "1",
                  "--runs", "1"]) == 2

@@ -207,3 +207,21 @@ def test_return_basis_spans_design():
     # projecting the design onto Q changes nothing
     np.testing.assert_allclose(Q @ (Q.T @ design), design, atol=1e-10)
     np.testing.assert_allclose(Q @ (Q.T @ y), fit.fitted, atol=1e-10)
+
+
+def test_responses_share_one_factorisation_bit_for_bit():
+    # m responses against one design: each fit is the one a solve of
+    # that response alone gives, to the last bit
+    rng = np.random.default_rng(11)
+    for n, q in ((31, 3), (100, 11), (257, 6)):
+        design = rng.standard_normal((n, q))
+        Y = rng.standard_normal((5, n))
+        fits, Q = solve_least_squares(design, Y, return_basis=True)
+        assert len(fits) == 5
+        for y, fit in zip(Y, fits):
+            alone, Q_alone = solve_least_squares(design, y.copy(), return_basis=True)
+            assert fit.coefficients.tobytes() == alone.coefficients.tobytes()
+            assert fit.fitted.tobytes() == alone.fitted.tobytes()
+            assert fit.rss == alone.rss and fit.log_lik == alone.log_lik
+            assert Q.tobytes() == Q_alone.tobytes()
+

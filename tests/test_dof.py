@@ -5,7 +5,7 @@ import pickle
 import numpy as np
 import pytest
 
-from tsvc.core import solve_least_squares
+from tsvc.core import Dataset, solve_least_squares
 from tsvc.dof import (
     DofSpec,
     McDofConfig,
@@ -13,6 +13,7 @@ from tsvc.dof import (
     McDofResult,
     McDofTable,
     TsvcPathFitter,
+    _mc_dof_run,
     dof_mfp,
     dof_naive,
     dof_table_lookup,
@@ -25,6 +26,7 @@ from tsvc.errors import (
     OffGridError,
     ValidationError,
 )
+from tsvc.tree import fit_path
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +145,66 @@ def test_mc_dof_single_run_has_zero_se():
     config = McDofConfig(m=15, runs=1, s_max=1, min_leaf=10, seed=5)
     result = mc_dof(n=40, p=2, config=config)
     assert result.entries[0].se == 0.0
+
+
+def test_mc_dof_without_any_split_is_an_error():
+    # n < 2 * min_leaf leaves no leaf to split, and a single covariate
+    # has no modifier: no replicate reaches s = 1
+    for n, p in ((15, 2), (40, 1)):
+        config = McDofConfig(m=3, runs=2, s_max=3, min_leaf=10, seed=0)
+        with pytest.raises(ValidationError, match=f"n = {n}, p = {p}, min_leaf = 10"):
+            mc_dof(n=n, p=p, config=config)
+
+
+class PathLoopFitter:
+    """The default fitter without its block call, so that ``mc_dof``
+    fits the replicates of a run one at a time."""
+
+    def __init__(self, s_max, min_leaf):
+        self.s_max, self.min_leaf = s_max, min_leaf
+
+    def __call__(self, y, X):
+        path = fit_path(Dataset.from_arrays(y, X), self.s_max, self.min_leaf)
+        return {m.s: m.fit.fitted for m in path.models if m.s >= 1}
+
+
+def _tied_design(n, p, seed):
+    return np.random.default_rng(seed).integers(0, 4, size=(n, p)).astype(float)
+
+
+@pytest.mark.parametrize("n, p, s_max, min_leaf, tied", [
+    (40, 2, 3, 8, False),
+    (60, 4, 5, 5, False),
+    (100, 10, 5, 10, False),
+    (31, 2, 5, 9, False),   # short paths
+    (50, 3, 4, 4, True),    # a supplied X with tied integer values
+])
+def test_mc_dof_lockstep_runs_equal_the_replicate_loop(n, p, s_max, min_leaf, tied):
+    config = McDofConfig(m=6, runs=3, s_max=s_max, min_leaf=min_leaf, seed=n + p)
+    X = _tied_design(n, p, seed=p) if tied else None
+    mu = np.zeros(n)
+    short = 0
+    for run in range(config.runs):
+        args = (n, p, config.seed, run, config.m, mu, X)
+        lockstep = _mc_dof_run(args + (TsvcPathFitter(s_max, min_leaf),))
+        loop = _mc_dof_run(args + (PathLoopFitter(s_max, min_leaf),))
+        assert lockstep == loop
+        short += sum(count for _, count in loop.values())
+    a = mc_dof(n, p, config, X=X)
+    b = mc_dof(n, p, config, fitter=PathLoopFitter(s_max, min_leaf), X=X)
+    assert a.entries == b.entries
+    if (n, p) == (31, 2):
+        assert short > 0
+
+
+def test_mc_dof_lockstep_is_thread_independent():
+    config = McDofConfig(m=5, runs=3, s_max=4, min_leaf=5, seed=8)
+    X = _tied_design(48, 3, seed=9)
+    one = mc_dof(48, 3, config, X=X, threads=1)
+    two = mc_dof(48, 3, config, X=X, threads=2)
+    loop = mc_dof(48, 3, config, fitter=PathLoopFitter(4, 5), X=X, threads=2)
+    assert one.entries == two.entries == loop.entries
+    assert one.to_csv() == two.to_csv()
 
 
 def test_mc_dof_csv_round_trips_into_table():

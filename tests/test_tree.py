@@ -19,6 +19,7 @@ from tsvc.tree import (
     build_design,
     enumerate_candidates,
     fit_path,
+    fit_paths,
     grow_one_split,
     model_from_json,
     model_to_json,
@@ -300,6 +301,137 @@ def test_no_admissible_split_when_min_leaf_too_large():
 
 # ---------------------------------------------------------------------------
 # path fitting
+# ---------------------------------------------------------------------------
+# lockstep paths: many responses on one X
+# ---------------------------------------------------------------------------
+
+def _assert_same_path(lockstep, alone, label):
+    assert lockstep.rules == alone.rules, label
+    assert len(lockstep.models) == len(alone.models), label
+    for a, b in zip(lockstep.models, alone.models):
+        assert model_to_json(a) == model_to_json(b), label
+        assert a.rss == b.rss, label
+        assert a.fit.fitted.tobytes() == b.fit.fitted.tobytes(), label
+        assert a.fit.coefficients.tobytes() == b.fit.coefficients.tobytes(), label
+
+
+def test_fit_paths_equal_one_path_per_response():
+    # random and tied integer-valued columns over p 2-10, n 30-200 and
+    # min_leaf 3-14; some replicates of a group stop before the others
+    rng = np.random.default_rng(61)
+    seeds = uneven = 0
+    while seeds < 20:
+        p, n = int(rng.integers(2, 11)), int(rng.integers(30, 201))
+        min_leaf = int(rng.integers(3, 15))
+        if seeds % 2:
+            X = rng.integers(0, 4, size=(n, p)).astype(float)
+        else:
+            X = rng.standard_normal((n, p))
+        try:
+            fit_path(Dataset.from_arrays(np.zeros(n), X), s_max=0)
+        except (RankDeficientError, ValidationError):
+            continue  # a duplicate, constant or collinear draw
+        Y = rng.standard_normal((int(rng.integers(2, 7)), n))
+        Y[0] += 3.0 * X[:, 0] * (X[:, -1] > np.median(X[:, -1]))
+        s_max = int(rng.integers(3, 9))
+        paths = fit_paths(X, Y, s_max, min_leaf)
+        assert len(paths) == len(Y)
+        for j, path in enumerate(paths):
+            alone = fit_path(Dataset.from_arrays(Y[j], X), s_max, min_leaf)
+            _assert_same_path(path, alone, f"seed {seeds}, replicate {j}")
+        uneven += len({len(path.rules) for path in paths}) > 1
+        seeds += 1
+    assert uneven >= 1
+
+
+def test_fit_paths_replicates_stop_at_different_steps():
+    # one leaf of 2 * 6 rows or more: the planted split of the first
+    # response leaves room for more splits than pure noise does
+    rng = np.random.default_rng(67)
+    X = rng.standard_normal((26, 2))
+    Y = rng.standard_normal((4, 26))
+    Y[1] = 5.0 * X[:, 0] * (X[:, 1] > 0.0) + 0.1 * Y[1]
+    paths = fit_paths(X, Y, s_max=6, min_leaf=6)
+    lengths = [len(path.rules) for path in paths]
+    assert len(set(lengths)) > 1
+    for j, path in enumerate(paths):
+        _assert_same_path(path, fit_path(Dataset.from_arrays(Y[j], X), 6, 6), f"replicate {j}")
+
+
+def test_fit_paths_in_groups_equal_one_group(monkeypatch):
+    # a memory cap splits the replicates into lockstep groups of two
+    import tsvc.tree as tree_module
+
+    rng = np.random.default_rng(73)
+    X = rng.standard_normal((60, 3))
+    Y = rng.standard_normal((5, 60))
+    whole = fit_paths(X, Y, s_max=5, min_leaf=5)
+    monkeypatch.setattr(tree_module, "_LOCKSTEP_POSITIONS", 2 * 3 ** 2 * 60)
+    grouped = fit_paths(X, Y, s_max=5, min_leaf=5)
+    for j, (a, b) in enumerate(zip(grouped, whole)):
+        _assert_same_path(a, b, f"replicate {j}")
+        _assert_same_path(a, fit_path(Dataset.from_arrays(Y[j], X), 5, 5), f"replicate {j}")
+
+
+def test_fit_paths_ban_one_replicate_refit_and_not_the_others(monkeypatch):
+    # on mixed-scale columns some winning refits are singular: replicates
+    # 0 and 2 ban candidates, 1 and 3 never do, and each still follows
+    # its own path
+    import tsvc.tree as tree_module
+
+    rng = np.random.default_rng(1)
+    X = rng.standard_normal((50, 2)) * np.array([1e-5, 1e5])
+    Y = np.stack([np.random.default_rng(seed).standard_normal(50) for seed in (0, 3, 1, 8)])
+    banned = []
+    real_solve = tree_module.solve_least_squares
+
+    def solve(design, y, **kwargs):
+        try:
+            return real_solve(design, y, **kwargs)
+        except RankDeficientError:
+            banned.append(next(j for j in range(len(Y)) if np.array_equal(Y[j], y)))
+            raise
+
+    monkeypatch.setattr(tree_module, "solve_least_squares", solve)
+    paths = fit_paths(X, Y, s_max=2, min_leaf=3)
+    assert set(banned) == {0, 2}
+    for j, path in enumerate(paths):
+        _assert_same_path(path, fit_path(Dataset.from_arrays(Y[j], X), 2, 3), f"replicate {j}")
+
+
+def test_fit_paths_checks_its_arguments():
+    X = np.random.default_rng(2).standard_normal((30, 2))
+    with pytest.raises(ValidationError):
+        fit_paths(X, np.zeros(30), s_max=2)
+    with pytest.raises(ValidationError):
+        fit_paths(X, np.full((2, 30), np.nan), s_max=2)
+    with pytest.raises(ValidationError):
+        fit_paths(X, np.zeros((2, 30)), s_max=-1)
+    with pytest.raises(ValidationError):
+        fit_paths(X, np.zeros((2, 31)), s_max=2)
+
+
+def test_carried_grouped_orders_equal_a_fresh_sort():
+    # a split tree's rows grouped by leaf are regrouped after each split,
+    # not sorted again; they equal the sort at every step
+    from tsvc.tree import _grouped_orders, _start_state
+
+    for ds, min_leaf in _short_paths(seed=71, count=12):
+        trees = tuple(CoefficientTree.stump(j) for j in range(ds.p))
+        state = _start_state(ds, trees)
+        for _ in range(6):
+            try:
+                _, model, state = grow_one_split(ds, trees, min_leaf, _state=state)
+            except NoAdmissibleSplitError:
+                break
+            trees = model.trees
+            fresh = _grouped_orders(state.order, state.leaf_of, trees)
+            for carried, sorted_ in zip(state.grouped, fresh):
+                assert (carried is None) == (sorted_ is None)
+                if carried is not None:
+                    assert np.array_equal(carried, sorted_)
+
+
 # ---------------------------------------------------------------------------
 
 def test_fit_path_smax_zero():
