@@ -181,9 +181,10 @@ def solve_least_squares(design, y, return_basis: bool = False):
         rank = 0 if diag[0] == 0.0 else int(np.sum(diag >= RANK_RTOL * diag[0]))
         raise RankDeficientError(f"design has numerical rank {rank} < {q}")
 
-    responses = y if y.ndim == 2 else [y]
-    fits = [_fit_factored(design, Q, R, piv, response) for response in responses]
-    fit = fits if y.ndim == 2 else fits[0]
+    if y.ndim == 1:
+        fit = _fit_factored(design, Q, R, piv, y)
+    else:
+        fit = [_fit_factored(design, Q, R, piv, response) for response in y]
     if return_basis:
         return fit, Q
     return fit
