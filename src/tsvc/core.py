@@ -4,6 +4,12 @@ All tree models in this package reduce to ordinary least squares on an
 expanded design matrix, so the numerical core lives here: a validated
 data container, a rank-checked QR solver, and the profile Gaussian
 log-likelihood evaluated at the variance MLE ``rss / n``.
+
+The solver calls LAPACK ``dgeqp3``, ``dorgqr`` and ``dtrtrs`` through
+``scipy.linalg.lapack`` in the sequence ``scipy.linalg.qr(...,
+mode="economic", pivoting=True)`` and ``scipy.linalg.solve_triangular``
+use, workspace queries included, so its bits are theirs without their
+per-call Python overhead.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack
 
 from .errors import (
     DegenerateFitError,
@@ -175,7 +181,7 @@ def solve_least_squares(design, y, return_basis: bool = False):
     if q < 1 or q > n:
         raise DimensionMismatchError(f"need 1 <= q <= n, got q = {q}, n = {n}")
 
-    Q, R, piv = scipy.linalg.qr(design, mode="economic", pivoting=True)
+    Q, R, piv = _pivoted_qr(design)
     diag = np.abs(np.diag(R))
     if diag[0] == 0.0 or np.any(diag < RANK_RTOL * diag[0]):
         rank = 0 if diag[0] == 0.0 else int(np.sum(diag >= RANK_RTOL * diag[0]))
@@ -190,10 +196,36 @@ def solve_least_squares(design, y, return_basis: bool = False):
     return fit
 
 
+def _lapack(routine, *args, **kwargs):
+    """Call a LAPACK wrapper as ``scipy.linalg`` does: a workspace query
+    first (the blocked path, and so the bits, depend on ``lwork``), then
+    the call; the outputs without ``work`` and ``info``."""
+    lwork = routine(*args, lwork=-1, **kwargs)[-2][0]
+    *out, _, info = routine(*args, lwork=int(lwork), **kwargs)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK {routine.__name__}")
+    return out
+
+
+def _pivoted_qr(design):
+    """``scipy.linalg.qr(design, mode="economic", pivoting=True)`` for
+    q <= n, the design left as it is."""
+    if not np.isfinite(design).all():
+        raise ValueError("array must not contain infs or NaNs")  # scipy's check and words
+    qr, jpvt, tau = _lapack(lapack.dgeqp3, design)
+    R = np.triu(qr[:design.shape[1]])
+    Q, = _lapack(lapack.dorgqr, qr, tau, overwrite_a=1)
+    return Q, R, jpvt - 1
+
+
 def _fit_factored(design, Q, R, piv, y) -> LinearFit:
     """The fit of one response from the pivoted QR of the design."""
     n, q = design.shape
-    coef_piv = scipy.linalg.solve_triangular(R, Q.T @ y)
+    # solve_triangular's path for a C-ordered R, the transposed lower
+    # system (a 1 x 1 R, its other path, is one division either way)
+    coef_piv, info = lapack.dtrtrs(R.T, Q.T @ y, lower=1, trans=1, overwrite_b=1)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK dtrtrs")
     coefficients = np.empty(q)
     coefficients[piv] = coef_piv
     fitted = design @ coefficients

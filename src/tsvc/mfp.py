@@ -221,23 +221,44 @@ def _fp_power_sets(degree: int):
 # model assembly and testing machinery
 # ---------------------------------------------------------------------------
 
-def _design(dataset: Dataset, forms: dict[int, FpTerm],
-            interactions) -> np.ndarray:
-    n = dataset.n
-    cols = [np.ones(n)]
-    for j in sorted(forms):
-        term = forms[j]
-        cols.append(fp_columns(dataset.X[:, j] + term.shift, term.powers))
-    for covs in interactions:
-        cols.append(np.prod(dataset.X[:, list(covs)], axis=1).reshape(-1, 1))
-    return np.column_stack(cols)
+class _Columns:
+    """The model columns of one dataset, each built once: FP blocks keyed
+    by (covariate, powers, shift), interaction products by covariates.
+
+    A selection scores hundreds of candidate models that share most of
+    their columns; ``design`` assembles a candidate's design from the
+    blocks built so far.  A store lives for one call on one dataset.
+    """
+
+    def __init__(self, dataset: Dataset):
+        self.dataset = dataset
+        self._ones = np.ones(dataset.n)
+        self._fp: dict[tuple, np.ndarray] = {}
+        self._products: dict[tuple[int, ...], np.ndarray] = {}
+
+    def design(self, forms: dict[int, FpTerm], interactions) -> np.ndarray:
+        """Intercept, then each form's block by covariate, then each product."""
+        X = self.dataset.X
+        cols = [self._ones]
+        for j in sorted(forms):
+            term = forms[j]
+            key = (j, tuple(term.powers), term.shift)
+            if key not in self._fp:
+                self._fp[key] = fp_columns(X[:, j] + term.shift, term.powers)
+            cols.append(self._fp[key])
+        for covs in interactions:
+            key = tuple(covs)
+            if key not in self._products:
+                self._products[key] = np.prod(X[:, list(key)], axis=1).reshape(-1, 1)
+            cols.append(self._products[key])
+        return np.column_stack(cols)
 
 
-def _rss(dataset: Dataset, forms, interactions) -> float | None:
+def _rss(columns: _Columns, forms, interactions) -> float | None:
     """rss of the least-squares fit, or None when the design is singular."""
-    design = _design(dataset, forms, interactions)
+    design = columns.design(forms, interactions)
     try:
-        return solve_least_squares(design, dataset.y).rss
+        return solve_least_squares(design, columns.dataset.y).rss
     except RankDeficientError:
         return None
 
@@ -286,16 +307,21 @@ def order_covariates(dataset: Dataset) -> list[int]:
     Contribution is the likelihood-ratio statistic from dropping the
     covariate out of the all-linear model; ties keep index order.
     """
+    return _order_covariates(_Columns(dataset))
+
+
+def _order_covariates(columns: _Columns) -> list[int]:
+    dataset = columns.dataset
     forms = {j: FpTerm(j, LINEAR, positivity_shift(dataset.X[:, j]))
              for j in range(dataset.p)}
-    full = _rss(dataset, forms, [])
+    full = _rss(columns, forms, [])
     if full is None:
         raise RankDeficientError("full linear model is singular")
     tester = _LrTester(dataset)
     scores = []
     for j in range(dataset.p):
         reduced = {k: v for k, v in forms.items() if k != j}
-        rss_j = _rss(dataset, reduced, [])
+        rss_j = _rss(columns, reduced, [])
         stat = math.inf if rss_j is None else tester.statistic(rss_j, full)
         scores.append((-stat, j))
     return [j for _, j in sorted(scores)]
@@ -316,7 +342,7 @@ def best_fp(dataset: Dataset, j: int, degree: int,
         raise ValidationError(f"degree must be 1 or 2, got {degree}")
     if j < 0 or j >= dataset.p:
         raise ValidationError(f"no covariate {j}")
-    term, _ = _best_fp_with_rss(dataset, j, degree, current_forms or {},
+    term, _ = _best_fp_with_rss(_Columns(dataset), j, degree, current_forms or {},
                                 interactions, positivity_shift(dataset.X[:, j]))
     if term is None:
         raise RankDeficientError(
@@ -325,7 +351,7 @@ def best_fp(dataset: Dataset, j: int, degree: int,
     return term
 
 
-def _best_fp_with_rss(dataset, j, degree, current_forms, interactions, delta):
+def _best_fp_with_rss(columns, j, degree, current_forms, interactions, delta):
     """``best_fp`` with covariate j shifted by ``delta``, and the rss of
     its fit; (None, inf) when every candidate is singular."""
     others = {k: v for k, v in current_forms.items() if k != j}
@@ -334,7 +360,7 @@ def _best_fp_with_rss(dataset, j, degree, current_forms, interactions, delta):
     for powers in _fp_power_sets(degree):
         forms = dict(others)
         forms[j] = FpTerm(j, powers, delta)
-        rss = _rss(dataset, forms, interactions)
+        rss = _rss(columns, forms, interactions)
         if rss is not None and rss < best_rss:
             best_rss = rss
             best = FpTerm(j, powers, delta)
@@ -374,29 +400,30 @@ def mfp_select(dataset: Dataset, alpha: float = 0.05, interactions: int = 0,
         for size in range(2, interactions + 1):
             inter_candidates.extend(itertools.combinations(range(p), size))
     included_inters: list[tuple[int, ...]] = []
-    order = order_covariates(dataset)
+    columns = _Columns(dataset)
+    order = _order_covariates(columns)
 
     for _cycle in range(max_cycles):
         before = (tuple(sorted((j, t.powers) for j, t in forms.items())),
                   tuple(included_inters))
         for j in order:
             others = {k: v for k, v in forms.items() if k != j}
-            fp2, rss_fp2 = _best_fp_with_rss(dataset, j, 2, others,
+            fp2, rss_fp2 = _best_fp_with_rss(columns, j, 2, others,
                                              included_inters, shifts[j])
             if fp2 is None:
                 forms.pop(j, None)
                 continue
-            rss_null = _rss(dataset, others, included_inters)
+            rss_null = _rss(columns, others, included_inters)
             if not tester.significant(rss_null, rss_fp2, df=2):
                 forms.pop(j, None)
                 continue
             linear = dict(others)
             linear[j] = FpTerm(j, LINEAR, shifts[j])
-            rss_linear = _rss(dataset, linear, included_inters)
+            rss_linear = _rss(columns, linear, included_inters)
             if not tester.significant(rss_linear, rss_fp2, df=1):
                 forms[j] = linear[j]
                 continue
-            fp1, rss_fp1 = _best_fp_with_rss(dataset, j, 1, others,
+            fp1, rss_fp1 = _best_fp_with_rss(columns, j, 1, others,
                                              included_inters, shifts[j])
             if fp1 is not None and not tester.significant(rss_fp1, rss_fp2, df=1):
                 forms[j] = fp1
@@ -404,8 +431,8 @@ def mfp_select(dataset: Dataset, alpha: float = 0.05, interactions: int = 0,
                 forms[j] = fp2
         for covs in inter_candidates:
             rest = [t for t in included_inters if t != covs]
-            rss_without = _rss(dataset, forms, rest)
-            rss_with = _rss(dataset, forms, rest + [covs])
+            rss_without = _rss(columns, forms, rest)
+            rss_with = _rss(columns, forms, rest + [covs])
             wanted = tester.significant(rss_without, rss_with, df=1)
             if wanted and covs not in included_inters:
                 included_inters = rest + [covs]
@@ -421,12 +448,12 @@ def mfp_select(dataset: Dataset, alpha: float = 0.05, interactions: int = 0,
             f"forms still changing after {max_cycles} cycles"
         )
 
-    return _final_fit(dataset, forms, included_inters, alpha)
+    return _final_fit(columns, forms, included_inters, alpha)
 
 
-def _final_fit(dataset, forms, included_inters, alpha) -> MfpFit:
-    design = _design(dataset, forms, included_inters)
-    fit = solve_least_squares(design, dataset.y)
+def _final_fit(columns, forms, included_inters, alpha) -> MfpFit:
+    dataset = columns.dataset
+    fit = solve_least_squares(columns.design(forms, included_inters), dataset.y)
     coefs = fit.coefficients
     pos = 1
     terms = []

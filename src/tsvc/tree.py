@@ -600,16 +600,27 @@ def _gains(block: _Block, floor: float):
     return gains, good
 
 
-def _downdate(block: _Block, direction: np.ndarray, rq: np.ndarray) -> _Block:
+def _downdate(block: _Block, direction: np.ndarray, rq: np.ndarray, kept=None) -> _Block:
     """A block's scores after the last split: that split added the unit
     direction d to the basis and took ``rq = d.r`` (one per block row)
     out of the residual, so ``num`` drops by ``rq * (u.d)`` and ``den``
-    by ``(u.d)^2``."""
-    c = np.take(direction, block.rows)
-    c *= block.v
+    by ``(u.d)^2``.  A row mask ``kept`` keeps only those rows; their
+    ``num`` and ``den`` are downdated as they are gathered."""
+    seg, rows, v, admissible, num, den, uu = block
+    if kept is not None:
+        seg, rows, v, admissible, uu, rq = (a[kept] for a in (seg, rows, v, admissible, uu, rq))
+    c = np.take(direction, rows)
+    c *= v
     np.cumsum(c, axis=1, out=c)  # u.d
-    num = block.num - rq * c
-    return block._replace(num=num, den=np.subtract(block.den, np.square(c, out=c), out=c))
+    if kept is None:
+        num = num - rq * c
+        den = np.subtract(den, np.square(c, out=c), out=c)
+    else:
+        num = num[kept]
+        num -= rq * c
+        den = den[kept]
+        den -= np.square(c, out=c)
+    return _Block(seg, rows, v, admissible, num, den, uu)
 
 
 class _Screen:
@@ -649,10 +660,8 @@ class _Screen:
                 kept = keys[seg] == old  # a split leaf's segments are gone
                 if not kept.any():
                     continue
-                block = _Block(seg, *block[1:])
-                if not kept.all():
-                    block = _Block(*(a[kept] for a in block))
-                block = _downdate(block, carry.direction, carry.rq[segs.rep[block.seg], None])
+                block = _downdate(block._replace(seg=seg), carry.direction,
+                                  carry.rq[segs.rep[seg], None], None if kept.all() else kept)
                 good = self._keep(block, exact=False)
                 carried[block.seg] = True
                 # too close to the degeneracy floor to screen by

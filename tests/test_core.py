@@ -4,8 +4,16 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from tsvc.core import Dataset, gaussian_log_lik, solve_least_squares
+from tsvc.core import (
+    RANK_RTOL,
+    RSS_ZERO_RTOL,
+    Dataset,
+    _pivoted_qr,
+    gaussian_log_lik,
+    solve_least_squares,
+)
 from tsvc.errors import (
     DegenerateFitError,
     DimensionMismatchError,
@@ -185,9 +193,9 @@ def test_saturated_one_hot_reproduces_y():
 
 def test_rank_deficient_design_raises():
     design = np.ones((10, 2))  # duplicated column
-    with pytest.raises(RankDeficientError):
+    with pytest.raises(RankDeficientError, match=r"^design has numerical rank 1 < 2$"):
         solve_least_squares(design, np.arange(10.0))
-    with pytest.raises(RankDeficientError):
+    with pytest.raises(RankDeficientError, match=r"^design has numerical rank 0 < 1$"):
         solve_least_squares(np.zeros((5, 1)), np.zeros(5))
 
 
@@ -225,3 +233,74 @@ def test_responses_share_one_factorisation_bit_for_bit():
             assert fit.rss == alone.rss and fit.log_lik == alone.log_lik
             assert Q.tobytes() == Q_alone.tobytes()
 
+
+
+def _scipy_solve(design, y):
+    """The solve as ``scipy.linalg.qr`` and ``solve_triangular`` give it:
+    (Q, R, piv, [(coefficients, fitted, rss) per response]), or the rank
+    the check finds in place of the fits when it fails."""
+    Q, R, piv = scipy.linalg.qr(design, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(R))
+    if diag[0] == 0.0 or np.any(diag < RANK_RTOL * diag[0]):
+        return Q, R, piv, 0 if diag[0] == 0.0 else int(np.sum(diag >= RANK_RTOL * diag[0]))
+    fits = []
+    for response in np.atleast_2d(y):
+        coefficients = np.empty(design.shape[1])
+        coefficients[piv] = scipy.linalg.solve_triangular(R, Q.T @ response)
+        fitted = design @ coefficients
+        resid = response - fitted
+        rss = float(resid @ resid)
+        if rss <= RSS_ZERO_RTOL * max(1.0, float(response @ response)):
+            rss = 0.0
+        fits.append((coefficients, fitted, rss))
+    return Q, R, piv, fits
+
+
+def test_lapack_solve_equals_scipy_bit_for_bit():
+    # the direct LAPACK calls must reproduce scipy's pivoted QR and
+    # triangular solve to the last bit, whatever the shape, memory order
+    # or column scales, and leave the design as it was; past about 128
+    # columns LAPACK takes its blocked path, set by the workspace size
+    rng = np.random.default_rng(2024)
+    shapes = [(1, 1), (7, 1), (7, 7), (100, 16), (200, 1), (40, 40), (300, 160), (200, 200)]
+    for _ in range(1992):
+        n = int(rng.integers(1, 150))
+        shapes.append((n, int(rng.integers(1, min(n, 24) + 1))))
+    deficient = 0
+    for i, (n, q) in enumerate(shapes):
+        # columns anywhere in 1e-6..1e6, some designs spread over all of it
+        spread = rng.choice([0.0, 1.0, 5.0])
+        design = rng.standard_normal((n, q)) * 10.0 ** (
+            rng.uniform(-6 + spread, 6 - spread) + rng.uniform(-spread, spread, q))
+        if i % 2:
+            design = np.asfortranarray(design)
+        y = rng.standard_normal((3, n) if i % 5 == 0 else n)
+        before = design.copy(order="K")
+        Q, R, piv, fits = _scipy_solve(design, y)
+        Q2, R2, piv2 = _pivoted_qr(design)
+        assert (Q2.tobytes(), R2.tobytes(), piv2.tolist()) == (Q.tobytes(), R.tobytes(), piv.tolist())
+        assert R2.flags.c_contiguous == R.flags.c_contiguous
+        if isinstance(fits, int):
+            deficient += 1
+            with pytest.raises(RankDeficientError, match=rf"^design has numerical rank {fits} < {q}$"):
+                solve_least_squares(design, y)
+            continue
+        got, basis = solve_least_squares(design, y, return_basis=True)
+        assert basis.tobytes() == Q.tobytes()
+        for fit, (coefficients, fitted, rss) in zip(got if y.ndim == 2 else [got], fits):
+            assert fit.coefficients.tobytes() == coefficients.tobytes()
+            assert fit.fitted.tobytes() == fitted.tobytes()
+            assert fit.rss == rss
+        assert design.tobytes(order="A") == before.tobytes(order="A")
+        assert design.flags.f_contiguous == before.flags.f_contiguous
+    # the scale spread makes the rank check fire on some designs
+    assert 0 < deficient < len(shapes) // 2
+
+
+def test_nonfinite_design_raises_value_error():
+    rng = np.random.default_rng(8)
+    for bad in (np.inf, -np.inf, np.nan):
+        design = rng.standard_normal((10, 3))
+        design[4, 1] = bad
+        with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+            solve_least_squares(design, rng.standard_normal(10))

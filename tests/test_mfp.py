@@ -8,7 +8,9 @@ import sys
 import numpy as np
 import pytest
 
+from tsvc import mfp
 from tsvc.core import Dataset
+from tsvc.dof import reference_table
 from tsvc.errors import (
     NoConvergenceError,
     NonPositiveValuesError,
@@ -335,3 +337,80 @@ def test_cli_import_leaves_scipy_stats_out():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def _design_from_scratch(dataset, forms, interactions):
+    cols = [np.ones(dataset.n)]
+    for j in sorted(forms):
+        cols.append(fp_columns(dataset.X[:, j] + forms[j].shift, forms[j].powers))
+    for covs in interactions:
+        cols.append(np.prod(dataset.X[:, list(covs)], axis=1).reshape(-1, 1))
+    return np.column_stack(cols)
+
+
+def _bootstrap_grids(count, seed=17):
+    """The shipped grid, then ``count`` grids with se * z added to dof."""
+    grid = np.array(reference_table().rows, dtype=float)
+    rng = np.random.default_rng(seed)
+    grids = [grid]
+    for _ in range(count):
+        noisy = grid.copy()
+        noisy[:, 3] += noisy[:, 4] * rng.standard_normal(grid.shape[0])
+        grids.append(noisy)
+    return grids
+
+
+def test_column_store_designs_equal_a_fresh_build(monkeypatch):
+    # every design the selection solves, candidates and the final fit,
+    # is the one built from scratch, to the last bit
+    candidates, designs = [], []
+    rss, solve = mfp._rss, mfp.solve_least_squares
+
+    def recording_rss(columns, forms, interactions):
+        candidates.append((columns.dataset, dict(forms), list(interactions)))
+        return rss(columns, forms, interactions)
+
+    def recording_solve(design, y):
+        designs.append(design)
+        return solve(design, y)
+
+    monkeypatch.setattr(mfp, "_rss", recording_rss)
+    monkeypatch.setattr(mfp, "solve_least_squares", recording_solve)
+    for grid in _bootstrap_grids(5):
+        candidates.clear()
+        designs.clear()
+        fit, _ = derive_dof_formula(grid)
+        assert len(designs) == len(candidates) + 1
+        for (dataset, forms, interactions), design in zip(candidates, designs):
+            expected = _design_from_scratch(dataset, forms, interactions)
+            assert design.shape == expected.shape
+            assert design.tobytes() == expected.tobytes()
+        final = {t.covariate: t for t in fit.terms}
+        expected = _design_from_scratch(candidates[0][0], final, [i.covariates for i in fit.interactions])
+        assert designs[-1].tobytes() == expected.tobytes()
+
+
+_SELECT_ALONE = """
+import sys
+import numpy as np
+from tsvc.mfp import derive_dof_formula
+grid = np.array([[float(v) for v in line.split(",")] for line in sys.stdin.read().split()])
+print(derive_dof_formula(grid)[0].to_json())
+"""
+
+
+def test_selections_on_same_shape_data_do_not_share_columns():
+    # two grids of one shape with different covariates, selected back to
+    # back in one process, each give what a process of its own gives
+    first, second = _bootstrap_grids(1)
+    second = second.copy()
+    second[:, 1] = second[::-1, 1]  # other n values in every row
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mfp.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    back_to_back = [derive_dof_formula(grid)[0].to_json() for grid in (first, second)]
+    assert back_to_back[0] != back_to_back[1]
+    for grid, together in zip((first, second), back_to_back):
+        rows = "\n".join(",".join(repr(v) for v in row) for row in grid.tolist())
+        alone = subprocess.run([sys.executable, "-c", _SELECT_ALONE], input=rows, env=env,
+                               check=True, capture_output=True, text=True).stdout
+        assert alone.strip() == together
