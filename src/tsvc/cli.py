@@ -57,6 +57,8 @@ def _read_dataset_csv(path: str, response: str) -> Dataset:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
     if response not in header:
         raise ValidationError(f"{path}: no column named {response!r}")
+    if not rows:
+        raise ValidationError(f"{path}: no data rows")
     try:
         data = np.asarray([[float(v) for v in line] for line in rows], dtype=float)
     except ValueError as exc:

@@ -452,13 +452,11 @@ def _stacked_segments(columns: np.ndarray, min_leaf: int, order: np.ndarray,
 
 
 def _segments(dataset: Dataset, trees, min_leaf: int, order: np.ndarray,
-              leaf_of: np.ndarray, grouped=None) -> _Segments:
-    """One fit's segment table (see ``_stacked_segments``); ``grouped``
-    defaults to sorting each split tree's rows by leaf id afresh."""
-    if grouped is None:
-        grouped = _grouped_orders(order, leaf_of, trees)
+              leaf_of: np.ndarray) -> _Segments:
+    """One fit's segment table (see ``_stacked_segments``), each split
+    tree's rows sorted by leaf id afresh."""
     return _stacked_segments(np.ascontiguousarray(dataset.X.T), min_leaf, order,
-                             [(0, trees, leaf_of, grouped)])
+                             [(0, trees, leaf_of, _grouped_orders(order, leaf_of, trees))])
 
 
 def _candidate_blocks(segs: _Segments, min_leaf: int, width: int, which=None):
@@ -495,24 +493,20 @@ def _candidate_blocks(segs: _Segments, min_leaf: int, width: int, which=None):
         yield seg, rows, admissible
 
 
-def enumerate_candidates(dataset: Dataset, trees, min_leaf: int, *,
-                         _state: _StepState | None = None) -> list[SplitRule]:
+def _check_min_leaf(min_leaf: int):
+    if min_leaf < 1:
+        raise ValidationError(f"min_leaf must be >= 1, got {min_leaf}")
+
+
+def enumerate_candidates(dataset: Dataset, trees, min_leaf: int) -> list[SplitRule]:
     """All admissible one-split refinements, deterministically ordered.
 
     Order: target covariate ascending, then modifier ascending, then
-    parent leaf id ascending, then threshold ascending.  ``_state`` is
-    internal: the snapshot ``fit_path`` hands to ``grow_one_split``,
-    whose sort, leaf ids and grouped orders are used instead of being
-    recomputed.
+    parent leaf id ascending, then threshold ascending.
     """
-    if min_leaf < 1:
-        raise ValidationError(f"min_leaf must be >= 1, got {min_leaf}")
-    if _state is None:
-        order = np.argsort(dataset.X, axis=0, kind="stable")
-        segs = _segments(dataset, trees, min_leaf, order, _leaf_ids(dataset, trees))
-    else:
-        segs = _segments(dataset, trees, min_leaf, _state.order, _state.leaf_of,
-                         _state.grouped)
+    _check_min_leaf(min_leaf)
+    order = np.argsort(dataset.X, axis=0, kind="stable")
+    segs = _segments(dataset, trees, min_leaf, order, _leaf_ids(dataset, trees))
     seg, pos = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     for block_seg, _, admissible in _candidate_blocks(segs, min_leaf, width=3):
         b, t = np.nonzero(admissible)
@@ -801,8 +795,6 @@ def _grow_splits(dataset: Dataset, Y, trees, states, min_leaf: int) -> list:
     Per replicate: (SplitRule, TsvcModel, next _StepState), or None when
     it is inactive or has no admissible split left.
     """
-    if min_leaf < 1:
-        raise ValidationError(f"min_leaf must be >= 1, got {min_leaf}")
     n, width = dataset.n, len(states)
     active = [j for j, state in enumerate(states) if state is not None]
     lead = states[active[0]]
@@ -865,14 +857,8 @@ def _start_states(dataset: Dataset, trees, Y) -> list[_StepState]:
     return [_StepState(order, leaf_of, grouped, design, fit, _frozen(Q)) for fit in fits]
 
 
-def _start_state(dataset: Dataset, trees) -> _StepState:
-    """The state of a path's first step (see ``_start_states``)."""
-    return _start_states(dataset, trees, dataset.y[None])[0]
-
-
-def grow_one_split(dataset: Dataset, trees, min_leaf: int = 10, *,
-                   _state: _StepState | None = None):
-    """Best one-split refinement of the current trees.
+def grow_one_split(dataset: Dataset, trees, min_leaf: int = 10):
+    """Best one-split refinement of the current trees, searched afresh.
 
     Every admissible rule is scored by the residual sum of squares of
     the refitted model on all observations; the smallest wins, with
@@ -883,55 +869,42 @@ def grow_one_split(dataset: Dataset, trees, min_leaf: int = 10, *,
     base-fit residual r and the component u_perp of u orthogonal to
     the base design.  Candidates are scored in batched passes; the
     winning rule is then refitted exactly, and a winner that turns out
-    singular is dropped in favour of the next best.  This is the
-    one-response case of the lockstep step of ``fit_paths``.
+    singular is dropped in favour of the next best.
 
-    ``_state`` is internal to ``fit_path``: the previous step's sort,
-    leaf ids, design, fit, basis and candidate scores, so that the base
-    design is neither rebuilt nor factorised again, and only the new
-    leaves are scored in full (see ``_Screen``).  Without it the step
-    computes everything itself.
+    This is the lockstep step of ``fit_paths`` on one response, run
+    from scratch: it sorts X, fits ``trees`` and scores every candidate
+    exactly, where a step of ``fit_path`` takes all of that over from
+    the step before.  Called on its own, it is the fresh search that the
+    tests hold every step of ``fit_path`` to, bit for bit.
 
     Returns
     -------
-    (SplitRule, TsvcModel), followed by the next step's state when
-    ``_state`` is given.
+    (SplitRule, TsvcModel)
 
     Raises
     ------
     NoAdmissibleSplitError
         If no candidate satisfies ``min_leaf`` (or all are degenerate).
     """
-    state = _start_state(dataset, trees) if _state is None else _state
-    (grown,) = _grow_splits(dataset, [dataset.y], [tuple(trees)], [state], min_leaf)
+    _check_min_leaf(min_leaf)
+    trees = tuple(trees)
+    Y = dataset.y[None]
+    (grown,) = _grow_splits(dataset, Y, [trees], _start_states(dataset, trees, Y), min_leaf)
     if grown is None:
         raise NoAdmissibleSplitError("no admissible split candidate")
-    return grown if _state is not None else grown[:2]
+    return grown[:2]
 
 
 def fit_path(dataset: Dataset, s_max: int, min_leaf: int = 10) -> ModelPath:
     """Greedy nested path of models with 0 .. s_max splits.
 
     The path may stop early when no admissible split remains.  The
-    residual sum of squares never increases along the path.  X is
-    sorted once per path, and each step's exact refit is the next
-    step's base fit.  ``fit_paths`` fits many responses on one X at once.
+    residual sum of squares never increases along the path.  This is
+    ``fit_paths`` on the one response ``dataset.y``: X is sorted once
+    per path, and each step's exact refit and candidate scores are the
+    next step's base.
     """
-    if s_max < 0:
-        raise ValidationError(f"s_max must be >= 0, got {s_max}")
-    trees = tuple(CoefficientTree.stump(j) for j in range(dataset.p))
-    state = _start_state(dataset, trees)
-    models = [_make_model(dataset, trees, state.fit)]
-    rules: list[SplitRule] = []
-    while len(rules) < s_max:
-        try:
-            rule, model, state = grow_one_split(dataset, models[-1].trees, min_leaf,
-                                                _state=state)
-        except NoAdmissibleSplitError:
-            break
-        models.append(model)
-        rules.append(rule)
-    return ModelPath(models=tuple(models), rules=tuple(rules), s_max=s_max)
+    return _lockstep(dataset, dataset.y[None], s_max, min_leaf)[0]
 
 
 def fit_paths(X, Y, s_max: int, min_leaf: int = 10) -> list[ModelPath]:
@@ -947,8 +920,6 @@ def fit_paths(X, Y, s_max: int, min_leaf: int = 10) -> list[ModelPath]:
     ``_grow_splits``).  A path with no admissible split left stops while
     the others go on.
     """
-    if s_max < 0:
-        raise ValidationError(f"s_max must be >= 0, got {s_max}")
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2 or Y.shape[0] < 1:
         raise ValidationError(f"Y must hold one response per row, got shape {Y.shape}")
@@ -962,6 +933,9 @@ def fit_paths(X, Y, s_max: int, min_leaf: int = 10) -> list[ModelPath]:
 
 def _lockstep(dataset: Dataset, Y, s_max: int, min_leaf: int) -> list[ModelPath]:
     """The paths of the responses Y on ``dataset``'s covariates, grown in lockstep."""
+    if s_max < 0:
+        raise ValidationError(f"s_max must be >= 0, got {s_max}")
+    _check_min_leaf(min_leaf)
     trees = tuple(CoefficientTree.stump(j) for j in range(dataset.p))
     states = _start_states(dataset, trees, Y)
     models = [[_make_model(dataset, trees, state.fit)] for state in states]
@@ -1029,10 +1003,12 @@ def _node_from_dict(doc):
     )
 
 
-def _node_leaf_ids(node) -> list[int]:
-    if isinstance(node, LeafNode):
-        return [node.leaf_id]
-    return _node_leaf_ids(node.left) + _node_leaf_ids(node.right)
+def _nodes(node):
+    """The nodes of a tree, depth first."""
+    yield node
+    if isinstance(node, SplitNode):
+        yield from _nodes(node.left)
+        yield from _nodes(node.right)
 
 
 def model_to_dict(model: TsvcModel) -> dict:
@@ -1058,17 +1034,28 @@ def model_to_dict(model: TsvcModel) -> dict:
 
 
 def model_from_dict(doc: dict) -> TsvcModel:
+    """Rebuild a model from ``model_to_dict``'s document, checking that
+    it describes one: one tree per covariate, splits on the other
+    covariates, leaves that match the tree, and ``s`` splits in all."""
+    p = int(doc["p"])
     trees = []
     for tdoc in doc["trees"]:
         target = int(tdoc["target"])
         root = _node_from_dict(tdoc["root"])
         leaves = tuple(int(item["id"]) for item in tdoc["leaves"])
         coefficients = tuple(float(item["coefficient"]) for item in tdoc["leaves"])
-        root_leaves = sorted(_node_leaf_ids(root))
+        nodes = list(_nodes(root))
+        root_leaves = sorted(node.leaf_id for node in nodes if isinstance(node, LeafNode))
         if sorted(leaves) != root_leaves:
             raise ValidationError(
                 f"tree for covariate {target}: leaves {sorted(leaves)} differ "
                 f"from the leaves of its root {root_leaves}"
+            )
+        modifiers = sorted({node.modifier for node in nodes if isinstance(node, SplitNode)})
+        if any(k == target or not 0 <= k < p for k in modifiers):
+            raise ValidationError(
+                f"tree for covariate {target}: splits on {modifiers}, but only "
+                f"the other covariates of 0..{p - 1} can modify it"
             )
         trees.append(
             CoefficientTree(
@@ -1079,12 +1066,22 @@ def model_from_dict(doc: dict) -> TsvcModel:
                 coefficients=coefficients,
             )
         )
+    targets = sorted(tree.target for tree in trees)
+    if targets != list(range(p)):
+        raise ValidationError(
+            f"trees are for covariates {targets}, but a model with p = {p} "
+            f"has one tree for each of 0..{p - 1}"
+        )
+    s = int(doc["s"])
+    splits = sum(tree.n_splits for tree in trees)
+    if s != splits:
+        raise ValidationError(f"s = {s}, but the trees hold {splits} splits")
     return TsvcModel(
         intercept=float(doc["intercept"]),
         trees=tuple(trees),
-        s=int(doc["s"]),
+        s=s,
         n=int(doc["n"]),
-        p=int(doc["p"]),
+        p=p,
         names=tuple(doc["names"]),
         rss=float(doc["rss"]),
         fit=None,

@@ -99,6 +99,21 @@ def test_fit_bad_inputs_exit_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_fit_header_only_csv_exits_2(tmp_path, capsys):
+    header = tmp_path / "header.csv"
+    header.write_text("y,x1,x2\n")
+    assert main(["fit", "--input", str(header), "--response", "y"]) == 2
+    assert "no data rows" in capsys.readouterr().err
+
+
+def test_fit_min_leaf_below_one_exits_2_without_a_step(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    _write_fit_csv(data)
+    assert main(["fit", "--input", str(data), "--response", "y",
+                 "--smax", "0", "--min-leaf", "0"]) == 2
+    assert "min_leaf must be >= 1, got 0" in capsys.readouterr().err
+
+
 def test_fit_numeric_failures_exit_3(tmp_path, capsys):
     rng = np.random.default_rng(1)
     X = rng.normal(size=(40, 2))

@@ -414,16 +414,16 @@ def test_fit_paths_checks_its_arguments():
 def test_carried_grouped_orders_equal_a_fresh_sort():
     # a split tree's rows grouped by leaf are regrouped after each split,
     # not sorted again; they equal the sort at every step
-    from tsvc.tree import _grouped_orders, _start_state
+    from tsvc.tree import _grouped_orders, _grow_splits, _start_states
 
     for ds, min_leaf in _short_paths(seed=71, count=12):
         trees = tuple(CoefficientTree.stump(j) for j in range(ds.p))
-        state = _start_state(ds, trees)
+        (state,) = _start_states(ds, trees, ds.y[None])
         for _ in range(6):
-            try:
-                _, model, state = grow_one_split(ds, trees, min_leaf, _state=state)
-            except NoAdmissibleSplitError:
+            (grown,) = _grow_splits(ds, ds.y[None], [trees], [state], min_leaf)
+            if grown is None:
                 break
+            _, model, state = grown
             trees = model.trees
             fresh = _grouped_orders(state.order, state.leaf_of, trees)
             for carried, sorted_ in zip(state.grouped, fresh):
@@ -440,6 +440,17 @@ def test_fit_path_smax_zero():
     assert len(path.models) == 1
     assert path.models[0].s == 0
     assert path.models[0].n_params == ds.p + 1
+
+
+def test_path_drivers_check_min_leaf_without_a_step():
+    # s_max = 0 takes no step, so only the drivers' own check refuses it
+    ds = _dataset(seed=9)
+    with pytest.raises(ValidationError, match="min_leaf must be >= 1, got 0"):
+        fit_path(ds, s_max=0, min_leaf=0)
+    with pytest.raises(ValidationError, match="min_leaf must be >= 1, got -4"):
+        fit_paths(ds.X, np.stack([ds.y, -ds.y]), 0, -4)
+    with pytest.raises(ValidationError, match="min_leaf must be >= 1, got 0"):
+        grow_one_split(ds, fit_path(ds, s_max=0).models[0].trees, min_leaf=0)
 
 
 def test_fit_path_nesting_and_monotone_deviance():
@@ -506,47 +517,38 @@ def _carried_state_dataset(kind):
 
 @pytest.mark.parametrize("kind", ["ties", "p2", "mixed_scale"])
 def test_fit_path_carried_state_matches_fresh_steps(kind, monkeypatch):
-    # fit_path hands each step the previous step's sort, leaf ids and
-    # refit; a loop of self-contained steps must give the same bits
+    # fit_path carries each step's sort, leaf ids, refit and scores to
+    # the next; a loop of self-contained steps must give the same bits
     import tsvc.tree as tree_module
 
     ds, s_max, min_leaf = _carried_state_dataset(kind)
-    steps, bans = [], []
-    real_grow, real_solve = tree_module.grow_one_split, tree_module.solve_least_squares
-
-    def grow(*args, **kwargs):
-        steps.append((args, kwargs))
-        return real_grow(*args, **kwargs)
+    bans = []
+    real_solve = tree_module.solve_least_squares
 
     def solve(*args, **kwargs):
         try:
             return real_solve(*args, **kwargs)
         except RankDeficientError:
-            bans.append(len(steps))
+            bans.append(args[0].shape)
             raise
 
-    monkeypatch.setattr(tree_module, "grow_one_split", grow)
     monkeypatch.setattr(tree_module, "solve_least_squares", solve)
     path = fit_path(ds, s_max=s_max, min_leaf=min_leaf)
     monkeypatch.undo()
     assert len(path.rules) == s_max
-    assert len(steps) == s_max
     if kind == "mixed_scale":
         assert bans
 
     trees = tuple(CoefficientTree.stump(j) for j in range(ds.p))
     first = solve_least_squares(build_design(ds, trees), ds.y)
     assert path.models[0].fit.fitted.tobytes() == first.fitted.tobytes()
-    for k, (args, kwargs) in enumerate(steps):
-        assert args[1] == path.models[k].trees
+    for k in range(s_max):
         rule, model = grow_one_split(ds, trees, min_leaf)
         assert rule == path.rules[k], f"step {k + 1}"
+        assert model.trees == path.models[k + 1].trees
         assert model.rss == path.models[k + 1].rss
         assert model.fit.fitted.tobytes() == path.models[k + 1].fit.fitted.tobytes()
         assert model.fit.coefficients.tobytes() == path.models[k + 1].fit.coefficients.tobytes()
-        # replayed after the whole path, as a trace would: the snapshot a
-        # step received is unchanged and lists the same candidates
-        assert enumerate_candidates(*args, **kwargs) == enumerate_candidates(ds, trees, min_leaf)
         trees = model.trees
 
 
@@ -617,18 +619,18 @@ _DOWNDATE_BOUND = 1e-9
 def test_downdated_gains_stay_within_the_bound_of_fresh_gains():
     # after each step of a path, the screen over the carried state holds
     # downdated gains, and one without it scores every segment afresh
-    from tsvc.tree import _Screen, _segments, _start_state
+    from tsvc.tree import _Screen, _grow_splits, _segments, _start_states
 
     steps = compared = 0
     worst = 0.0
     for ds, min_leaf in _short_paths(seed=41, count=210):
         trees = tuple(CoefficientTree.stump(j) for j in range(ds.p))
-        state = _start_state(ds, trees)
+        (state,) = _start_states(ds, trees, ds.y[None])
         for _ in range(6):
-            try:
-                _, model, state = grow_one_split(ds, trees, min_leaf, _state=state)
-            except NoAdmissibleSplitError:
+            (grown,) = _grow_splits(ds, ds.y[None], [trees], [state], min_leaf)
+            if grown is None:
                 break
+            _, model, state = grown
             trees = model.trees
             segs = _segments(ds, trees, min_leaf, state.order, state.leaf_of)
             if not segs.size.size:
@@ -815,4 +817,31 @@ def test_json_leaf_ids_must_match_the_tree():
     tree = next(t for t in doc["trees"] if len(t["leaves"]) > 1)
     tree["leaves"][0]["id"] += 100
     with pytest.raises(ValidationError, match="differ from the leaves of its root"):
+        model_from_json(json.dumps(doc))
+
+
+def _split_root(doc):
+    return next(t for t in doc["trees"] if len(t["leaves"]) > 1)["root"]
+
+
+# documents that describe no model: once loaded, predict would index a
+# missing column or read one column twice, or n_params would be wrong
+_JSON_DEFECTS = {
+    "target_out_of_range": (lambda doc: doc["trees"][0].update(target=7),
+                            r"trees are for covariates \[1, 2, 7\]"),
+    "modifier_out_of_range": (lambda doc: _split_root(doc).update(modifier=9),
+                              r"splits on \[.*9\]"),
+    "target_twice": (lambda doc: doc["trees"][2].update(target=0),
+                     r"trees are for covariates \[0, 0, 1\]"),
+    "s_not_the_splits": (lambda doc: doc.update(s=0), "s = 0, but the trees hold 3 splits"),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(_JSON_DEFECTS))
+def test_json_must_describe_a_model(defect):
+    ds = _dataset(n=70, p=3, seed=17)
+    doc = json.loads(model_to_json(fit_path(ds, s_max=3, min_leaf=5).models[-1]))
+    corrupt, match = _JSON_DEFECTS[defect]
+    corrupt(doc)
+    with pytest.raises(ValidationError, match=match):
         model_from_json(json.dumps(doc))
