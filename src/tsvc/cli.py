@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import os
 import sys
 from dataclasses import replace
@@ -23,7 +24,7 @@ from dataclasses import replace
 import numpy as np
 
 from .core import Dataset
-from .dof import DofSpec, McDofConfig, McDofTable, mc_dof
+from .dof import DofSpec, McDofConfig, McDofTable, _read_text, mc_dof
 from .errors import (
     DimensionMismatchError,
     DomainError,
@@ -45,16 +46,12 @@ _INPUT_ERRORS = (ValidationError, DomainError, DimensionMismatchError,
 
 def _read_dataset_csv(path: str, response: str) -> Dataset:
     """CSV with a mandatory header; one numeric column per variable."""
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as handle:
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            if not header:
-                raise ValidationError(f"{path}: empty file or missing header")
-            header = [h.strip() for h in header]
-            rows = [line for line in reader if line]
-    except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from exc
+    reader = csv.reader(io.StringIO(_read_text(path)))
+    header = next(reader, None)
+    if not header:
+        raise ValidationError(f"{path}: empty file or missing header")
+    header = [h.strip() for h in header]
+    rows = [line for line in reader if line]
     if response not in header:
         raise ValidationError(f"{path}: no column named {response!r}")
     if not rows:

@@ -55,6 +55,16 @@ def _write_csv(header, rows, path=None) -> str:
     return text
 
 
+def _read_text(path) -> str:
+    """The text of a UTF-8 file, without a leading byte-order mark; a
+    file that cannot be read or decoded raises ValidationError."""
+    try:
+        with open(path, "r", encoding="utf-8-sig") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from exc
+
+
 def _read_csv(text: str, columns: dict, optional: dict | None = None) -> list[dict]:
     """Rows of a CSV as dicts of typed cells, blank lines skipped.
     ``columns`` and ``optional`` map header names to cell types; columns
@@ -337,11 +347,7 @@ class McDofTable:
 
     @classmethod
     def load(cls, path) -> "McDofTable":
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                text = handle.read()
-        except OSError as exc:
-            raise ValidationError(f"cannot read {path}: {exc}") from exc
+        text = _read_text(path)
         try:
             return cls.from_csv_text(text)
         except ValidationError as exc:

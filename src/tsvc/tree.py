@@ -319,14 +319,14 @@ class _Block(NamedTuple):
     """Scores of the cuts of a block of segments, as ``_score_candidates``
     makes them: row b holds segment ``seg[b]``'s rows (then the unread
     tail of ``_candidate_blocks``), their target values ``v`` and, per
-    position t, whether the cut after it is admissible and its
-    left-child column u's ``num = u.r``, ``den = ||u||^2 - ||Q^T u||^2``
-    and ``uu = ||u||^2`` against a residual r and basis Q."""
+    position t, the scores of the cut after it, whose left-child column
+    u has ``num = u.r`` and ``den = ||u||^2 - ||Q^T u||^2`` against a
+    residual r and basis Q, and ``uu = ||u||^2`` if the cut is
+    admissible, else 0."""
 
     seg: np.ndarray
     rows: np.ndarray
     v: np.ndarray
-    admissible: np.ndarray
     num: np.ndarray
     den: np.ndarray
     uu: np.ndarray
@@ -335,11 +335,12 @@ class _Block(NamedTuple):
 class _Carry(NamedTuple):
     """The previous step's candidate scores and the splits that ended it.
 
-    ``blocks`` hold the scores of every segment of that step against its
-    residuals and bases, with ``seg`` indexing its segment table, whose
-    ``keys`` are ``keys``.  Replicate j's split added the unit direction
-    ``direction[j * n:(j + 1) * n]`` to its basis and took ``rq[j]`` (its
-    product with the residual) out of its residual.
+    ``blocks`` hold the scores of every segment of that step, each in
+    one row, against its residuals and bases, with ``seg`` indexing its
+    segment table, whose ``keys`` are ``keys``.  Replicate j's split
+    added the unit direction ``direction[j * n:(j + 1) * n]`` to its
+    basis and took ``rq[j]`` (its product with the residual) out of its
+    residual.
     """
 
     keys: np.ndarray
@@ -349,27 +350,24 @@ class _Carry(NamedTuple):
 
 
 class _StepState(NamedTuple):
-    """What one greedy step takes over from the step before it.
+    """What one replicate's greedy step takes over from the step before.
 
-    ``order`` is the stable argsort of X's columns (ties keep row
-    order), sorted once per fit;
-    ``leaf_of[i]`` holds every row's leaf id in tree i, and
-    ``grouped[i]`` each modifier's rows in ``order`` grouped by leaf id,
-    a (p x n) array, or None while tree i is one leaf; ``design`` is the
-    design of the current trees, ``fit`` and ``Q`` its least-squares
-    fit and orthonormal basis; ``carry`` holds the previous step's
-    candidate scores, and is None on a path's first step.  A snapshot is
-    never modified: a step makes a new one for the next step, and its
-    arrays are read-only.
+    ``trees`` are the current trees; ``leaf_of[i]`` holds every row's
+    leaf id in tree i, and ``grouped[i]`` each modifier's rows in the
+    group's sort order grouped by leaf id, a (p x n) array, or None while
+    tree i is one leaf; ``design`` is the design of the trees, ``fit``
+    and ``Q`` its least-squares fit and orthonormal basis.  The sort and
+    the carried scores belong to the lockstep group (see
+    ``_grow_splits``).  A snapshot is never modified: a step makes a new
+    one for the next step, and its arrays are read-only.
     """
 
-    order: np.ndarray
+    trees: tuple
     leaf_of: np.ndarray
     grouped: tuple
     design: np.ndarray
     fit: LinearFit
     Q: np.ndarray
-    carry: _Carry | None = None
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -577,18 +575,19 @@ def _score_candidates(segs: _Segments, min_leaf: int, resid, Q, which, copies: i
         flat_vQ = cum_vQ.reshape(-1, q)
         den = np.einsum("ij,ij->i", flat_vQ, flat_vQ).reshape(uu.shape)
         np.subtract(uu, den, out=den)
+        uu[~admissible] = 0.0
         if copies > 1:
             seg = (seg + seg_shift).ravel()
             rows = copy_rows.reshape(-1, rows.shape[1])
             num = num.reshape(rows.shape)
-            v, admissible, den, uu = (np.tile(a, (copies, 1)) for a in (v, admissible, den, uu))
-        yield _Block(seg, rows, v, admissible, num, den, uu)
+            v, den, uu = (np.tile(a, (copies, 1)) for a in (v, den, uu))
+        yield _Block(seg, rows, v, num, den, uu)
 
 
 def _gains(block: _Block, floor: float):
-    """Rss drops ``num^2 / den`` of the block's admissible cuts whose
-    ``den`` exceeds ``floor * uu``, -inf elsewhere; and that mask."""
-    good = block.admissible & (block.uu > 0.0) & (block.den > floor * block.uu)
+    """Rss drops ``num^2 / den`` of the admissible cuts (``uu > 0``)
+    whose ``den`` exceeds ``floor * uu``, -inf elsewhere; and that mask."""
+    good = (block.uu > 0.0) & (block.den > floor * block.uu)
     gains = np.full(block.num.shape, -np.inf)
     np.divide(np.square(block.num), block.den, out=gains, where=good)
     return gains, good
@@ -600,9 +599,9 @@ def _downdate(block: _Block, direction: np.ndarray, rq: np.ndarray, kept=None) -
     out of the residual, so ``num`` drops by ``rq * (u.d)`` and ``den``
     by ``(u.d)^2``.  A row mask ``kept`` keeps only those rows; their
     ``num`` and ``den`` are downdated as they are gathered."""
-    seg, rows, v, admissible, num, den, uu = block
+    seg, rows, v, num, den, uu = block
     if kept is not None:
-        seg, rows, v, admissible, uu, rq = (a[kept] for a in (seg, rows, v, admissible, uu, rq))
+        seg, rows, v, uu, rq = (a[kept] for a in (seg, rows, v, uu, rq))
     c = np.take(direction, rows)
     c *= v
     np.cumsum(c, axis=1, out=c)  # u.d
@@ -614,7 +613,7 @@ def _downdate(block: _Block, direction: np.ndarray, rq: np.ndarray, kept=None) -
         num -= rq * c
         den = den[kept]
         den -= np.square(c, out=c)
-    return _Block(seg, rows, v, admissible, num, den, uu)
+    return _Block(seg, rows, v, num, den, uu)
 
 
 class _Screen:
@@ -628,9 +627,11 @@ class _Screen:
     near-tie it rescores exactly every segment that holds a candidate
     within ``_SCREEN_RTOL`` of the best, so the rule is the one a fresh
     search picks.  ``blocks`` collect this step's scores, downdated or
-    exact, for the next step.  ``resid`` and ``Q`` stack the residual and
-    basis of every replicate in the table, and ``copies`` > 1 says that
-    the table is that many copies of one (see ``_score_candidates``).
+    exact, for the next step; a segment's scores sit in one home row,
+    and a rescore gives it a new one.  ``resid`` and ``Q`` stack the
+    residual and basis of every replicate in the table, and ``copies`` >
+    1 says that the table is that many copies of one (see
+    ``_score_candidates``).
     """
 
     def __init__(self, segs: _Segments, min_leaf: int, resid, Q, carry: _Carry | None,
@@ -659,7 +660,7 @@ class _Screen:
                 good = self._keep(block, exact=False)
                 carried[block.seg] = True
                 # too close to the degeneracy floor to screen by
-                near_floor[block.seg] = (block.admissible & (block.uu > 0.0) & ~good).any(axis=1)
+                near_floor[block.seg] = ((block.uu > 0.0) & ~good).any(axis=1)
         fresh = np.flatnonzero(~carried[:n_segs // copies])
         for block in _score_candidates(segs, min_leaf, resid, Q, fresh, copies):
             self._keep(block, exact=True)
@@ -680,20 +681,10 @@ class _Screen:
         return self.gains[self.home[seg]][self.home_row[seg]]
 
     def rescore(self, which):
-        """Score the screened segments ``which`` exactly, in place of
-        their downdated scores."""
+        """Score the screened segments ``which`` exactly: their exact
+        rows become their home, in place of the downdated ones."""
         for block in _score_candidates(self.segs, self.min_leaf, self.resid, self.Q, which):
-            gains, _ = _gains(block, _DEGENERATE_RTOL)
-            for b, seg in enumerate(block.seg):
-                home, row = self.home[seg], self.home_row[seg]
-                # both rows run past the segment's last admissible cut
-                width = min(gains.shape[1], self.gains[home].shape[1])
-                for kept, exact in ((self.blocks[home].num, block.num),
-                                    (self.blocks[home].den, block.den),
-                                    (self.gains[home], gains)):
-                    kept[row, :width] = exact[b, :width]
-            self.best[block.seg] = gains.max(axis=1)
-            self.exact[block.seg] = True
+            self._keep(block, exact=True)
 
     def pick(self, lo: int = 0, hi: int | None = None):
         """The candidate of the segments ``lo:hi`` (one replicate's) with
@@ -735,11 +726,17 @@ class _Screen:
         return u, float(u @ resid)
 
     def carry(self, direction, rq) -> _Carry:
-        """What the next step needs: this step's scores, and the unit
-        directions the replicates' splits added with their products
-        with the residuals (see ``_Carry``)."""
-        blocks = tuple(_Block(*map(_frozen, block)) for block in self.blocks)
-        return _Carry(_frozen(self.segs.keys()), blocks, _frozen(direction), _frozen(rq))
+        """What the next step needs: this step's scores, from each
+        segment's home row only, and the unit directions the replicates'
+        splits added with their products with the residuals (see ``_Carry``)."""
+        blocks = []
+        for b, block in enumerate(self.blocks):
+            home = self.home[block.seg] == b
+            if home.all():
+                blocks.append(_Block(*map(_frozen, block)))
+            elif home.any():
+                blocks.append(_Block(*(_frozen(a[home]) for a in block)))
+        return _Carry(_frozen(self.segs.keys()), tuple(blocks), _frozen(direction), _frozen(rq))
 
 
 def _leaf_column(xj: np.ndarray, leaf_of: np.ndarray, leaf: int, target: int) -> np.ndarray:
@@ -768,18 +765,20 @@ def _split_design(design: np.ndarray, X: np.ndarray, trees, i: int, parent: int,
     return out
 
 
-def _stack(parts, shape) -> np.ndarray:
-    """The replicates' arrays end to end, zeros of ``shape`` for the
-    inactive (None) ones; a single array is itself."""
+def _stack(parts) -> np.ndarray:
+    """The replicates' arrays end to end, zeros for the inactive (None)
+    ones; a single array is itself."""
     if len(parts) == 1:
         return parts[0]
-    return np.concatenate([np.zeros(shape) if part is None else part for part in parts])
+    blank = np.zeros_like(next(part for part in parts if part is not None))
+    return np.concatenate([blank if part is None else part for part in parts])
 
 
-def _grow_splits(dataset: Dataset, Y, trees, states, min_leaf: int) -> list:
+def _grow_splits(dataset: Dataset, Y, order, states, carry: _Carry | None, min_leaf: int):
     """One greedy step of every replicate j whose ``states[j]`` is not
-    None, with response ``Y[j]`` and current trees ``trees[j]``, all
-    in lockstep on the covariates of ``dataset``.
+    None, with response ``Y[j]``, all in lockstep on the covariates of
+    ``dataset``.  The group owns ``order``, the stable argsort of X's
+    columns, and ``carry``, its last step's scores (None on its first).
 
     The replicates' segment tables are stacked into one table, with
     replicate j's rows numbered from ``j * n`` in the stacked residuals,
@@ -792,22 +791,21 @@ def _grow_splits(dataset: Dataset, Y, trees, states, min_leaf: int) -> list:
 
     Returns
     -------
-    Per replicate: (SplitRule, TsvcModel, next _StepState), or None when
-    it is inactive or has no admissible split left.
+    (grown, carry): per replicate, (SplitRule, TsvcModel, next
+    _StepState) or None when it is inactive or has no admissible split
+    left; and the group's carry for its next step.
     """
     n, width = dataset.n, len(states)
     active = [j for j, state in enumerate(states) if state is not None]
-    lead = states[active[0]]
-    q = lead.Q.shape[1]
     resid = [None if state is None else Y[j] - state.fit.fitted
              for j, state in enumerate(states)]
-    segs = _stacked_segments(np.tile(dataset.X.T, (1, width)), min_leaf, lead.order,
-                             [(j, trees[j], states[j].leaf_of, states[j].grouped)
+    segs = _stacked_segments(np.tile(dataset.X.T, (1, width)), min_leaf, order,
+                             [(j, states[j].trees, states[j].leaf_of, states[j].grouped)
                               for j in active])
-    copies = width if width > 1 and lead.carry is None else 1
-    screen = _Screen(segs, min_leaf, _stack(resid, (n,)),
-                     _stack([None if state is None else state.Q for state in states], (n, q)),
-                     lead.carry, copies)
+    copies = width if width > 1 and carry is None else 1
+    screen = _Screen(segs, min_leaf, _stack(resid),
+                     _stack([None if state is None else state.Q for state in states]),
+                     carry, copies)
     bounds = np.searchsorted(segs.rep, np.arange(width + 1))
     direction, rq = np.zeros(width * n), np.zeros(width)
     grown = [None] * width
@@ -817,13 +815,13 @@ def _grow_splits(dataset: Dataset, Y, trees, states, min_leaf: int) -> list:
             seg, pos = picked
             rule = segs.rule(seg, pos)
             i = int(segs.tree[seg])
-            split = trees[j][i].split(rule)
-            new_trees = tuple(trees[j][:i]) + (split,) + tuple(trees[j][i + 1:])
+            split = state.trees[i].split(rule)
+            trees = state.trees[:i] + (split,) + state.trees[i + 1:]
             # only the parent leaf's rows move
             leaf_of = state.leaf_of.copy()
             rows = np.flatnonzero(leaf_of[i] == rule.parent_leaf)
             leaf_of[i, rows] = split.assign(dataset.X[rows])
-            design = _split_design(state.design, dataset.X, trees[j], i, rule.parent_leaf,
+            design = _split_design(state.design, dataset.X, state.trees, i, rule.parent_leaf,
                                    leaf_of[i], split)
             try:
                 fit, Q = solve_least_squares(design, Y[j], return_basis=True)
@@ -835,26 +833,25 @@ def _grow_splits(dataset: Dataset, Y, trees, states, min_leaf: int) -> list:
             direction[j * n:(j + 1) * n], rq[j] = screen.direction(seg, pos, state.Q,
                                                                    resid[j], j * n)
             grouped = list(state.grouped)
-            grouped[i] = _regroup(grouped[i], state.order, state.leaf_of[i], leaf_of[i],
+            grouped[i] = _regroup(grouped[i], order, state.leaf_of[i], leaf_of[i],
                                   rule.parent_leaf, split.n_created - 2)
-            grown[j] = (rule, _make_model(dataset, new_trees, fit),
-                        _StepState(state.order, _frozen(leaf_of), tuple(grouped),
+            grown[j] = (rule, _make_model(dataset, trees, fit),
+                        _StepState(trees, _frozen(leaf_of), tuple(grouped),
                                    _frozen(design), fit, _frozen(Q)))
             break
-    carry = screen.carry(direction, rq)
-    return [None if out is None else (*out[:2], out[2]._replace(carry=carry)) for out in grown]
+    return grown, screen.carry(direction, rq)
 
 
-def _start_states(dataset: Dataset, trees, Y) -> list[_StepState]:
+def _start_states(dataset: Dataset, trees, Y):
     """Sort X and fit the current trees to each response of Y (m x n),
-    from one factorisation of their design: the states of the paths'
-    first step."""
+    from one factorisation of their design: the group's sort order and
+    the states of the paths' first step, as (order, states)."""
     leaf_of = _frozen(_leaf_ids(dataset, trees))
     design = _frozen(build_design(dataset, trees, _leaf_of=leaf_of))
     fits, Q = solve_least_squares(design, Y, return_basis=True)
     order = _frozen(np.argsort(dataset.X, axis=0, kind="stable"))
     grouped = _grouped_orders(order, leaf_of, trees)
-    return [_StepState(order, leaf_of, grouped, design, fit, _frozen(Q)) for fit in fits]
+    return order, [_StepState(trees, leaf_of, grouped, design, fit, _frozen(Q)) for fit in fits]
 
 
 def grow_one_split(dataset: Dataset, trees, min_leaf: int = 10):
@@ -887,9 +884,9 @@ def grow_one_split(dataset: Dataset, trees, min_leaf: int = 10):
         If no candidate satisfies ``min_leaf`` (or all are degenerate).
     """
     _check_min_leaf(min_leaf)
-    trees = tuple(trees)
     Y = dataset.y[None]
-    (grown,) = _grow_splits(dataset, Y, [trees], _start_states(dataset, trees, Y), min_leaf)
+    order, states = _start_states(dataset, tuple(trees), Y)
+    (grown,), _ = _grow_splits(dataset, Y, order, states, None, min_leaf)
     if grown is None:
         raise NoAdmissibleSplitError("no admissible split candidate")
     return grown[:2]
@@ -937,21 +934,21 @@ def _lockstep(dataset: Dataset, Y, s_max: int, min_leaf: int) -> list[ModelPath]
         raise ValidationError(f"s_max must be >= 0, got {s_max}")
     _check_min_leaf(min_leaf)
     trees = tuple(CoefficientTree.stump(j) for j in range(dataset.p))
-    states = _start_states(dataset, trees, Y)
+    order, states = _start_states(dataset, trees, Y)
     models = [[_make_model(dataset, trees, state.fit)] for state in states]
     rules = [[] for _ in states]
-    current = [trees] * len(states)
+    carry = None
     for _ in range(s_max):
         if all(state is None for state in states):
             break
-        for j, grown in enumerate(_grow_splits(dataset, Y, current, states, min_leaf)):
-            if grown is None:
+        grown, carry = _grow_splits(dataset, Y, order, states, carry, min_leaf)
+        for j, out in enumerate(grown):
+            if out is None:
                 states[j] = None
                 continue
-            rule, model, states[j] = grown
+            rule, model, states[j] = out
             rules[j].append(rule)
             models[j].append(model)
-            current[j] = model.trees
     return [ModelPath(models=tuple(path), rules=tuple(steps), s_max=s_max)
             for path, steps in zip(models, rules)]
 
@@ -1036,56 +1033,48 @@ def model_to_dict(model: TsvcModel) -> dict:
 def model_from_dict(doc: dict) -> TsvcModel:
     """Rebuild a model from ``model_to_dict``'s document, checking that
     it describes one: one tree per covariate, splits on the other
-    covariates, leaves that match the tree, and ``s`` splits in all."""
-    p = int(doc["p"])
-    trees = []
-    for tdoc in doc["trees"]:
-        target = int(tdoc["target"])
-        root = _node_from_dict(tdoc["root"])
-        leaves = tuple(int(item["id"]) for item in tdoc["leaves"])
-        coefficients = tuple(float(item["coefficient"]) for item in tdoc["leaves"])
-        nodes = list(_nodes(root))
-        root_leaves = sorted(node.leaf_id for node in nodes if isinstance(node, LeafNode))
-        if sorted(leaves) != root_leaves:
+    covariates, leaves that match the tree, and ``s`` splits in all.  A
+    document of another shape raises ValidationError as well."""
+    try:
+        p = int(doc["p"])
+        trees = []
+        for tdoc in doc["trees"]:
+            target = int(tdoc["target"])
+            root = _node_from_dict(tdoc["root"])
+            leaves = tuple(int(item["id"]) for item in tdoc["leaves"])
+            coefficients = tuple(float(item["coefficient"]) for item in tdoc["leaves"])
+            nodes = list(_nodes(root))
+            root_leaves = sorted(node.leaf_id for node in nodes if isinstance(node, LeafNode))
+            if sorted(leaves) != root_leaves:
+                raise ValidationError(
+                    f"tree for covariate {target}: leaves {sorted(leaves)} differ "
+                    f"from the leaves of its root {root_leaves}"
+                )
+            modifiers = sorted({node.modifier for node in nodes if isinstance(node, SplitNode)})
+            if any(k == target or not 0 <= k < p for k in modifiers):
+                raise ValidationError(
+                    f"tree for covariate {target}: splits on {modifiers}, but only "
+                    f"the other covariates of 0..{p - 1} can modify it"
+                )
+            trees.append(CoefficientTree(target=target, root=root, leaves=leaves,
+                                         n_created=max(leaves) + 1, coefficients=coefficients))
+        targets = sorted(tree.target for tree in trees)
+        if targets != list(range(p)):
             raise ValidationError(
-                f"tree for covariate {target}: leaves {sorted(leaves)} differ "
-                f"from the leaves of its root {root_leaves}"
+                f"trees are for covariates {targets}, but a model with p = {p} "
+                f"has one tree for each of 0..{p - 1}"
             )
-        modifiers = sorted({node.modifier for node in nodes if isinstance(node, SplitNode)})
-        if any(k == target or not 0 <= k < p for k in modifiers):
-            raise ValidationError(
-                f"tree for covariate {target}: splits on {modifiers}, but only "
-                f"the other covariates of 0..{p - 1} can modify it"
-            )
-        trees.append(
-            CoefficientTree(
-                target=target,
-                root=root,
-                leaves=leaves,
-                n_created=max(leaves) + 1,
-                coefficients=coefficients,
-            )
-        )
-    targets = sorted(tree.target for tree in trees)
-    if targets != list(range(p)):
-        raise ValidationError(
-            f"trees are for covariates {targets}, but a model with p = {p} "
-            f"has one tree for each of 0..{p - 1}"
-        )
-    s = int(doc["s"])
-    splits = sum(tree.n_splits for tree in trees)
-    if s != splits:
-        raise ValidationError(f"s = {s}, but the trees hold {splits} splits")
-    return TsvcModel(
-        intercept=float(doc["intercept"]),
-        trees=tuple(trees),
-        s=s,
-        n=int(doc["n"]),
-        p=p,
-        names=tuple(doc["names"]),
-        rss=float(doc["rss"]),
-        fit=None,
-    )
+        s = int(doc["s"])
+        splits = sum(tree.n_splits for tree in trees)
+        if s != splits:
+            raise ValidationError(f"s = {s}, but the trees hold {splits} splits")
+        return TsvcModel(intercept=float(doc["intercept"]), trees=tuple(trees), s=s,
+                         n=int(doc["n"]), p=p, names=tuple(doc["names"]),
+                         rss=float(doc["rss"]), fit=None)
+    except ValidationError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"not a model document ({type(exc).__name__}: {exc})") from exc
 
 
 def model_to_json(model: TsvcModel, indent: int = 2) -> str:
@@ -1093,4 +1082,8 @@ def model_to_json(model: TsvcModel, indent: int = 2) -> str:
 
 
 def model_from_json(text: str) -> TsvcModel:
-    return model_from_dict(json.loads(text))
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:
+        raise ValidationError(f"model JSON does not parse: {exc}") from exc
+    return model_from_dict(doc)

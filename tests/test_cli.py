@@ -464,6 +464,37 @@ def test_missing_table_file_exits_2(tmp_path, capsys):
         assert f"error: cannot read {missing}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["fit", "derive-formula"])
+def test_csv_with_a_byte_order_mark_reads_as_without(tmp_path, capsys, command):
+    # spreadsheet exports start UTF-8 files with a byte-order mark (BOM);
+    # it is not part of the first column's name
+    plain = tmp_path / "plain.csv"
+    if command == "fit":
+        _write_fit_csv(plain)
+    else:
+        _surface_csv(plain)
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    outputs = []
+    for path in (plain, bom):
+        out = tmp_path / f"{path.stem}.out"
+        argv = (["fit", "--input", str(path), "--response", "y", "--out-model", str(out)]
+                if command == "fit" else
+                ["derive-formula", "--table", str(path), "--out-json", str(out)])
+        assert main(argv) == 0
+        outputs.append((capsys.readouterr().out, out.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+def test_csv_that_is_not_utf8_exits_2(tmp_path, capsys):
+    latin = tmp_path / "latin.csv"
+    latin.write_bytes("y,xé\n1.0,2.0\n".encode("latin-1"))
+    for argv in (["fit", "--input", str(latin), "--response", "y"],
+                 ["derive-formula", "--table", str(latin)]):
+        assert main(argv) == 2
+        assert f"error: cannot read {latin}" in capsys.readouterr().err
+
+
 def test_dof_off_grid_exits_2(capsys):
     assert main(["dof", "--approach", "table", "--s", "1", "--p", "2",
                  "--n", "0"]) == 2

@@ -418,14 +418,15 @@ def test_carried_grouped_orders_equal_a_fresh_sort():
 
     for ds, min_leaf in _short_paths(seed=71, count=12):
         trees = tuple(CoefficientTree.stump(j) for j in range(ds.p))
-        (state,) = _start_states(ds, trees, ds.y[None])
+        order, (state,) = _start_states(ds, trees, ds.y[None])
+        carry = None
         for _ in range(6):
-            (grown,) = _grow_splits(ds, ds.y[None], [trees], [state], min_leaf)
+            (grown,), carry = _grow_splits(ds, ds.y[None], order, [state], carry, min_leaf)
             if grown is None:
                 break
             _, model, state = grown
             trees = model.trees
-            fresh = _grouped_orders(state.order, state.leaf_of, trees)
+            fresh = _grouped_orders(order, state.leaf_of, trees)
             for carried, sorted_ in zip(state.grouped, fresh):
                 assert (carried is None) == (sorted_ is None)
                 if carried is not None:
@@ -625,18 +626,19 @@ def test_downdated_gains_stay_within_the_bound_of_fresh_gains():
     worst = 0.0
     for ds, min_leaf in _short_paths(seed=41, count=210):
         trees = tuple(CoefficientTree.stump(j) for j in range(ds.p))
-        (state,) = _start_states(ds, trees, ds.y[None])
+        order, (state,) = _start_states(ds, trees, ds.y[None])
+        carry = None
         for _ in range(6):
-            (grown,) = _grow_splits(ds, ds.y[None], [trees], [state], min_leaf)
+            (grown,), carry = _grow_splits(ds, ds.y[None], order, [state], carry, min_leaf)
             if grown is None:
                 break
             _, model, state = grown
             trees = model.trees
-            segs = _segments(ds, trees, min_leaf, state.order, state.leaf_of)
+            segs = _segments(ds, trees, min_leaf, order, state.leaf_of)
             if not segs.size.size:
                 break
             resid = ds.y - state.fit.fitted
-            carried = _Screen(segs, min_leaf, resid, state.Q, state.carry)
+            carried = _Screen(segs, min_leaf, resid, state.Q, carry)
             fresh = _Screen(segs, min_leaf, resid, state.Q, None)
             best = fresh.best.max()
             for seg in range(segs.size.size):
@@ -650,6 +652,46 @@ def test_downdated_gains_stay_within_the_bound_of_fresh_gains():
             steps += 1
     assert steps >= 600 and compared >= 100_000
     assert worst <= _DOWNDATE_BOUND
+
+
+def test_carry_holds_each_segment_once_with_its_rescored_scores(monkeypatch):
+    # a rescore's exact row replaces the screened one: the carry holds
+    # every segment in one row, a rescored segment's being its exact scores
+    import tsvc.tree as tree_module
+    from tsvc.tree import _grow_splits, _score_candidates, _start_states
+
+    rescores = []
+    real_rescore = tree_module._Screen.rescore
+
+    def rescore(self, which):
+        rescores.append((self, np.array(which)))
+        return real_rescore(self, which)
+
+    monkeypatch.setattr(tree_module._Screen, "rescore", rescore)
+    compared = 0
+    for ds, min_leaf in _short_paths(seed=64, count=400, kinds=("tied",)):
+        trees = tuple(CoefficientTree.stump(j) for j in range(ds.p))
+        order, (state,) = _start_states(ds, trees, ds.y[None])
+        carry = None
+        for _ in range(6):
+            rescores.clear()
+            (grown,), carry = _grow_splits(ds, ds.y[None], order, [state], carry, min_leaf)
+            if grown is None:
+                break
+            state = grown[2]
+            carried = np.concatenate([block.seg for block in carry.blocks])
+            assert np.array_equal(np.sort(carry.keys[carried]), carry.keys)
+            for screen, which in rescores:
+                for seg in which:
+                    (exact,) = _score_candidates(screen.segs, min_leaf, screen.resid, screen.Q,
+                                                 np.array([seg]))
+                    (block,) = [b for b in carry.blocks if seg in b.seg]
+                    row = np.flatnonzero(block.seg == seg)[0]
+                    width = exact.num.shape[1]
+                    assert block.num[row, :width].tobytes() == exact.num[0].tobytes()
+                    assert block.den[row, :width].tobytes() == exact.den[0].tobytes()
+                    compared += 1
+    assert compared >= 10
 
 
 def _count_rescored(monkeypatch):
@@ -845,3 +887,30 @@ def test_json_must_describe_a_model(defect):
     corrupt(doc)
     with pytest.raises(ValidationError, match=match):
         model_from_json(json.dumps(doc))
+
+
+def _without(doc, node, key):
+    del node[key]
+    return json.dumps(doc)
+
+
+# model JSON comes from outside the program: a document of the wrong
+# shape is a ValidationError, not a KeyError, TypeError or JSONDecodeError
+_JSON_MALFORMED = {
+    "no_trees": (lambda doc: '{"p": 2}', r"not a model document \(KeyError: 'trees'\)"),
+    "tree_without_root": (lambda doc: _without(doc, doc["trees"][0], "root"),
+                          r"not a model document \(KeyError: 'root'\)"),
+    "not_an_object": (lambda doc: "[]", r"not a model document \(TypeError: "),
+    "split_without_modifier": (lambda doc: _without(doc, _split_root(doc), "modifier"),
+                               r"not a model document \(KeyError: 'modifier'\)"),
+    "not_json": (lambda doc: "not json", "model JSON does not parse: Expecting value"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_JSON_MALFORMED))
+def test_malformed_json_raises_validation_error(case):
+    ds = _dataset(n=70, p=3, seed=17)
+    doc = json.loads(model_to_json(fit_path(ds, s_max=3, min_leaf=5).models[-1]))
+    text, match = _JSON_MALFORMED[case]
+    with pytest.raises(ValidationError, match=match):
+        model_from_json(text(doc))
