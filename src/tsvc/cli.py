@@ -15,16 +15,12 @@ numeric failures (singular designs, saturated fits, off-grid lookups).
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import os
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from .core import Dataset
-from .dof import DofSpec, McDofConfig, McDofTable, _read_text, mc_dof
+from .dof import DofSpec, McDofConfig, McDofTable, _read_csv, _read_file, _write_file, mc_dof
 from .errors import (
     DimensionMismatchError,
     DomainError,
@@ -46,26 +42,12 @@ _INPUT_ERRORS = (ValidationError, DomainError, DimensionMismatchError,
 
 def _read_dataset_csv(path: str, response: str) -> Dataset:
     """CSV with a mandatory header; one numeric column per variable."""
-    reader = csv.reader(io.StringIO(_read_text(path)))
-    header = next(reader, None)
-    if not header:
-        raise ValidationError(f"{path}: empty file or missing header")
-    header = [h.strip() for h in header]
-    rows = [line for line in reader if line]
-    if response not in header:
-        raise ValidationError(f"{path}: no column named {response!r}")
+    rows = _read_file(path, lambda text: _read_csv(text, {response: float}, others=float))
     if not rows:
         raise ValidationError(f"{path}: no data rows")
-    try:
-        data = np.asarray([[float(v) for v in line] for line in rows], dtype=float)
-    except ValueError as exc:
-        raise ValidationError(f"{path}: non-numeric value ({exc})") from exc
-    if data.ndim != 2 or data.shape[1] != len(header):
-        raise ValidationError(f"{path}: ragged rows")
-    y_col = header.index(response)
-    keep = [i for i in range(len(header)) if i != y_col]
-    names = tuple(header[i] for i in keep)
-    return Dataset.from_arrays(data[:, y_col], data[:, keep], names=names)
+    names = tuple(c for c in rows[0] if c != response)
+    return Dataset.from_arrays([r[response] for r in rows],
+                               [[r[c] for c in names] for r in rows], names=names)
 
 
 def _default_threads() -> int:
@@ -101,8 +83,7 @@ def cmd_fit(args) -> int:
     report = prune_path(path, spec)
     model = path.model_at(report.selected_s)
     if args.out_model:
-        with open(args.out_model, "w", encoding="utf-8") as handle:
-            handle.write(model_to_json(model) + "\n")
+        _write_file(args.out_model, model_to_json(model) + "\n")
     if args.out_report:
         report.to_csv(args.out_report)
     row = next(e for e in report.entries if e.selected)
@@ -128,8 +109,7 @@ def cmd_derive_formula(args) -> int:
     rows = [row[:4] for row in McDofTable.load(args.table).rows]
     fit, expression = derive_dof_formula(rows, alpha=args.alpha)
     if args.out_json:
-        with open(args.out_json, "w", encoding="utf-8") as handle:
-            handle.write(fit.to_json() + "\n")
+        _write_file(args.out_json, fit.to_json() + "\n")
     print(f"dof ~ {expression}")
     print(f"r_squared = {fit.r_squared:.4f}")
     return 0

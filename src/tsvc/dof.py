@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import io
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
@@ -41,6 +42,31 @@ from .tree import fit_path, fit_paths
 MFP_SURFACE = (2.13, 2.02, 1.26, 0.61, 0.00016)
 
 
+def _write_file(path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, line ends untranslated; a
+    file that cannot be written raises ValidationError."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from exc
+
+
+def _read_file(path, parse):
+    """``parse`` of the text of a UTF-8 file, without a leading byte-order
+    mark.  A file that cannot be read or decoded raises ValidationError,
+    and so does a parse error, prefixed with the path."""
+    try:
+        with open(path, "r", encoding="utf-8-sig") as handle:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from exc
+    try:
+        return parse(text)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
+
+
 def _write_csv(header, rows, path=None) -> str:
     """CSV text of a header and rows with ``\\n`` line ends, also written
     to ``path`` when one is given."""
@@ -50,41 +76,34 @@ def _write_csv(header, rows, path=None) -> str:
     writer.writerows(rows)
     text = buf.getvalue()
     if path is not None:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        _write_file(path, text)
     return text
 
 
-def _read_text(path) -> str:
-    """The text of a UTF-8 file, without a leading byte-order mark; a
-    file that cannot be read or decoded raises ValidationError."""
-    try:
-        with open(path, "r", encoding="utf-8-sig") as handle:
-            return handle.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from exc
-
-
-def _read_csv(text: str, columns: dict, optional: dict | None = None) -> list[dict]:
-    """Rows of a CSV as dicts of typed cells, blank lines skipped.
-    ``columns`` and ``optional`` map header names to cell types; columns
-    are found by name and others ignored, and the rows lack the key of
-    an optional column the header lacks.  A missing column or a bad
-    cell raises ValidationError."""
+def _read_csv(text: str, columns: dict, optional: dict | None = None,
+              others=None) -> list[dict]:
+    """Rows of a CSV as dicts of typed cells in header order, blank lines
+    skipped.  ``columns`` and ``optional`` map header names to cell types
+    and ``others`` types the rest (None ignores them); rows lack an
+    optional column the header lacks.  A missing or repeated name, a row
+    not as wide as the header, or a bad cell raises ValidationError."""
     reader = csv.reader(io.StringIO(text))
     header = [h.strip() for h in next(reader, [])]
     missing = [c for c in columns if c not in header]
     if missing:
         raise ValidationError(f"CSV lacks column(s) {', '.join(missing)}")
-    types = {**columns, **{c: t for c, t in (optional or {}).items() if c in header}}
-    where = {c: header.index(c) for c in types}
+    repeated = [c for c, k in Counter(header).items() if k > 1]
+    if repeated:
+        raise ValidationError(f"CSV repeats column(s) {', '.join(repeated)}")
+    types = {**dict.fromkeys(header, others), **(optional or {}), **columns}
     rows = []
     for line in reader:
         if not line:
             continue
         try:
-            rows.append({c: t(line[where[c]]) for c, t in types.items()})
-        except (IndexError, ValueError) as exc:
+            rows.append({c: types[c](v) for c, v in zip(header, line, strict=True)
+                         if types[c] is not None})
+        except ValueError as exc:
             raise ValidationError(f"bad table row {line!r}") from exc
     return rows
 
@@ -337,21 +356,21 @@ class McDofTable:
     def from_csv_text(cls, text: str) -> "McDofTable":
         """Parse a grid CSV.  Columns p, n, s and dof are found by header
         name, se is optional and any other column is ignored; p, n and s
-        must be integers."""
+        must be integers, and each (p, n, s) cell may appear only once."""
         rows = _read_csv(text, {"p": int, "n": int, "s": int, "dof": float},
                          optional={"se": float})
         if not rows:
             raise ValidationError("table has no data rows")
+        cells = Counter((r["p"], r["n"], r["s"]) for r in rows)
+        repeated = [cell for cell, k in cells.items() if k > 1]
+        if repeated:
+            raise ValidationError("table repeats cell (p={}, n={}, s={})".format(*repeated[0]))
         return cls(rows=tuple((r["p"], r["n"], r["s"], r["dof"], r.get("se"))
                               for r in rows))
 
     @classmethod
     def load(cls, path) -> "McDofTable":
-        text = _read_text(path)
-        try:
-            return cls.from_csv_text(text)
-        except ValidationError as exc:
-            raise ValidationError(f"{path}: {exc}") from exc
+        return _read_file(path, cls.from_csv_text)
 
     def lookup(self, p: int, n: int, s: int, mode: str = "exact") -> float:
         """DoF for the cell (p, n, s).

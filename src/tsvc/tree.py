@@ -1073,7 +1073,7 @@ def model_from_dict(doc: dict) -> TsvcModel:
                          rss=float(doc["rss"]), fit=None)
     except ValidationError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise ValidationError(f"not a model document ({type(exc).__name__}: {exc})") from exc
 
 
@@ -1084,6 +1084,6 @@ def model_to_json(model: TsvcModel, indent: int = 2) -> str:
 def model_from_json(text: str) -> TsvcModel:
     try:
         doc = json.loads(text)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ValidationError(f"model JSON does not parse: {exc}") from exc
     return model_from_dict(doc)

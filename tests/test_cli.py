@@ -495,6 +495,81 @@ def test_csv_that_is_not_utf8_exits_2(tmp_path, capsys):
         assert f"error: cannot read {latin}" in capsys.readouterr().err
 
 
+def _edit_row(lines, edit):
+    return lines[:3] + [edit(lines[3])] + lines[4:]
+
+
+# each case: the file to read, an edit of its lines and the error it must give
+_MALFORMED_INPUTS = {
+    "response_named_twice": ("data", lambda lines: ["y,x1,y,x2"] + [
+        f"{line},{k}" for k, line in enumerate(lines[1:])], "CSV repeats column(s) y"),
+    "data_row_short": ("data", lambda lines: _edit_row(lines, lambda r: r.rsplit(",", 1)[0]),
+                       "bad table row"),
+    "data_row_long": ("data", lambda lines: _edit_row(lines, lambda r: r + ",1.0"),
+                      "bad table row"),
+    "grid_row_long": ("grid", lambda lines: _edit_row(lines, lambda r: r + ",1.0"),
+                      "bad table row"),
+    "grid_header_repeats": ("grid", lambda lines: ["p,n,s,dof,dof"] + [
+        line + "," + line.rsplit(",", 1)[1] for line in lines[1:]],
+        "CSV repeats column(s) dof"),
+    "grid_cell_repeats": ("grid", lambda lines: lines + [lines[1][:-1] + "9"],
+                          "table repeats cell (p=2, n=100, s=1)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_INPUTS))
+def test_malformed_csv_exits_2_with_one_error_line(tmp_path, capsys, case):
+    kind, edit, message = _MALFORMED_INPUTS[case]
+    path = tmp_path / f"{kind}.csv"
+    if kind == "data":
+        _write_fit_csv(path)
+        argv = ["fit", "--input", str(path), "--response", "y"]
+    else:
+        _surface_csv(path)
+        argv = ["derive-formula", "--table", str(path)]
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: {message}")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("fit", "--out-model"), ("fit", "--out-report"), ("mc-dof", "--out"),
+    ("simulate", "--out"), ("simulate", "--raw"), ("derive-formula", "--out-json"),
+])
+def test_unwritable_output_exits_2(tmp_path, capsys, command, flag):
+    data, grid = tmp_path / "data.csv", tmp_path / "grid.csv"
+    _write_fit_csv(data)
+    _surface_csv(grid)
+    argv = {
+        "fit": ["fit", "--input", str(data), "--response", "y", "--smax", "1"],
+        "mc-dof": ["mc-dof", "--n", "40", "--p", "2", "--smax", "1", "--m", "3",
+                   "--runs", "1"],
+        "simulate": ["simulate", "--scenario", "1", "--s-dgp", "0", "--n", "100",
+                     "--reps", "1", "--dof", "naive"],
+        "derive-formula": ["derive-formula", "--table", str(grid)],
+    }[command]
+    out = tmp_path / "missing" / "out"
+    assert main(argv + [flag, str(out)]) == 2
+    assert f"error: cannot write {out}: " in capsys.readouterr().err
+
+
+def test_fit_ignores_spaces_around_cells_and_blank_lines(tmp_path, capsys):
+    clean = tmp_path / "clean.csv"
+    _write_fit_csv(clean)
+    loose = tmp_path / "loose.csv"
+    loose.write_text("".join(" " + line.replace(",", " ,  ") + "\t\n\n"
+                             for line in clean.read_text().splitlines()))
+    outputs = []
+    for path in (clean, loose):
+        model, report = tmp_path / f"{path.stem}.json", tmp_path / f"{path.stem}.csv.out"
+        assert main(["fit", "--input", str(path), "--response", "y",
+                     "--out-model", str(model), "--out-report", str(report)]) == 0
+        outputs.append((capsys.readouterr().out, model.read_bytes(), report.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
 def test_dof_off_grid_exits_2(capsys):
     assert main(["dof", "--approach", "table", "--s", "1", "--p", "2",
                  "--n", "0"]) == 2

@@ -14,6 +14,7 @@ from tsvc.dof import (
     McDofTable,
     TsvcPathFitter,
     _mc_dof_run,
+    _read_csv,
     dof_mfp,
     dof_naive,
     dof_table_lookup,
@@ -281,6 +282,20 @@ def test_table_parser_finds_columns_by_name():
         McDofTable.from_csv_text("p,n,dof\n2,100,7.5\n")
     with pytest.raises(ValidationError, match="bad table row"):
         McDofTable.from_csv_text("p,n,s,dof\n2,100.0,1,7.5\n")
+    for row in ("2,100,1", "2,100,1,7.5,x"):  # a row not as wide as the header
+        with pytest.raises(ValidationError, match="bad table row"):
+            McDofTable.from_csv_text(f"p,n,s,dof\n{row}\n")
+    with pytest.raises(ValidationError, match=r"CSV repeats column\(s\) n, dof"):
+        McDofTable.from_csv_text("p,n,n,s,dof,dof\n2,100,100,1,7.5,7.5\n")
+    with pytest.raises(ValidationError, match=r"table repeats cell \(p=2, n=100, s=1\)"):
+        McDofTable.from_csv_text("p,n,s,dof\n2,100,1,7.5\n2,100,2,9.9\n2,100,1,9.9\n")
+
+
+def test_csv_reader_types_other_columns_in_header_order():
+    text = "b, y ,a\n1.5,2,3\n\n4,5,6\n"
+    assert [list(row.items()) for row in _read_csv(text, {"y": int}, others=float)] == [
+        [("b", 1.5), ("y", 2), ("a", 3.0)], [("b", 4.0), ("y", 5), ("a", 6.0)]]
+    assert _read_csv(text, {"y": int}) == [{"y": 2}, {"y": 5}]
 
 
 def test_table_reads_back_reordered_columns():

@@ -21,6 +21,7 @@ from tsvc.tree import (
     fit_path,
     fit_paths,
     grow_one_split,
+    model_from_dict,
     model_from_json,
     model_to_json,
     predict,
@@ -894,8 +895,19 @@ def _without(doc, node, key):
     return json.dumps(doc)
 
 
+def _deep_chain(doc, depth=5_000):
+    """``doc`` with a first tree that is a chain of ``depth`` splits."""
+    node = {"kind": "leaf", "id": 0}
+    for k in range(depth):
+        node = {"kind": "split", "modifier": 1, "threshold": 0.0, "left": node,
+                "right": {"kind": "leaf", "id": k + 1}}
+    doc["trees"][0]["root"] = node
+    return doc
+
+
 # model JSON comes from outside the program: a document of the wrong
-# shape is a ValidationError, not a KeyError, TypeError or JSONDecodeError
+# shape is a ValidationError, not a KeyError, TypeError, JSONDecodeError
+# or RecursionError; a case that gives a dict goes to model_from_dict
 _JSON_MALFORMED = {
     "no_trees": (lambda doc: '{"p": 2}', r"not a model document \(KeyError: 'trees'\)"),
     "tree_without_root": (lambda doc: _without(doc, doc["trees"][0], "root"),
@@ -904,6 +916,9 @@ _JSON_MALFORMED = {
     "split_without_modifier": (lambda doc: _without(doc, _split_root(doc), "modifier"),
                                r"not a model document \(KeyError: 'modifier'\)"),
     "not_json": (lambda doc: "not json", "model JSON does not parse: Expecting value"),
+    "nested_too_deep": (lambda doc: "[" * 100_000,
+                        "model JSON does not parse: maximum recursion depth"),
+    "split_chain_too_deep": (_deep_chain, r"not a model document \(RecursionError: "),
 }
 
 
@@ -911,6 +926,8 @@ _JSON_MALFORMED = {
 def test_malformed_json_raises_validation_error(case):
     ds = _dataset(n=70, p=3, seed=17)
     doc = json.loads(model_to_json(fit_path(ds, s_max=3, min_leaf=5).models[-1]))
-    text, match = _JSON_MALFORMED[case]
+    make, match = _JSON_MALFORMED[case]
+    document = make(doc)
+    load = model_from_json if isinstance(document, str) else model_from_dict
     with pytest.raises(ValidationError, match=match):
-        model_from_json(text(doc))
+        load(document)
