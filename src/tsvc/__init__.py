@@ -16,7 +16,6 @@ from .dof import (
     TsvcPathFitter,
     dof_mfp,
     dof_naive,
-    dof_table_lookup,
     mc_dof,
     reference_table,
 )

@@ -20,7 +20,8 @@ import sys
 from dataclasses import replace
 
 from .core import Dataset
-from .dof import DofSpec, McDofConfig, McDofTable, _read_csv, _read_file, _write_file, mc_dof
+from .dof import (DofSpec, McDofConfig, McDofTable, _check_writable, _read_csv, _read_file,
+                  _write_file, mc_dof)
 from .errors import (
     DimensionMismatchError,
     DomainError,
@@ -77,6 +78,7 @@ def _threads(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_fit(args) -> int:
+    _check_writable(args.out_model, args.out_report)
     dataset = _read_dataset_csv(args.input, args.response)
     spec = DofSpec.parse(args.dof, args.table)
     path = fit_path(dataset, args.smax, args.min_leaf)
@@ -93,6 +95,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_mc_dof(args) -> int:
+    _check_writable(args.out)
     config = McDofConfig(m=args.m, runs=args.runs, s_max=args.smax,
                          min_leaf=args.min_leaf, seed=args.seed)
     result = mc_dof(args.n, args.p, config, threads=_threads(args))
@@ -106,6 +109,7 @@ def cmd_mc_dof(args) -> int:
 
 
 def cmd_derive_formula(args) -> int:
+    _check_writable(args.out_json)
     rows = [row[:4] for row in McDofTable.load(args.table).rows]
     fit, expression = derive_dof_formula(rows, alpha=args.alpha)
     if args.out_json:
@@ -116,6 +120,7 @@ def cmd_derive_formula(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    _check_writable(args.out, args.raw)
     names = [token.strip() for token in args.dof.split(",") if token.strip()]
     threads = _threads(args)
     config = ScenarioConfig(

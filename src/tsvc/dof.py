@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import csv
 import io
+import math
+import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -50,6 +52,17 @@ def _write_file(path, text: str) -> None:
             handle.write(text)
     except OSError as exc:
         raise ValidationError(f"cannot write {path}: {exc}") from exc
+
+
+def _check_writable(*paths) -> None:
+    """Raise the ValidationError ``_write_file`` would raise for a path,
+    None skipped, that is a directory or whose directory is missing or
+    unwritable.  It only stats, so a command checks its outputs first."""
+    for path in filter(None, paths):
+        if os.path.isdir(path):
+            raise ValidationError(f"cannot write {path}: is a directory")
+        if not os.access(os.path.dirname(os.path.abspath(path)), os.W_OK):
+            raise ValidationError(f"cannot write {path}: no writable directory")
 
 
 def _read_file(path, parse):
@@ -85,26 +98,33 @@ def _read_csv(text: str, columns: dict, optional: dict | None = None,
     """Rows of a CSV as dicts of typed cells in header order, blank lines
     skipped.  ``columns`` and ``optional`` map header names to cell types
     and ``others`` types the rest (None ignores them); rows lack an
-    optional column the header lacks.  A missing or repeated name, a row
-    not as wide as the header, or a bad cell raises ValidationError."""
+    optional column the header lacks.  A column with a blank header cell,
+    such as a trailing comma writes, is ignored while its cells are blank.
+    A missing or repeated name, a row not as wide as the header, a value
+    under a blank header cell or a bad cell raises ValidationError."""
     reader = csv.reader(io.StringIO(text))
     header = [h.strip() for h in next(reader, [])]
     missing = [c for c in columns if c not in header]
     if missing:
         raise ValidationError(f"CSV lacks column(s) {', '.join(missing)}")
-    repeated = [c for c, k in Counter(header).items() if k > 1]
+    repeated = [c for c, k in Counter(header).items() if k > 1 and c]
     if repeated:
         raise ValidationError(f"CSV repeats column(s) {', '.join(repeated)}")
     types = {**dict.fromkeys(header, others), **(optional or {}), **columns}
+    unnamed = [i for i, c in enumerate(header) if not c]
     rows = []
     for line in reader:
         if not line:
             continue
         try:
             rows.append({c: types[c](v) for c, v in zip(header, line, strict=True)
-                         if types[c] is not None})
+                         if c and types[c] is not None})
         except ValueError as exc:
             raise ValidationError(f"bad table row {line!r}") from exc
+        held = [i for i in unnamed if line[i].strip()]
+        if held:
+            raise ValidationError(f"CSV column {held[0] + 1} has no name but holds "
+                                  f"{line[held[0]]!r} on line {reader.line_num}")
     return rows
 
 
@@ -213,6 +233,12 @@ class McDofResult:
             if entry.s == s:
                 return entry.dof
         raise MissingDofError(f"no Monte-Carlo estimate for s = {s}")
+
+    def table(self) -> McDofTable:
+        """The entries as the grid rows (p, n, s, dof, se) of their own
+        (p, n) cell: what ``to_csv`` writes and ``McDofTable`` reads."""
+        return McDofTable(rows=tuple((self.p, self.n, e.s, e.dof, e.se)
+                                     for e in self.entries))
 
     def to_csv(self, path=None) -> str:
         """Write rows (p, n, s, dof, se); returns the text."""
@@ -356,11 +382,17 @@ class McDofTable:
     def from_csv_text(cls, text: str) -> "McDofTable":
         """Parse a grid CSV.  Columns p, n, s and dof are found by header
         name, se is optional and any other column is ignored; p, n and s
-        must be integers, and each (p, n, s) cell may appear only once."""
+        must be integers, dof and se finite, and each (p, n, s) cell may
+        appear only once."""
         rows = _read_csv(text, {"p": int, "n": int, "s": int, "dof": float},
                          optional={"se": float})
         if not rows:
             raise ValidationError("table has no data rows")
+        for r in rows:
+            for c in ("dof", "se"):
+                if not math.isfinite(r.get(c, 0.0)):
+                    raise ValidationError(f"table cell (p={r['p']}, n={r['n']}, "
+                                          f"s={r['s']}) has {c} = {r[c]!r}")
         cells = Counter((r["p"], r["n"], r["s"]) for r in rows)
         repeated = [cell for cell, k in cells.items() if k > 1]
         if repeated:
@@ -372,20 +404,17 @@ class McDofTable:
     def load(cls, path) -> "McDofTable":
         return _read_file(path, cls.from_csv_text)
 
-    def lookup(self, p: int, n: int, s: int, mode: str = "exact") -> float:
-        """DoF for the cell (p, n, s).
+    def lookup(self, p: int, n: int, s: int, nearest: bool = False) -> float:
+        """DoF for the cell (p, n, s), which must be present.
 
-        ``mode='exact'`` requires the cell to be present.  In
-        ``'nearest'`` mode p snaps to the closest tabulated value
-        (ties to the smaller), then n likewise; s must still match a
-        tabulated split count exactly.  Either mode raises DomainError
-        for p < 1 or n < 1.
+        With ``nearest`` p first snaps to the closest tabulated value
+        (ties to the smaller), then n likewise among that p's rows; s
+        must still match a tabulated split count exactly.  p < 1 or
+        n < 1 raises DomainError either way.
         """
-        if mode not in ("exact", "nearest"):
-            raise ValidationError(f"unknown lookup mode {mode!r}")
         if p < 1 or n < 1:
             raise DomainError(f"need p >= 1 and n >= 1, got p = {p}, n = {n}")
-        if mode == "nearest":
+        if nearest:
             p = min({r[0] for r in self.rows}, key=lambda v: (abs(v - p), v))
             n = min({r[1] for r in self.rows if r[0] == p}, key=lambda v: (abs(v - n), v))
         for rp, rn, rs, dof, _ in self.rows:
@@ -406,79 +435,44 @@ def reference_table() -> McDofTable:
     return _REFERENCE
 
 
-def dof_table_lookup(p: int, n: int, s: int, mode: str = "exact",
-                     table: McDofTable | None = None) -> float:
-    """Lookup into the packaged grid (or a caller-supplied one)."""
-    return (table or reference_table()).lookup(p, n, s, mode=mode)
-
-
 # ---------------------------------------------------------------------------
 # degrees-of-freedom sources for model selection
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class DofSpec:
-    """Strategy giving the DoF charged to a model with s splits.
+    """The DoF charged to a model with s splits, named by its source.
 
-    Kinds: ``naive`` (p + s + 1), ``mfp`` (closed-form surface),
-    ``table`` (grid lookup, exact or nearest) and ``custom`` (a
-    Monte-Carlo result supplied by the caller).  Every kind charges a
-    split-free model exactly p + 1.  ``SOURCES`` are the names that
-    ``parse`` accepts.
+    ``source`` is one of ``SOURCES``: ``naive`` (p + s + 1), ``mfp``
+    (closed-form surface), ``table`` (exact grid cell) or
+    ``table-nearest`` (nearest grid cell).  ``table`` is the grid the
+    table sources read, the packaged one when None; a Monte-Carlo result
+    prices as ``DofSpec("table", result.table(), label)``, its own
+    ``(p, n)`` cell only.  Every source charges a split-free model
+    exactly p + 1, and ``name`` is ``label`` or else ``source``.
     """
 
-    kind: str
-    table_mode: str = "exact"
+    source: str
     table: McDofTable | None = None
-    custom: McDofResult | None = None
     label: str | None = None
 
-    _KINDS = ("naive", "mfp", "table", "custom")
     SOURCES = ("naive", "mfp", "table", "table-nearest")
 
     def __post_init__(self):
-        if self.kind not in self._KINDS:
-            raise ValidationError(f"unknown DoF kind {self.kind!r}")
-        if self.kind == "custom" and self.custom is None:
-            raise ValidationError("custom DofSpec needs an McDofResult")
+        if self.source not in self.SOURCES:
+            raise ValidationError(f"unknown DoF source {self.source!r}; "
+                                  f"choose from {', '.join(self.SOURCES)}")
 
     @classmethod
     def parse(cls, name: str, table_path=None) -> "DofSpec":
-        """The source called ``name`` in ``SOURCES``; ``table_path`` is a
-        grid CSV that replaces the packaged grid."""
-        if name not in cls.SOURCES:
-            raise ValidationError(
-                f"unknown DoF source {name!r}; choose from {', '.join(cls.SOURCES)}")
-        table = McDofTable.load(table_path) if table_path else None
-        if name.startswith("table"):
-            return cls.from_table(mode="nearest" if name == "table-nearest" else "exact",
-                                  table=table)
-        return cls(kind=name)
-
-    @classmethod
-    def naive(cls) -> "DofSpec":
-        return cls(kind="naive")
-
-    @classmethod
-    def mfp(cls) -> "DofSpec":
-        return cls(kind="mfp")
-
-    @classmethod
-    def from_table(cls, mode: str = "exact", table: McDofTable | None = None,
-                   label: str | None = None) -> "DofSpec":
-        return cls(kind="table", table_mode=mode, table=table, label=label)
-
-    @classmethod
-    def from_custom(cls, result: McDofResult, label: str | None = None) -> "DofSpec":
-        return cls(kind="custom", custom=result, label=label)
+        """The source called ``name``, checked before ``table_path``, a
+        grid CSV that replaces the packaged grid, is read."""
+        spec = cls(name)
+        return cls(name, McDofTable.load(table_path)) if table_path else spec
 
     @property
     def name(self) -> str:
-        if self.label:
-            return self.label
-        if self.kind == "table" and self.table_mode != "exact":
-            return f"table-{self.table_mode}"
-        return self.kind
+        return self.label or self.source
 
     def dof_for(self, s: int, p: int, n: int) -> float:
         if p < 1:
@@ -487,18 +481,12 @@ class DofSpec:
             raise DomainError(f"s must be >= 0, got {s}")
         if s == 0:
             return float(p + 1)
-        if self.kind == "naive":
+        if self.source == "naive":
             return dof_naive(p, s)
-        if self.kind == "mfp":
+        if self.source == "mfp":
             return dof_mfp(s, p, n)
-        if self.kind == "table":
-            try:
-                return dof_table_lookup(p, n, s, mode=self.table_mode, table=self.table)
-            except OffGridError as exc:
-                raise MissingDofError(str(exc)) from exc
         try:
-            return self.custom.dof_for(s)
-        except MissingDofError:
-            raise MissingDofError(
-                f"custom Monte-Carlo result lacks a value for s = {s}"
-            ) from None
+            return (self.table or reference_table()).lookup(
+                p, n, s, nearest=self.source == "table-nearest")
+        except OffGridError as exc:
+            raise MissingDofError(str(exc)) from exc

@@ -21,8 +21,8 @@ def bic(log_lik: float, dof: float, n) -> float:
     """Bayesian information criterion, ``-2 * log_lik + log(n) * dof``."""
     if not math.isfinite(log_lik):
         raise DegenerateFitError("BIC needs a finite log-likelihood")
-    if dof <= 0:
-        raise ValidationError(f"dof must be positive, got {dof}")
+    if not math.isfinite(dof) or dof <= 0:
+        raise ValidationError(f"dof must be positive and finite, got {dof}")
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
     return -2.0 * log_lik + math.log(n) * dof

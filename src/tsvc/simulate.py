@@ -57,7 +57,7 @@ class ScenarioConfig:
     seed: int = 0
     s_max: int | None = None
     min_leaf: int = 10
-    dof_specs: tuple[DofSpec, ...] = (DofSpec.naive(), DofSpec.mfp())
+    dof_specs: tuple[DofSpec, ...] = (DofSpec("naive"), DofSpec("mfp"))
     allow_nonstandard: bool = False
 
     def __post_init__(self):
@@ -312,7 +312,7 @@ def make_null_dof_spec(config: ScenarioConfig, m: int = 100, runs: int = 10,
     mc_config = McDofConfig(m=m, runs=runs, s_max=config.effective_s_max,
                             min_leaf=config.min_leaf, seed=config.seed + 1)
     result = mc_dof(config.n, config.p, mc_config, threads=threads)
-    return DofSpec.from_custom(result, label="mc-null")
+    return DofSpec("table", result.table(), "mc-null")
 
 
 def make_dgp_dof_spec(config: ScenarioConfig, m: int = 100, runs: int = 10,
@@ -327,7 +327,7 @@ def make_dgp_dof_spec(config: ScenarioConfig, m: int = 100, runs: int = 10,
                             min_leaf=config.min_leaf, seed=config.seed + 2,
                             mu=mu_train)
     result = mc_dof(config.n, config.p, mc_config, X=train.X, threads=threads)
-    return DofSpec.from_custom(result, label="mc-dgp")
+    return DofSpec("table", result.table(), "mc-dgp")
 
 
 # The DoF sources a setting estimates for itself, by the name they carry.

@@ -289,8 +289,8 @@ def test_criterion_07_penalty_dominance_across_random_data():
         if i % 3 == 0:
             y = y + 1.5 * X[:, 0] * (X[:, 1] > 0)
         path = fit_path(Dataset.from_arrays(y, X), s_max=5, min_leaf=10)
-        s_mfp = prune_path(path, DofSpec.mfp()).selected_s
-        s_naive = prune_path(path, DofSpec.naive()).selected_s
+        s_mfp = prune_path(path, DofSpec("mfp")).selected_s
+        s_naive = prune_path(path, DofSpec("naive")).selected_s
         violations += s_mfp > s_naive
     _check(7, violations == 0,
            f"{200 - violations}/200 datasets with mfp splits <= naive splits")

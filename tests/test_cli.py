@@ -10,7 +10,7 @@ import pytest
 import tsvc.cli
 import tsvc.simulate
 from tsvc.cli import main
-from tsvc.dof import MFP_SURFACE, McDofTable, dof_mfp, dof_table_lookup
+from tsvc.dof import MFP_SURFACE, McDofTable, dof_mfp, reference_table
 from tsvc.simulate import make_dgp_dof_spec, make_null_dof_spec
 from tsvc.selection import PruneReport
 from tsvc.tree import model_from_json, predict
@@ -367,8 +367,8 @@ def test_simulate_keeps_dof_source_order(tmp_path, monkeypatch, capsys):
     (config,) = configs
     specs = dict(zip(order, config.dof_specs))
     assert [spec.name for spec in config.dof_specs] == order
-    assert specs["mc-dgp"].custom == make_dgp_dof_spec(config, m=4, runs=2).custom
-    assert specs["mc-null"].custom == make_null_dof_spec(config, m=4, runs=2).custom
+    assert specs["mc-dgp"].table == make_dgp_dof_spec(config, m=4, runs=2).table
+    assert specs["mc-null"].table == make_null_dof_spec(config, m=4, runs=2).table
 
 
 def test_simulate_checks_every_name_before_monte_carlo(tmp_path, monkeypatch, capsys):
@@ -410,7 +410,7 @@ def test_dof_values_match_library(capsys):
     assert main(["dof", "--approach", "table", "--s", "1", "--p", "2",
                  "--n", "100"]) == 0
     assert float(capsys.readouterr().out) == pytest.approx(
-        dof_table_lookup(2, 100, 1))
+        reference_table().lookup(2, 100, 1))
 
     assert main(["dof", "--approach", "table", "--s", "0", "--p", "4",
                  "--n", "100"]) == 0
@@ -419,7 +419,7 @@ def test_dof_values_match_library(capsys):
     assert main(["dof", "--approach", "table-nearest", "--s", "1", "--p", "2",
                  "--n", "550"]) == 0
     assert float(capsys.readouterr().out) == pytest.approx(
-        dof_table_lookup(2, 550, 1, mode="nearest"))
+        reference_table().lookup(2, 550, 1, nearest=True))
 
 
 def test_dof_prints_what_pruning_charges(capsys):
@@ -514,6 +514,10 @@ _MALFORMED_INPUTS = {
         "CSV repeats column(s) dof"),
     "grid_cell_repeats": ("grid", lambda lines: lines + [lines[1][:-1] + "9"],
                           "table repeats cell (p=2, n=100, s=1)"),
+    "grid_dof_not_finite": ("grid", lambda lines: _edit_row(
+        lines, lambda r: r.rsplit(",", 1)[0] + ",nan"), "table cell (p=2, n=100, s=3) has dof = nan"),
+    "data_value_without_name": ("data", lambda lines: ["y,,x2"] + lines[1:],
+                                "CSV column 2 has no name but holds"),
 }
 
 
@@ -538,7 +542,12 @@ def test_malformed_csv_exits_2_with_one_error_line(tmp_path, capsys, case):
     ("fit", "--out-model"), ("fit", "--out-report"), ("mc-dof", "--out"),
     ("simulate", "--out"), ("simulate", "--raw"), ("derive-formula", "--out-json"),
 ])
-def test_unwritable_output_exits_2(tmp_path, capsys, command, flag):
+def test_unwritable_output_exits_2(tmp_path, monkeypatch, capsys, command, flag):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the work ran before the output paths were checked")
+
+    for name in ("mc_dof", "derive_dof_formula", "run_simulation"):
+        monkeypatch.setattr(tsvc.cli, name, no_work)
     data, grid = tmp_path / "data.csv", tmp_path / "grid.csv"
     _write_fit_csv(data)
     _surface_csv(grid)
@@ -550,9 +559,13 @@ def test_unwritable_output_exits_2(tmp_path, capsys, command, flag):
                      "--reps", "1", "--dof", "naive"],
         "derive-formula": ["derive-formula", "--table", str(grid)],
     }[command]
-    out = tmp_path / "missing" / "out"
-    assert main(argv + [flag, str(out)]) == 2
-    assert f"error: cannot write {out}: " in capsys.readouterr().err
+    model = tmp_path / "model.json"
+    if flag == "--out-report":  # the model would be written first
+        argv += ["--out-model", str(model)]
+    for out in (tmp_path / "missing" / "out", tmp_path):
+        assert main(argv + [flag, str(out)]) == 2
+        assert f"error: cannot write {out}: " in capsys.readouterr().err
+    assert not model.exists()
 
 
 def test_fit_ignores_spaces_around_cells_and_blank_lines(tmp_path, capsys):
@@ -561,13 +574,15 @@ def test_fit_ignores_spaces_around_cells_and_blank_lines(tmp_path, capsys):
     loose = tmp_path / "loose.csv"
     loose.write_text("".join(" " + line.replace(",", " ,  ") + "\t\n\n"
                              for line in clean.read_text().splitlines()))
+    trailing = tmp_path / "trailing.csv"  # a blank last column, as spreadsheets export
+    trailing.write_text("".join(line + ",\n" for line in clean.read_text().splitlines()))
     outputs = []
-    for path in (clean, loose):
+    for path in (clean, loose, trailing):
         model, report = tmp_path / f"{path.stem}.json", tmp_path / f"{path.stem}.csv.out"
         assert main(["fit", "--input", str(path), "--response", "y",
                      "--out-model", str(model), "--out-report", str(report)]) == 0
         outputs.append((capsys.readouterr().out, model.read_bytes(), report.read_bytes()))
-    assert outputs[0] == outputs[1]
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_dof_off_grid_exits_2(capsys):

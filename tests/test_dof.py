@@ -17,7 +17,6 @@ from tsvc.dof import (
     _read_csv,
     dof_mfp,
     dof_naive,
-    dof_table_lookup,
     mc_dof,
     reference_table,
 )
@@ -214,6 +213,8 @@ def test_mc_dof_csv_round_trips_into_table():
     table = McDofTable.from_csv_text(result.to_csv())
     for entry in result.entries:
         assert table.lookup(2, 40, entry.s) == entry.dof
+    assert [tuple(map(repr, row)) for row in result.table().rows] \
+        == [tuple(map(repr, row)) for row in table.rows]
 
 
 def test_path_fitter_is_picklable():
@@ -250,18 +251,18 @@ def test_reference_table_monotone_in_s():
 
 def test_lookup_exact_misses_off_grid():
     with pytest.raises(OffGridError):
-        dof_table_lookup(3, 100, 1)
+        reference_table().lookup(3, 100, 1)
     with pytest.raises(OffGridError):
-        dof_table_lookup(2, 100, 6)
+        reference_table().lookup(2, 100, 6)
 
 
 def test_lookup_nearest_snaps_with_tie_to_smaller():
     # p = 5 ties between 4 and 6 -> 4; n = 500 is closest to 400
-    assert dof_table_lookup(5, 500, 2, mode="nearest") == pytest.approx(19.39)
+    assert reference_table().lookup(5, 500, 2, nearest=True) == pytest.approx(19.39)
     # n = 550 ties between 400 and 700 -> 400
-    assert dof_table_lookup(2, 550, 1, mode="nearest") == pytest.approx(7.34)
+    assert reference_table().lookup(2, 550, 1, nearest=True) == pytest.approx(7.34)
     with pytest.raises(OffGridError):
-        dof_table_lookup(5, 500, 7, mode="nearest")
+        reference_table().lookup(5, 500, 7, nearest=True)
 
 
 def test_table_parser_rejects_bad_input():
@@ -289,6 +290,12 @@ def test_table_parser_finds_columns_by_name():
         McDofTable.from_csv_text("p,n,n,s,dof,dof\n2,100,100,1,7.5,7.5\n")
     with pytest.raises(ValidationError, match=r"table repeats cell \(p=2, n=100, s=1\)"):
         McDofTable.from_csv_text("p,n,s,dof\n2,100,1,7.5\n2,100,2,9.9\n2,100,1,9.9\n")
+    for cells, bad in (("nan,0.1", "dof = nan"), ("inf,0.1", "dof = inf"),
+                       ("7.5,-inf", "se = -inf"), ("7.5,NaN", "se = nan")):
+        with pytest.raises(ValidationError, match=r"table cell \(p=2, n=100, s=2\) has " + bad):
+            McDofTable.from_csv_text(f"p,n,s,dof,se\n2,100,1,7.5,0.1\n2,100,2,{cells}\n")
+    # a trailing comma leaves a blank column, which is ignored while it holds nothing
+    assert McDofTable.from_csv_text("p,n,s,dof,\n2,100,1,7.5,\n").rows == ((2, 100, 1, 7.5, None),)
 
 
 def test_csv_reader_types_other_columns_in_header_order():
@@ -296,6 +303,10 @@ def test_csv_reader_types_other_columns_in_header_order():
     assert [list(row.items()) for row in _read_csv(text, {"y": int}, others=float)] == [
         [("b", 1.5), ("y", 2), ("a", 3.0)], [("b", 4.0), ("y", 5), ("a", 6.0)]]
     assert _read_csv(text, {"y": int}) == [{"y": 2}, {"y": 5}]
+    blank = "b,, y ,a, \n1.5,,2,3, \n4, ,5,6,\n"  # columns 2 and 5 have no name
+    assert _read_csv(blank, {"y": int}, others=float) == _read_csv(text, {"y": int}, others=float)
+    with pytest.raises(ValidationError, match="CSV column 5 has no name but holds '7' on line 3"):
+        _read_csv("b,, y ,a,\n1.5,,2,3,\n4,,5,6,7\n", {"y": int}, others=float)
 
 
 def test_table_reads_back_reordered_columns():
@@ -308,14 +319,15 @@ def test_table_reads_back_reordered_columns():
     assert reordered.startswith("se,dof,s,n,p\n")
     assert McDofTable.from_csv_text(reordered) == McDofTable.from_csv_text(text)
     assert McDofTable.from_csv_text(text).rows[1] == (2, 100, 2, 11.0 / 3.0, 1e-17)
+    assert result.table() == McDofTable.from_csv_text(text)
 
 
 def test_table_lookup_refuses_impossible_cells():
     table = reference_table()
-    for mode in ("exact", "nearest"):
+    for nearest in (False, True):
         for p, n in ((2, 0), (2, -500), (0, 100)):
             with pytest.raises(DomainError, match="need p >= 1 and n >= 1"):
-                table.lookup(p, n, 1, mode=mode)
+                table.lookup(p, n, 1, nearest=nearest)
 
 
 def test_table_load_turns_os_errors_into_validation_errors(tmp_path):
@@ -337,14 +349,14 @@ def test_dof_spec_parse_covers_every_source(tmp_path):
         assert DofSpec.parse(name, grid).name == name
     assert DofSpec.parse("table", grid).dof_for(1, 3, 50) == 9.5
     assert DofSpec.parse("table-nearest", grid).dof_for(1, 4, 70) == 9.5
-    assert DofSpec.parse("table").dof_for(1, 2, 100) == dof_table_lookup(2, 100, 1)
+    assert DofSpec.parse("table").dof_for(1, 2, 100) == reference_table().lookup(2, 100, 1)
     for name in ("custom", "mc-null", "Naive", ""):
         with pytest.raises(ValidationError, match="unknown DoF source"):
             DofSpec.parse(name)
 
 
 def test_dof_spec_checks_arguments_before_zero_splits():
-    for spec in (DofSpec.naive(), DofSpec.mfp(), DofSpec.from_table()):
+    for spec in (DofSpec("naive"), DofSpec("mfp"), DofSpec("table")):
         with pytest.raises(DomainError):
             spec.dof_for(0, 0, 100)
         with pytest.raises(DomainError):
@@ -352,37 +364,39 @@ def test_dof_spec_checks_arguments_before_zero_splits():
         assert spec.dof_for(0, 1, 0) == 2.0
 
 def test_dof_spec_names():
-    assert DofSpec.naive().name == "naive"
-    assert DofSpec.mfp().name == "mfp"
-    assert DofSpec.from_table().name == "table"
-    assert DofSpec.from_table(mode="nearest").name == "table-nearest"
-    assert DofSpec.from_table(label="grid").name == "grid"
+    assert DofSpec("naive").name == "naive"
+    assert DofSpec("mfp").name == "mfp"
+    assert DofSpec("table").name == "table"
+    assert DofSpec("table-nearest").name == "table-nearest"
+    assert DofSpec("table", label="grid").name == "grid"
 
 
 def test_dof_spec_zero_splits_always_p_plus_one():
     config = McDofConfig(m=10, runs=1, s_max=1, min_leaf=10, seed=7)
-    custom = DofSpec.from_custom(mc_dof(n=40, p=2, config=config))
-    for spec in (DofSpec.naive(), DofSpec.mfp(), DofSpec.from_table(), custom):
+    custom = DofSpec("table", mc_dof(n=40, p=2, config=config).table())
+    for spec in (DofSpec("naive"), DofSpec("mfp"), DofSpec("table"), custom):
         assert spec.dof_for(0, 4, 1000) == 5.0
 
 
 def test_dof_spec_values_match_sources():
-    assert DofSpec.naive().dof_for(2, 3, 500) == dof_naive(3, 2)
-    assert DofSpec.mfp().dof_for(2, 4, 700) == dof_mfp(2, 4, 700)
-    assert DofSpec.from_table().dof_for(3, 6, 400) == pytest.approx(31.66)
+    assert DofSpec("naive").dof_for(2, 3, 500) == dof_naive(3, 2)
+    assert DofSpec("mfp").dof_for(2, 4, 700) == dof_mfp(2, 4, 700)
+    assert DofSpec("table").dof_for(3, 6, 400) == pytest.approx(31.66)
 
 
 def test_dof_spec_wraps_lookup_misses():
     with pytest.raises(MissingDofError):
-        DofSpec.from_table().dof_for(1, 3, 100)
+        DofSpec("table").dof_for(1, 3, 100)
     config = McDofConfig(m=10, runs=1, s_max=1, min_leaf=10, seed=8)
-    custom = DofSpec.from_custom(mc_dof(n=40, p=2, config=config))
-    with pytest.raises(MissingDofError):
+    custom = DofSpec("table", mc_dof(n=40, p=2, config=config).table())
+    with pytest.raises(MissingDofError, match=r"cell \(p=2, n=40, s=5\) not in the table"):
         custom.dof_for(5, 2, 40)
+    for p, n in ((3, 40), (2, 41)):  # a Monte-Carlo spec prices only its own cell
+        with pytest.raises(MissingDofError, match="not in the table"):
+            custom.dof_for(1, p, n)
 
 
-def test_dof_spec_rejects_unknown_kind():
-    with pytest.raises(ValidationError):
-        DofSpec(kind="guesswork")
-    with pytest.raises(ValidationError):
-        DofSpec(kind="custom")
+def test_dof_spec_rejects_unknown_source():
+    for name in ("guesswork", "custom"):
+        with pytest.raises(ValidationError, match="unknown DoF source"):
+            DofSpec(name)

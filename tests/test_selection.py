@@ -35,8 +35,9 @@ def test_bic_monotone():
 def test_bic_rejects_degenerate_inputs():
     with pytest.raises(DegenerateFitError):
         bic(math.inf, 3.0, 100)
-    with pytest.raises(ValidationError):
-        bic(-5.0, 0.0, 100)
+    for dof in (0.0, math.nan, math.inf):
+        with pytest.raises(ValidationError, match="dof must be positive and finite"):
+            bic(-5.0, dof, 100)
     with pytest.raises(ValidationError):
         bic(-5.0, 3.0, 0)
 
@@ -63,13 +64,13 @@ def _custom_spec(dofs, n=100, p=2):
     entries = tuple(McDofEntry(s=s, dof=d, se=0.0, runs_used=1, short_paths=0)
                     for s, d in dofs.items())
     result = McDofResult(n=n, p=p, m=2, runs=1, seed=0, entries=entries)
-    return DofSpec.from_custom(result)
+    return DofSpec("table", result.table())
 
 
 def test_prune_selects_argmin():
     # log-liks chosen so the BIC sequence is decreasing then increasing
     path = _stub_path([-50.0, -10.0, -9.9])
-    report = prune_path(path, DofSpec.naive())
+    report = prune_path(path, DofSpec("naive"))
     bics = [e.bic for e in report.entries]
     assert report.selected_s == bics.index(min(bics)) == 1
     assert [e.selected for e in report.entries] == [False, True, False]
@@ -87,7 +88,7 @@ def test_prune_tie_goes_to_smallest_s():
 def test_prune_ignores_worse_tail_models():
     short = _stub_path([-50.0, -10.0, -9.9])
     longer = _stub_path([-50.0, -10.0, -9.9, -9.9])
-    spec = DofSpec.naive()
+    spec = DofSpec("naive")
     assert prune_path(short, spec).selected_s == prune_path(longer, spec).selected_s
 
 
@@ -100,7 +101,7 @@ def test_prune_requires_available_dof_values():
 def test_prune_rejects_saturated_models():
     path = _stub_path([-50.0, math.inf])
     with pytest.raises(DegenerateFitError):
-        prune_path(path, DofSpec.naive())
+        prune_path(path, DofSpec("naive"))
 
 
 def test_prune_report_matches_oracle_on_real_data():
@@ -108,7 +109,7 @@ def test_prune_report_matches_oracle_on_real_data():
     X = rng.standard_normal((120, 2))
     y = (X[:, 1] > 0) * X[:, 0] + 0.5 * rng.standard_normal(120)
     path = fit_path(Dataset.from_arrays(y, X), s_max=4, min_leaf=10)
-    for spec in (DofSpec.naive(), DofSpec.mfp()):
+    for spec in (DofSpec("naive"), DofSpec("mfp")):
         report = prune_path(path, spec)
         expected = [bic(m.fit.log_lik, spec.dof_for(m.s, 2, 120), 120)
                     for m in path.models]
@@ -127,8 +128,8 @@ def test_penalty_dominance_on_random_paths():
         X = rng.standard_normal((n, p))
         y = X @ rng.standard_normal(p) + rng.standard_normal(n)
         path = fit_path(Dataset.from_arrays(y, X), s_max=4, min_leaf=8)
-        s_mfp = prune_path(path, DofSpec.mfp()).selected_s
-        s_naive = prune_path(path, DofSpec.naive()).selected_s
+        s_mfp = prune_path(path, DofSpec("mfp")).selected_s
+        s_naive = prune_path(path, DofSpec("naive")).selected_s
         assert s_mfp <= s_naive
 
 
@@ -138,7 +139,7 @@ def test_prune_with_custom_mc_spec():
     y = rng.standard_normal(50)
     path = fit_path(Dataset.from_arrays(y, X), s_max=2, min_leaf=10)
     config = McDofConfig(m=20, runs=1, s_max=2, min_leaf=10, seed=9)
-    spec = DofSpec.from_custom(mc_dof(n=50, p=2, config=config), label="mc")
+    spec = DofSpec("table", mc_dof(n=50, p=2, config=config).table(), "mc")
     report = prune_path(path, spec)
     assert report.dof_name == "mc"
     assert report.entries[0].dof == 3.0
@@ -146,7 +147,7 @@ def test_prune_with_custom_mc_spec():
 
 def test_prune_report_csv_round_trip():
     path = _stub_path([-50.0, -10.0, -9.9])
-    report = prune_path(path, DofSpec.naive())
+    report = prune_path(path, DofSpec("naive"))
     text = report.to_csv()
     clone = PruneReport.from_csv_text(text, dof_name=report.dof_name)
     assert clone.entries == report.entries
@@ -156,7 +157,7 @@ def test_prune_report_csv_round_trip():
 
 
 def test_prune_report_reads_back_reordered_columns():
-    report = prune_path(_stub_path([-50.0, -10.0, -9.9]), DofSpec.naive())
+    report = prune_path(_stub_path([-50.0, -10.0, -9.9]), DofSpec("naive"))
     reordered = "".join(",".join(reversed(line.split(","))) + "\n"
                         for line in report.to_csv().splitlines())
     assert reordered.startswith("selected,bic,log_lik,dof,s\n")

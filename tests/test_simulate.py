@@ -50,7 +50,7 @@ def test_config_rejects_bad_settings():
         ScenarioConfig(scenario=1, s_dgp=0, n=100, replications=0)
     with pytest.raises(ValidationError):
         ScenarioConfig(scenario=1, s_dgp=0, n=100,
-                       dof_specs=(DofSpec.naive(), DofSpec.naive()))
+                       dof_specs=(DofSpec("naive"), DofSpec("naive")))
 
 
 def test_config_nonstandard_needs_flag():
@@ -274,7 +274,7 @@ def test_monte_carlo_dof_sources():
     assert null_spec.dof_for(1, cfg.p, cfg.n) > 0
     cfg_run = ScenarioConfig(scenario=1, s_dgp=1, n=64, replications=2, seed=7,
                              s_max=2, allow_nonstandard=True,
-                             dof_specs=(DofSpec.naive(), null_spec, dgp_spec))
+                             dof_specs=(DofSpec("naive"), null_spec, dgp_spec))
     summary = run_simulation(cfg_run)
     assert {row.dof_name for row in summary.approaches} \
         == {"naive", "mc-null", "mc-dgp"}
