@@ -5,20 +5,29 @@ expanded design matrix, so the numerical core lives here: a validated
 data container, a rank-checked QR solver, and the profile Gaussian
 log-likelihood evaluated at the variance MLE ``rss / n``.
 
-The solver calls LAPACK ``dgeqp3``, ``dorgqr`` and ``dtrtrs`` through
-``scipy.linalg.lapack`` in the sequence ``scipy.linalg.qr(...,
-mode="economic", pivoting=True)`` and ``scipy.linalg.solve_triangular``
-use, workspace queries included, so its bits are theirs without their
-per-call Python overhead.
+The solver calls LAPACK ``dgeqp3``, ``dorgqr`` and ``dtrtrs`` in the
+sequence ``scipy.linalg.qr(..., mode="economic", pivoting=True)`` and
+``scipy.linalg.solve_triangular`` use, workspace queries included, so its
+bits are theirs without their per-call Python overhead.  The routines
+come from scipy's compiled extension ``scipy/linalg/_flapack``, loaded on
+its own: ``scipy.linalg.lapack`` re-exports the same wrapper objects, but
+importing it runs ``scipy/linalg/__init__``, which loads some 300
+modules the solver never uses (``numpy.f2py`` and scipy's array-API
+layer among them) and so dominates the start-up of every CLI process.
+If the extension cannot be loaded that way, ``scipy.linalg.lapack`` is
+imported instead.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import (
     DegenerateFitError,
@@ -26,6 +35,42 @@ from .errors import (
     RankDeficientError,
     ValidationError,
 )
+
+
+def _flapack_path() -> str:
+    """File of scipy's compiled LAPACK extension, found without importing
+    scipy."""
+    spec = importlib.util.find_spec("scipy")
+    for root in (spec and spec.submodule_search_locations) or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "linalg", "_flapack" + suffix)
+            if os.path.isfile(path):
+                return path
+    raise ImportError("scipy/linalg/_flapack not found")
+
+
+def _load_lapack():
+    """scipy's LAPACK wrappers without ``scipy/linalg/__init__``.
+
+    The extension registers itself in ``sys.modules``, so a later
+    ``import scipy.linalg`` finds it there and its ``lapack`` module
+    hands out the very objects returned here.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    try:
+        spec = importlib.util.spec_from_file_location(name, _flapack_path())
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+    except ImportError:
+        from scipy.linalg import lapack
+
+        return lapack
+
+
+lapack = _load_lapack()
 
 # Relative pivot threshold for declaring a design rank deficient: a
 # diagonal entry of the pivoted R factor below 1e-10 times the largest

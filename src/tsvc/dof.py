@@ -466,9 +466,12 @@ class DofSpec:
     @classmethod
     def parse(cls, name: str, table_path=None) -> "DofSpec":
         """The source called ``name``, checked before ``table_path``, a
-        grid CSV that replaces the packaged grid, is read."""
+        grid CSV that replaces the packaged grid, is read; only the table
+        sources read it."""
         spec = cls(name)
-        return cls(name, McDofTable.load(table_path)) if table_path else spec
+        if table_path and name in ("table", "table-nearest"):
+            return cls(name, McDofTable.load(table_path))
+        return spec
 
     @property
     def name(self) -> str:

@@ -464,6 +464,29 @@ def test_missing_table_file_exits_2(tmp_path, capsys):
         assert f"error: cannot read {missing}" in capsys.readouterr().err
 
 
+def test_only_the_table_sources_read_the_table(tmp_path, capsys):
+    missing = str(tmp_path / "missing.csv")
+    assert main(["dof", "--approach", "naive", "--s", "1", "--p", "2",
+                 "--table", missing]) == 0
+    assert capsys.readouterr().out == "4.0\n"
+    assert main(["dof", "--approach", "table", "--s", "1", "--p", "2",
+                 "--table", missing]) == 2
+    assert f"error: cannot read {missing}" in capsys.readouterr().err
+
+    # mfp never looks the grid up, so not even a malformed one is parsed
+    data = tmp_path / "data.csv"
+    _write_fit_csv(data)
+    grid = tmp_path / "grid.csv"
+    grid.write_text("not,a,grid\n")
+    fit = ["fit", "--input", str(data), "--response", "y", "--smax", "2"]
+    assert main(fit + ["--dof", "mfp"]) == 0
+    without = capsys.readouterr().out
+    assert main(fit + ["--dof", "mfp", "--table", str(grid)]) == 0
+    assert capsys.readouterr().out == without
+    assert main(fit + ["--dof", "table", "--table", str(grid)]) == 2
+    assert f"error: {grid}: " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["fit", "derive-formula"])
 def test_csv_with_a_byte_order_mark_reads_as_without(tmp_path, capsys, command):
     # spreadsheet exports start UTF-8 files with a byte-order mark (BOM);

@@ -1,11 +1,13 @@
 """Unit tests for the least-squares core."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from tsvc import core
 from tsvc.core import (
     RANK_RTOL,
     RSS_ZERO_RTOL,
@@ -295,6 +297,25 @@ def test_lapack_solve_equals_scipy_bit_for_bit():
         assert design.flags.f_contiguous == before.flags.f_contiguous
     # the scale spread makes the rank check fire on some designs
     assert 0 < deficient < len(shapes) // 2
+
+
+def test_lapack_loader_falls_back_to_scipy_linalg(monkeypatch):
+    def not_found():
+        raise ImportError("scipy/linalg/_flapack not found")
+
+    rng = np.random.default_rng(15)
+    design = rng.standard_normal((60, 5)) * 10.0 ** rng.uniform(-3, 3, 5)
+    y = rng.standard_normal(60)
+    direct = solve_least_squares(design, y)
+
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    monkeypatch.setattr(core, "_flapack_path", not_found)
+    fallback = core._load_lapack()
+    assert fallback is scipy.linalg.lapack
+    monkeypatch.setattr(core, "lapack", fallback)
+    via_fallback = solve_least_squares(design, y)
+    assert via_fallback.coefficients.tobytes() == direct.coefficients.tobytes()
+    assert via_fallback.rss == direct.rss
 
 
 def test_nonfinite_design_raises_value_error():

@@ -1,9 +1,11 @@
 """Fractional-polynomial transforms, closed-test selection, surface fit."""
 
+import importlib.machinery
 import json
 import os
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -328,15 +330,42 @@ def test_chi2_critical_values_match_scipy(alpha):
         assert crit[df] == pytest.approx(chi2.ppf(1.0 - alpha, df), rel=1e-12, abs=0)
 
 
-def test_cli_import_leaves_scipy_stats_out():
+def _fresh_interpreter(probe):
+    """The stdout of ``probe`` run in a new interpreter that imports this
+    checkout's tsvc."""
     import tsvc
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(tsvc.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_cli_import_leaves_scipy_stats_out():
     probe = "import sys, tsvc.cli; print('scipy.stats' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert _fresh_interpreter(probe).strip() == "False"
+
+
+def test_cli_import_loads_lapack_without_scipy_linalg():
+    # the test run imports scipy.linalg itself, so only a new interpreter
+    # shows what importing the CLI costs
+    probe = textwrap.dedent("""
+        import json, sys
+        import tsvc.cli
+        from tsvc.core import lapack
+        loaded = [name for name in ("scipy.linalg", "numpy.f2py") if name in sys.modules]
+        import scipy.linalg.lapack
+        same = [getattr(lapack, name) is getattr(scipy.linalg.lapack, name)
+                for name in ("dgeqp3", "dorgqr", "dtrtrs")]
+        print(json.dumps([loaded, lapack.__file__, same]))
+    """)
+    loaded, path, same = json.loads(_fresh_interpreter(probe))
+    assert loaded == []
+    directory, file = os.path.split(path)
+    assert os.path.basename(directory) == "linalg"
+    assert file in {"_flapack" + suffix for suffix in importlib.machinery.EXTENSION_SUFFIXES}
+    # a later scipy.linalg hands out the very wrappers the solver calls
+    assert same == [True, True, True]
 
 
 def _design_from_scratch(dataset, forms, interactions):
