@@ -128,9 +128,13 @@ def cmd_simulate(args) -> int:
         replications=args.reps, seed=args.seed, s_max=args.smax,
         min_leaf=args.min_leaf, allow_nonstandard=args.allow_custom,
     )
-    # Every name is checked before any Monte Carlo runs.
-    cheap = {name: DofSpec.parse(name, args.table)
-             for name in names if name not in MC_DOF_SOURCES}
+    # Every name is checked before any Monte Carlo runs, and a --table
+    # grid is read once for all the table sources.
+    cheap = {name: DofSpec(name) for name in names if name not in MC_DOF_SOURCES}
+    if args.table and any(spec.reads_table for spec in cheap.values()):
+        table = McDofTable.load(args.table)
+        cheap = {name: replace(spec, table=table) if spec.reads_table else spec
+                 for name, spec in cheap.items()}
     if len(set(names)) != len(names):
         raise ValidationError(f"DoF source names must be unique, got {args.dof!r}")
     specs = tuple(

@@ -7,9 +7,12 @@ log-likelihood evaluated at the variance MLE ``rss / n``.
 
 The solver calls LAPACK ``dgeqp3``, ``dorgqr`` and ``dtrtrs`` in the
 sequence ``scipy.linalg.qr(..., mode="economic", pivoting=True)`` and
-``scipy.linalg.solve_triangular`` use, workspace queries included, so its
-bits are theirs without their per-call Python overhead.  The routines
-come from scipy's compiled extension ``scipy/linalg/_flapack``, loaded on
+``scipy.linalg.solve_triangular`` use, so its bits are theirs without
+their per-call Python overhead.  scipy queries the optimal workspace
+before every ``dgeqp3`` and ``dorgqr`` call; that size depends only on
+the routine and the array shapes, so here it is queried once per shape
+and reused, and each call gets the very ``lwork`` scipy's would.  The
+routines come from scipy's compiled extension ``scipy/linalg/_flapack``, loaded on
 its own: ``scipy.linalg.lapack`` re-exports the same wrapper objects, but
 importing it runs ``scipy/linalg/__init__``, which loads some 300
 modules the solver never uses (``numpy.f2py`` and scipy's array-API
@@ -20,6 +23,7 @@ imported instead.
 
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import importlib.util
 import math
@@ -117,14 +121,21 @@ class Dataset:
             raise ValidationError(f"need n >= 2p + 2 = {2 * p + 2}, got n = {n}")
         if not (np.isfinite(y).all() and np.isfinite(X).all()):
             raise ValidationError("y and X must be finite")
+        check_response_scale(y[None])
         if len(self.names) != p:
             raise ValidationError(f"expected {p} column names, got {len(self.names)}")
         if len(set(self.names)) != p:
             raise ValidationError("column names must be unique")
         # A constant column is collinear with the intercept and a repeated
-        # one with its twin, so every design built on them is singular.
+        # one with its twin, so every design built on them is singular;
+        # past the float range, fits and split gains overflow.
         seen: dict[bytes, str] = {}
-        for name, column in zip(self.names, X.T + 0.0):  # + 0.0 turns -0.0 into 0.0
+        square_sums = _sums_of_squares(X.T)
+        # + 0.0 turns -0.0 into 0.0
+        for name, column, square_sum in zip(self.names, X.T + 0.0, square_sums):
+            if square_sum == math.inf:
+                raise ValidationError(f"the sum of squares of column {name!r} overflows: "
+                                      f"rescale it")
             if (column == column[0]).all():
                 raise ValidationError(f"column {name!r} is constant")
             twin = seen.setdefault(column.tobytes(), name)
@@ -149,6 +160,20 @@ class Dataset:
         if names is None:
             names = tuple(f"x{j + 1}" for j in range(X.shape[1] if X.ndim == 2 else 0))
         return cls(y=y, X=X, names=tuple(names))
+
+
+def _sums_of_squares(rows: np.ndarray) -> np.ndarray:
+    """The sum of squares of each row of a 2-d array, inf where it
+    overflows the float range, without a warning."""
+    with np.errstate(over="ignore"):
+        return np.einsum("ij,ij->i", rows, rows)
+
+
+def check_response_scale(Y: np.ndarray) -> None:
+    """Refuse responses (the rows of Y, all finite) whose sum of squares
+    overflows the float range: their fits would overflow too."""
+    if (_sums_of_squares(Y) == math.inf).any():
+        raise ValidationError("the sum of squares of y overflows: rescale y")
 
 
 @dataclass(frozen=True)
@@ -227,8 +252,8 @@ def solve_least_squares(design, y, return_basis: bool = False):
         raise DimensionMismatchError(f"need 1 <= q <= n, got q = {q}, n = {n}")
 
     Q, R, piv = _pivoted_qr(design)
-    diag = np.abs(np.diag(R))
-    if diag[0] == 0.0 or np.any(diag < RANK_RTOL * diag[0]):
+    diag = np.abs(R.diagonal())
+    if diag[0] == 0.0 or diag.min() < RANK_RTOL * diag[0]:
         rank = 0 if diag[0] == 0.0 else int(np.sum(diag >= RANK_RTOL * diag[0]))
         raise RankDeficientError(f"design has numerical rank {rank} < {q}")
 
@@ -241,12 +266,25 @@ def solve_least_squares(design, y, return_basis: bool = False):
     return fit
 
 
+@functools.lru_cache(maxsize=1024)
+def _workspace(routine, *shapes) -> int:
+    """The optimal ``lwork`` of a LAPACK wrapper for arguments of these
+    shapes, from a ``lwork=-1`` query, which reads no array values."""
+    return int(routine(*(np.zeros(shape) for shape in shapes), lwork=-1)[-2][0])
+
+
+@functools.lru_cache(maxsize=256)
+def _strictly_lower(q: int):
+    """Indices of the strictly lower triangle of a q x q array."""
+    return np.tril_indices(q, -1)
+
+
 def _lapack(routine, *args, **kwargs):
-    """Call a LAPACK wrapper as ``scipy.linalg`` does: a workspace query
-    first (the blocked path, and so the bits, depend on ``lwork``), then
-    the call; the outputs without ``work`` and ``info``."""
-    lwork = routine(*args, lwork=-1, **kwargs)[-2][0]
-    *out, _, info = routine(*args, lwork=int(lwork), **kwargs)
+    """Call a LAPACK wrapper as ``scipy.linalg`` does, with the workspace
+    its query gives (the blocked path, and so the bits, depend on
+    ``lwork``); the outputs without ``work`` and ``info``."""
+    lwork = _workspace(routine, *[arg.shape for arg in args])
+    *out, _, info = routine(*args, lwork=lwork, **kwargs)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of LAPACK {routine.__name__}")
     return out
@@ -257,8 +295,10 @@ def _pivoted_qr(design):
     q <= n, the design left as it is."""
     if not np.isfinite(design).all():
         raise ValueError("array must not contain infs or NaNs")  # scipy's check and words
+    q = design.shape[1]
     qr, jpvt, tau = _lapack(lapack.dgeqp3, design)
-    R = np.triu(qr[:design.shape[1]])
+    R = qr[:q].copy()  # C order, as np.triu gives it
+    R[_strictly_lower(q)] = 0.0
     Q, = _lapack(lapack.dorgqr, qr, tau, overwrite_a=1)
     return Q, R, jpvt - 1
 
@@ -276,7 +316,7 @@ def _fit_factored(design, Q, R, piv, y) -> LinearFit:
     fitted = design @ coefficients
     resid = y - fitted
     rss = float(resid @ resid)
-    if rss <= RSS_ZERO_RTOL * max(1.0, float(y @ y)):
+    if rss <= RSS_ZERO_RTOL * float(y @ y):
         rss = 0.0
     return LinearFit(
         coefficients=coefficients,

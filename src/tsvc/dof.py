@@ -469,9 +469,13 @@ class DofSpec:
         grid CSV that replaces the packaged grid, is read; only the table
         sources read it."""
         spec = cls(name)
-        if table_path and name in ("table", "table-nearest"):
+        if table_path and spec.reads_table:
             return cls(name, McDofTable.load(table_path))
         return spec
+
+    @property
+    def reads_table(self) -> bool:
+        return self.source in ("table", "table-nearest")
 
     @property
     def name(self) -> str:

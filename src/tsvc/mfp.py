@@ -232,7 +232,7 @@ class _Columns:
 
     def __init__(self, dataset: Dataset):
         self.dataset = dataset
-        self._ones = np.ones(dataset.n)
+        self._ones = np.ones((dataset.n, 1))
         self._fp: dict[tuple, np.ndarray] = {}
         self._products: dict[tuple[int, ...], np.ndarray] = {}
 
@@ -251,7 +251,7 @@ class _Columns:
             if key not in self._products:
                 self._products[key] = np.prod(X[:, list(key)], axis=1).reshape(-1, 1)
             cols.append(self._products[key])
-        return np.column_stack(cols)
+        return np.concatenate(cols, axis=1)
 
 
 def _rss(columns: _Columns, forms, interactions) -> float | None:

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Dataset, LinearFit, solve_least_squares
+from .core import Dataset, LinearFit, check_response_scale, solve_least_squares
 from .errors import (
     DimensionMismatchError,
     EmptyLeafError,
@@ -586,7 +586,8 @@ def _score_candidates(segs: _Segments, min_leaf: int, resid, Q, which, copies: i
 
 def _gains(block: _Block, floor: float):
     """Rss drops ``num^2 / den`` of the admissible cuts (``uu > 0``)
-    whose ``den`` exceeds ``floor * uu``, -inf elsewhere; and that mask."""
+    whose ``den`` exceeds ``floor * uu``, -inf elsewhere; and that mask.
+    A drop past the float range reads inf (see ``_Screen``)."""
     good = (block.uu > 0.0) & (block.den > floor * block.uu)
     gains = np.full(block.num.shape, -np.inf)
     np.divide(np.square(block.num), block.den, out=gains, where=good)
@@ -634,6 +635,10 @@ class _Screen:
     ``_score_candidates``).
     """
 
+    # Gains past the float range read inf, which ``pick`` refuses; the
+    # overflow warning is off while the screen scores, set once per call
+    # rather than once per block of ``_gains``.
+    @np.errstate(over="ignore")
     def __init__(self, segs: _Segments, min_leaf: int, resid, Q, carry: _Carry | None,
                  copies: int = 1):
         self.segs, self.min_leaf, self.resid, self.Q = segs, min_leaf, resid, Q
@@ -680,6 +685,7 @@ class _Screen:
     def _row(self, seg) -> np.ndarray:
         return self.gains[self.home[seg]][self.home_row[seg]]
 
+    @np.errstate(over="ignore")
     def rescore(self, which):
         """Score the screened segments ``which`` exactly: their exact
         rows become their home, in place of the downdated ones."""
@@ -694,6 +700,10 @@ class _Screen:
         rescoring: no other candidate can overtake it."""
         best_of = self.best[lo:hi]
         while (best := best_of.max(initial=-np.inf)) > -np.inf:
+            if best == np.inf:
+                raise ValidationError(
+                    "split gains overflow the float range: rescale y and X "
+                    "nearer unit scale")
             floor = best - _SCREEN_RTOL * best
             close = lo + np.flatnonzero(best_of >= floor)
             found = [(int(seg), int(pos)) for seg in close
@@ -923,6 +933,7 @@ def fit_paths(X, Y, s_max: int, min_leaf: int = 10) -> list[ModelPath]:
     dataset = Dataset.from_arrays(Y[0], X)
     if not np.isfinite(Y).all():
         raise ValidationError("y and X must be finite")
+    check_response_scale(Y)
     group = max(1, _LOCKSTEP_POSITIONS // (dataset.p ** 2 * dataset.n))
     return [path for lo in range(0, Y.shape[0], group)
             for path in _lockstep(dataset, Y[lo:lo + group], s_max, min_leaf)]

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -387,6 +388,29 @@ def test_simulate_checks_every_name_before_monte_carlo(tmp_path, monkeypatch, ca
         assert message in capsys.readouterr().err
 
 
+def test_simulate_reads_the_table_once_for_every_table_source(tmp_path, monkeypatch, capsys):
+    # the file holds the packaged grid, so the outputs equal those without it
+    grid = tmp_path / "grid.csv"
+    grid.write_text(resources.files("tsvc").joinpath("data/mc_dof_table.csv").read_text())
+    loads = []
+    load = McDofTable.load
+
+    def counted(path):
+        loads.append(path)
+        return load(path)
+
+    monkeypatch.setattr(McDofTable, "load", staticmethod(counted))
+    argv = ["simulate", "--scenario", "1", "--s-dgp", "1", "--n", "100", "--reps", "2",
+            "--dof", "naive,table,table-nearest"]
+    outputs = []
+    for table in ([], ["--table", str(grid)]):
+        out, raw = tmp_path / f"out{len(table)}.csv", tmp_path / f"raw{len(table)}.csv"
+        assert main(argv + table + ["--out", str(out), "--raw", str(raw)]) == 0
+        outputs.append((capsys.readouterr().out, out.read_bytes(), raw.read_bytes()))
+    assert loads == [str(grid)]
+    assert outputs[0] == outputs[1]
+
+
 def test_simulate_input_errors(capsys):
     base = ["simulate", "--scenario", "1", "--n", "100", "--reps", "1"]
     assert main(base + ["--s-dgp", "9"]) == 2
@@ -485,6 +509,28 @@ def test_only_the_table_sources_read_the_table(tmp_path, capsys):
     assert capsys.readouterr().out == without
     assert main(fit + ["--dof", "table", "--table", str(grid)]) == 2
     assert f"error: {grid}: " in capsys.readouterr().err
+
+
+def test_fit_of_a_tiny_or_a_huge_response(tmp_path, capsys):
+    # y * 2^-60 fits as y does; y * 1e153 overflows the split gains and is
+    # refused as input, with no traceback
+    X, y = _write_fit_csv(tmp_path / "data.csv", n=80)
+    outputs = {}
+    for label, scaled in (("plain", y), ("tiny", np.ldexp(y, -60)), ("huge", y * 1e153)):
+        path = tmp_path / f"{label}.csv"
+        with open(path, "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["y", "x1", "x2"])
+            writer.writerows([repr(float(a)), repr(float(b)), repr(float(c))]
+                             for a, b, c in zip(scaled, X[:, 0], X[:, 1]))
+        code = main(["fit", "--input", str(path), "--response", "y"])
+        outputs[label] = (code, capsys.readouterr())
+    assert outputs["plain"][0] == outputs["tiny"][0] == 0
+    plain, tiny = (outputs[label][1].out.splitlines()[0] for label in ("plain", "tiny"))
+    assert tiny.split("bic =")[0] == plain.split("bic =")[0]
+    code, captured = outputs["huge"]
+    assert code == 2
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("command", ["fit", "derive-formula"])

@@ -2,6 +2,7 @@
 
 import math
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -68,6 +69,20 @@ def test_dataset_rejects_nonfinite_and_bad_names():
         Dataset.from_arrays(y, X, names=("a", "a"))
     with pytest.raises(ValidationError):
         Dataset.from_arrays(y, X, names=("a",))
+
+
+def test_dataset_rejects_sums_of_squares_past_the_float_range():
+    # every entry is finite, but the fits would overflow
+    rng = np.random.default_rng(4)
+    X = rng.standard_normal((80, 2))
+    y = rng.standard_normal(80)
+    with pytest.raises(ValidationError, match="^the sum of squares of y overflows: rescale y$"):
+        Dataset.from_arrays(y * 1e160, X)
+    wide = X.copy()
+    wide[:, 1] *= 1e160
+    with pytest.raises(ValidationError, match="sum of squares of column 'b' overflows"):
+        Dataset.from_arrays(y, wide, names=("a", "b"))
+    Dataset.from_arrays(y * 1e152, X)
 
 
 def test_dataset_rejects_constant_and_duplicate_columns():
@@ -142,6 +157,20 @@ def test_exact_interpolation_flags_infinite_likelihood():
     near = solve_least_squares(design, design @ np.array([2.0, -3.0]))
     assert near.rss == pytest.approx(0.0, abs=1e-20)
     np.testing.assert_allclose(near.coefficients, [2.0, -3.0], atol=1e-12)
+
+
+def test_zero_rss_floor_is_relative_to_the_response():
+    # a tiny response keeps its rss: scaling y by 2^k scales the fit
+    # exactly, the rss by 4^k
+    rng = np.random.default_rng(5)
+    design = np.column_stack([np.ones(40), rng.standard_normal((40, 2))])
+    y = rng.standard_normal(40)
+    fit = solve_least_squares(design, y)
+    for k in (-60, -300, 300):
+        scaled = solve_least_squares(design, np.ldexp(y, k))
+        assert scaled.rss == np.ldexp(fit.rss, 2 * k) > 0.0
+        assert scaled.fitted.tobytes() == np.ldexp(fit.fitted, k).tobytes()
+        assert math.isfinite(scaled.log_lik)
 
 
 def test_noiseless_recovery():
@@ -252,7 +281,7 @@ def _scipy_solve(design, y):
         fitted = design @ coefficients
         resid = response - fitted
         rss = float(resid @ resid)
-        if rss <= RSS_ZERO_RTOL * max(1.0, float(response @ response)):
+        if rss <= RSS_ZERO_RTOL * float(response @ response):
             rss = 0.0
         fits.append((coefficients, fitted, rss))
     return Q, R, piv, fits
@@ -316,6 +345,53 @@ def test_lapack_loader_falls_back_to_scipy_linalg(monkeypatch):
     via_fallback = solve_least_squares(design, y)
     assert via_fallback.coefficients.tobytes() == direct.coefficients.tobytes()
     assert via_fallback.rss == direct.rss
+
+
+# past about 128 columns dgeqp3 and dorgqr take their blocked paths
+_CROSSOVER_WIDTHS = (1, 8, 127, 128, 129, 160)
+
+
+def test_each_lapack_call_gets_the_workspace_its_own_query_gives(monkeypatch):
+    # the lwork cached per shape is what a fresh lwork=-1 query on the
+    # call's own arrays gives, whichever shapes came before
+    calls = []
+
+    def recorded(name, routine):
+        def call(*args, lwork, **kwargs):
+            if lwork != -1:  # not the query itself
+                fresh = int(routine(*args, lwork=-1)[-2][0])
+                calls.append((name, args[0].shape, lwork, fresh))
+            return routine(*args, lwork=lwork, **kwargs)
+        return call
+
+    lapack = core.lapack
+    monkeypatch.setattr(core, "lapack", SimpleNamespace(
+        dgeqp3=recorded("dgeqp3", lapack.dgeqp3), dorgqr=recorded("dorgqr", lapack.dorgqr),
+        dtrtrs=lapack.dtrtrs))
+    rng = np.random.default_rng(16)
+    for q in _CROSSOVER_WIDTHS + _CROSSOVER_WIDTHS[::-1]:
+        solve_least_squares(rng.standard_normal((200, q)), rng.standard_normal(200))
+    assert [(name, shape[1]) for name, shape, *_ in calls] == [
+        (name, q) for q in _CROSSOVER_WIDTHS + _CROSSOVER_WIDTHS[::-1]
+        for name in ("dgeqp3", "dorgqr")]
+    for name, shape, lwork, fresh in calls:
+        assert lwork == fresh, (name, shape)
+
+
+def test_cold_and_warm_workspace_cache_solve_to_the_same_bytes():
+    rng = np.random.default_rng(17)
+    problems = [(rng.standard_normal((200, q)), rng.standard_normal(200))
+                for q in _CROSSOVER_WIDTHS]
+    core._workspace.cache_clear()
+    cold = [solve_least_squares(design, y, return_basis=True) for design, y in problems]
+    assert core._workspace.cache_info().misses == 2 * len(problems)
+    for (design, y), (fit, Q) in zip(problems[::-1], cold[::-1]):
+        warm, warm_Q = solve_least_squares(design, y, return_basis=True)
+        assert warm.coefficients.tobytes() == fit.coefficients.tobytes()
+        assert warm.fitted.tobytes() == fit.fitted.tobytes()
+        assert warm.rss == fit.rss
+        assert warm_Q.tobytes() == Q.tobytes()
+    assert core._workspace.cache_info().misses == 2 * len(problems)
 
 
 def test_nonfinite_design_raises_value_error():

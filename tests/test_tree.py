@@ -412,6 +412,32 @@ def test_fit_paths_checks_its_arguments():
         fit_paths(X, np.zeros((2, 31)), s_max=2)
 
 
+def test_fit_paths_checks_the_scale_of_every_response():
+    X = np.random.default_rng(2).standard_normal((30, 2))
+    Y = np.random.default_rng(3).standard_normal((3, 30))
+    Y[2] *= 1e160
+    with pytest.raises(ValidationError, match="sum of squares of y overflows"):
+        fit_paths(X, Y, s_max=2)
+
+
+def test_fit_path_keeps_its_rules_from_a_tiny_to_a_huge_response():
+    # n = 80, p = 2: y * 2^-60 lost its rss to an absolute zero floor, and
+    # at y * 1e153 the split gains overflow; tier-1 makes their
+    # RuntimeWarning an error, so none may be raised on the way
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((80, 2))
+    y = X[:, 0] * (X[:, 1] > 0) + rng.standard_normal(80)
+    path = fit_path(Dataset.from_arrays(y, X), 5, 5)
+    tiny = fit_path(Dataset.from_arrays(np.ldexp(y, -60), X), 5, 5)
+    assert tiny.rules == path.rules
+    for a, b in zip(tiny.models, path.models):
+        assert a.rss == np.ldexp(b.rss, -120) > 0.0
+        assert a.fit.fitted.tobytes() == np.ldexp(b.fit.fitted, -60).tobytes()
+    assert fit_path(Dataset.from_arrays(y * 1e152, X), 5, 5).rules == path.rules
+    with pytest.raises(ValidationError, match="split gains overflow the float range"):
+        fit_path(Dataset.from_arrays(y * 1e153, X), 5, 5)
+
+
 def test_carried_grouped_orders_equal_a_fresh_sort():
     # a split tree's rows grouped by leaf are regrouped after each split,
     # not sorted again; they equal the sort at every step
