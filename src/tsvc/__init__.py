@@ -40,7 +40,17 @@ from .mfp import (
     best_fp,
     derive_dof_formula,
     mfp_select,
-    order_covariates,
+)
+from .model import (
+    CoefficientTree,
+    ModelPath,
+    SplitRule,
+    TsvcModel,
+    model_from_dict,
+    model_from_json,
+    model_to_dict,
+    model_to_json,
+    predict,
 )
 from .selection import PruneEntry, PruneReport, bic, prune_path
 from .simulate import (
@@ -50,22 +60,7 @@ from .simulate import (
     predictive_log_lik,
     run_simulation,
 )
-from .tree import (
-    CoefficientTree,
-    ModelPath,
-    SplitRule,
-    TsvcModel,
-    build_design,
-    enumerate_candidates,
-    fit_path,
-    fit_paths,
-    grow_one_split,
-    model_from_dict,
-    model_from_json,
-    model_to_dict,
-    model_to_json,
-    predict,
-)
+from .tree import build_design, fit_path, fit_paths, grow_one_split
 
 __version__ = "0.1.0"
 

@@ -19,9 +19,9 @@ import os
 import sys
 from dataclasses import replace
 
+from ._io import check_writable, read_csv, read_file, write_file
 from .core import Dataset
-from .dof import (DofSpec, McDofConfig, McDofTable, _check_writable, _read_csv, _read_file,
-                  _write_file, mc_dof)
+from .dof import DofSpec, McDofConfig, McDofTable, mc_dof
 from .errors import (
     DimensionMismatchError,
     DomainError,
@@ -31,9 +31,10 @@ from .errors import (
     ValidationError,
 )
 from .mfp import derive_dof_formula
+from .model import model_to_json
 from .selection import prune_path
 from .simulate import MC_DOF_SOURCES, ScenarioConfig, run_simulation
-from .tree import fit_path, model_to_json
+from .tree import fit_path
 
 THREADS_ENV = "TSVC_THREADS"
 
@@ -43,7 +44,7 @@ _INPUT_ERRORS = (ValidationError, DomainError, DimensionMismatchError,
 
 def _read_dataset_csv(path: str, response: str) -> Dataset:
     """CSV with a mandatory header; one numeric column per variable."""
-    rows = _read_file(path, lambda text: _read_csv(text, {response: float}, others=float))
+    rows = read_file(path, lambda text: read_csv(text, {response: float}, others=float))
     if not rows:
         raise ValidationError(f"{path}: no data rows")
     names = tuple(c for c in rows[0] if c != response)
@@ -78,14 +79,14 @@ def _threads(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_fit(args) -> int:
-    _check_writable(args.out_model, args.out_report)
+    check_writable(args.out_model, args.out_report)
     dataset = _read_dataset_csv(args.input, args.response)
     spec = DofSpec.parse(args.dof, args.table)
     path = fit_path(dataset, args.smax, args.min_leaf)
     report = prune_path(path, spec)
     model = path.model_at(report.selected_s)
     if args.out_model:
-        _write_file(args.out_model, model_to_json(model) + "\n")
+        write_file(args.out_model, model_to_json(model) + "\n")
     if args.out_report:
         report.to_csv(args.out_report)
     row = next(e for e in report.entries if e.selected)
@@ -95,7 +96,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_mc_dof(args) -> int:
-    _check_writable(args.out)
+    check_writable(args.out)
     config = McDofConfig(m=args.m, runs=args.runs, s_max=args.smax,
                          min_leaf=args.min_leaf, seed=args.seed)
     result = mc_dof(args.n, args.p, config, threads=_threads(args))
@@ -109,18 +110,18 @@ def cmd_mc_dof(args) -> int:
 
 
 def cmd_derive_formula(args) -> int:
-    _check_writable(args.out_json)
+    check_writable(args.out_json)
     rows = [row[:4] for row in McDofTable.load(args.table).rows]
     fit, expression = derive_dof_formula(rows, alpha=args.alpha)
     if args.out_json:
-        _write_file(args.out_json, fit.to_json() + "\n")
+        write_file(args.out_json, fit.to_json() + "\n")
     print(f"dof ~ {expression}")
     print(f"r_squared = {fit.r_squared:.4f}")
     return 0
 
 
 def cmd_simulate(args) -> int:
-    _check_writable(args.out, args.raw)
+    check_writable(args.out, args.raw)
     names = [token.strip() for token in args.dof.split(",") if token.strip()]
     threads = _threads(args)
     config = ScenarioConfig(

@@ -8,7 +8,8 @@ it has coefficients.  Following the generalized definition
 * ``mc_dof``         -- a Monte-Carlo estimate of the generalized DoF,
 * ``dof_mfp``        -- a closed-form surface fitted to a simulated
                         grid of Monte-Carlo estimates,
-* the shipped reference grid itself with exact / nearest lookup.
+* the shipped reference grid itself with exact / nearest lookup,
+* ``DofSpec``        -- the DoF source a BIC charges a model with.
 
 The Monte-Carlo estimator holds the mean vector fixed (zero by
 default), simulates ``m`` unit-variance Gaussian response vectors,
@@ -16,21 +17,21 @@ fits the full model path to each, and sums the unbiased sample
 covariances between fitted values and responses.  That is repeated
 over ``runs`` independent runs; the reported value is the mean across
 runs and the standard error is the spread across runs.
+
+Grid CSVs are read and written, and runs spread over worker processes,
+through ``_io``; this module holds only the DoF.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import math
-import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
 
+from ._io import map_jobs, read_csv, read_file, write_csv
 from .core import Dataset
 from .errors import (
     DomainError,
@@ -42,101 +43,6 @@ from .tree import fit_path, fit_paths
 
 # Closed-form surface coefficients: intercept, s, p, p*s, p*s*n.
 MFP_SURFACE = (2.13, 2.02, 1.26, 0.61, 0.00016)
-
-
-def _write_file(path, text: str) -> None:
-    """Write ``text`` to ``path`` as UTF-8, line ends untranslated; a
-    file that cannot be written raises ValidationError."""
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-    except OSError as exc:
-        raise ValidationError(f"cannot write {path}: {exc}") from exc
-
-
-def _check_writable(*paths) -> None:
-    """Raise the ValidationError ``_write_file`` would raise for a path,
-    None skipped, that is a directory or whose directory is missing or
-    unwritable.  It only stats, so a command checks its outputs first."""
-    for path in filter(None, paths):
-        if os.path.isdir(path):
-            raise ValidationError(f"cannot write {path}: is a directory")
-        if not os.access(os.path.dirname(os.path.abspath(path)), os.W_OK):
-            raise ValidationError(f"cannot write {path}: no writable directory")
-
-
-def _read_file(path, parse):
-    """``parse`` of the text of a UTF-8 file, without a leading byte-order
-    mark.  A file that cannot be read or decoded raises ValidationError,
-    and so does a parse error, prefixed with the path."""
-    try:
-        with open(path, "r", encoding="utf-8-sig") as handle:
-            text = handle.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from exc
-    try:
-        return parse(text)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
-
-
-def _write_csv(header, rows, path=None) -> str:
-    """CSV text of a header and rows with ``\\n`` line ends, also written
-    to ``path`` when one is given."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    text = buf.getvalue()
-    if path is not None:
-        _write_file(path, text)
-    return text
-
-
-def _read_csv(text: str, columns: dict, optional: dict | None = None,
-              others=None) -> list[dict]:
-    """Rows of a CSV as dicts of typed cells in header order, blank lines
-    skipped.  ``columns`` and ``optional`` map header names to cell types
-    and ``others`` types the rest (None ignores them); rows lack an
-    optional column the header lacks.  A column with a blank header cell,
-    such as a trailing comma writes, is ignored while its cells are blank.
-    A missing or repeated name, a row not as wide as the header, a value
-    under a blank header cell or a bad cell raises ValidationError."""
-    reader = csv.reader(io.StringIO(text))
-    header = [h.strip() for h in next(reader, [])]
-    missing = [c for c in columns if c not in header]
-    if missing:
-        raise ValidationError(f"CSV lacks column(s) {', '.join(missing)}")
-    repeated = [c for c, k in Counter(header).items() if k > 1 and c]
-    if repeated:
-        raise ValidationError(f"CSV repeats column(s) {', '.join(repeated)}")
-    types = {**dict.fromkeys(header, others), **(optional or {}), **columns}
-    unnamed = [i for i, c in enumerate(header) if not c]
-    rows = []
-    for line in reader:
-        if not line:
-            continue
-        try:
-            rows.append({c: types[c](v) for c, v in zip(header, line, strict=True)
-                         if c and types[c] is not None})
-        except ValueError as exc:
-            raise ValidationError(f"bad table row {line!r}") from exc
-        held = [i for i in unnamed if line[i].strip()]
-        if held:
-            raise ValidationError(f"CSV column {held[0] + 1} has no name but holds "
-                                  f"{line[held[0]]!r} on line {reader.line_num}")
-    return rows
-
-
-def _map_jobs(fn, jobs, threads: int) -> list:
-    """``[fn(job) for job in jobs]``; above one thread the jobs run in
-    that many worker processes, so ``fn`` and the jobs must pickle."""
-    if threads < 1:
-        raise ValidationError(f"threads must be >= 1, got {threads}")
-    if threads == 1:
-        return [fn(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, jobs))
 
 
 def dof_naive(p: int, s: int) -> float:
@@ -242,9 +148,9 @@ class McDofResult:
 
     def to_csv(self, path=None) -> str:
         """Write rows (p, n, s, dof, se); returns the text."""
-        return _write_csv(["p", "n", "s", "dof", "se"],
-                          ([self.p, self.n, e.s, repr(e.dof), repr(e.se)]
-                           for e in self.entries), path)
+        return write_csv(["p", "n", "s", "dof", "se"],
+                         ([self.p, self.n, e.s, repr(e.dof), repr(e.se)]
+                          for e in self.entries), path)
 
 
 @dataclass(frozen=True)
@@ -341,7 +247,7 @@ def mc_dof(n: int, p: int, config: McDofConfig, fitter=None, X=None,
         (n, p, config.seed, r, config.m, mu, X, fitter)
         for r in range(config.runs)
     ]
-    per_run = _map_jobs(_mc_dof_run, jobs, threads)
+    per_run = map_jobs(_mc_dof_run, jobs, threads)
 
     keys = sorted({s for run in per_run for s in run})
     entries = []
@@ -384,8 +290,8 @@ class McDofTable:
         name, se is optional and any other column is ignored; p, n and s
         must be integers, dof and se finite, and each (p, n, s) cell may
         appear only once."""
-        rows = _read_csv(text, {"p": int, "n": int, "s": int, "dof": float},
-                         optional={"se": float})
+        rows = read_csv(text, {"p": int, "n": int, "s": int, "dof": float},
+                        optional={"se": float})
         if not rows:
             raise ValidationError("table has no data rows")
         for r in rows:
@@ -402,7 +308,7 @@ class McDofTable:
 
     @classmethod
     def load(cls, path) -> "McDofTable":
-        return _read_file(path, cls.from_csv_text)
+        return read_file(path, cls.from_csv_text)
 
     def lookup(self, p: int, n: int, s: int, nearest: bool = False) -> float:
         """DoF for the cell (p, n, s), which must be present.

@@ -12,9 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .dof import DofSpec, _read_csv, _write_csv
+from ._io import read_csv, write_csv
+from .dof import DofSpec
 from .errors import DegenerateFitError, ValidationError
-from .tree import ModelPath
+from .model import ModelPath
 
 
 def bic(log_lik: float, dof: float, n) -> float:
@@ -46,14 +47,14 @@ class PruneReport:
     selected_s: int
 
     def to_csv(self, path=None) -> str:
-        return _write_csv(["s", "dof", "log_lik", "bic", "selected"],
-                          ([e.s, repr(e.dof), repr(e.log_lik), repr(e.bic), int(e.selected)]
-                           for e in self.entries), path)
+        return write_csv(["s", "dof", "log_lik", "bic", "selected"],
+                         ([e.s, repr(e.dof), repr(e.log_lik), repr(e.bic), int(e.selected)]
+                          for e in self.entries), path)
 
     @classmethod
     def from_csv_text(cls, text: str, dof_name: str = "") -> "PruneReport":
-        rows = _read_csv(text, {"s": int, "dof": float, "log_lik": float,
-                                "bic": float, "selected": int})
+        rows = read_csv(text, {"s": int, "dof": float, "log_lik": float,
+                               "bic": float, "selected": int})
         entries = [PruneEntry(**{**r, "selected": bool(r["selected"])}) for r in rows]
         selected = [e.s for e in entries if e.selected]
         if len(selected) != 1:

@@ -27,11 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._io import map_jobs, read_csv, write_csv
 from .core import Dataset
-from .dof import DofSpec, McDofConfig, _map_jobs, _read_csv, _write_csv, mc_dof
+from .dof import DofSpec, McDofConfig, mc_dof
 from .errors import DegenerateFitError, ValidationError
+from .model import TsvcModel, predict
 from .selection import prune_path
-from .tree import TsvcModel, fit_path, predict
+from .tree import fit_path
 
 SCENARIO_P = {1: 2, 2: 6, 3: 10, 4: 4}
 SCENARIO_S_DGP = {1: (0, 1, 2, 3), 2: (0, 1, 2, 3), 3: (0, 1, 2, 3), 4: (0, 2, 4, 6)}
@@ -216,7 +218,7 @@ class SimSummary:
         raise ValidationError(f"no results for DoF source {name!r}")
 
     def to_csv(self, path=None) -> str:
-        return _write_csv(
+        return write_csv(
             ["scenario", "n", "s_dgp", "dof_approach", "replications",
              "mean_splits", "sd_splits", "mean_pred_loglik", "sd_pred_loglik"],
             ([self.scenario, self.n, self.s_dgp, row.dof_name, self.replications,
@@ -225,7 +227,7 @@ class SimSummary:
              for row in self.approaches), path)
 
     def records_to_csv(self, path=None) -> str:
-        return _write_csv(
+        return write_csv(
             ["scenario", "n", "s_dgp", "replicate", "dof_approach",
              "selected_splits", "pred_loglik"],
             ([self.scenario, self.n, self.s_dgp, rec.replicate, rec.dof_name,
@@ -234,7 +236,7 @@ class SimSummary:
 
 def read_summary_csv(text: str) -> list[dict]:
     """Parse a summary CSV back into dict rows (numbers converted)."""
-    return _read_csv(text, {
+    return read_csv(text, {
         "scenario": int, "n": int, "s_dgp": int, "dof_approach": str,
         "replications": int, "mean_splits": float, "sd_splits": float,
         "mean_pred_loglik": float, "sd_pred_loglik": float,
@@ -269,7 +271,7 @@ def run_simulation(config: ScenarioConfig, threads: int = 1) -> SimSummary:
     random stream.
     """
     jobs = [(config, r) for r in range(config.replications)]
-    nested = _map_jobs(_run_replicate, jobs, threads)
+    nested = map_jobs(_run_replicate, jobs, threads)
     records = tuple(rec for group in nested for rec in group)
 
     approaches = []

@@ -12,9 +12,9 @@ import tsvc.cli
 import tsvc.simulate
 from tsvc.cli import main
 from tsvc.dof import MFP_SURFACE, McDofTable, dof_mfp, reference_table
+from tsvc.model import model_from_json, predict
 from tsvc.simulate import make_dgp_dof_spec, make_null_dof_spec
 from tsvc.selection import PruneReport
-from tsvc.tree import model_from_json, predict
 
 
 def _write_fit_csv(path, n=60, seed=0):
@@ -635,6 +635,31 @@ def test_unwritable_output_exits_2(tmp_path, monkeypatch, capsys, command, flag)
         assert main(argv + [flag, str(out)]) == 2
         assert f"error: cannot write {out}: " in capsys.readouterr().err
     assert not model.exists()
+
+
+@pytest.mark.parametrize("command, first, second", [
+    ("fit", "--out-model", "--out-report"), ("simulate", "--out", "--raw"),
+])
+def test_two_outputs_to_one_file_exit_2(tmp_path, monkeypatch, capsys, command, first, second):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the work ran before the output paths were checked")
+
+    for name in ("fit_path", "run_simulation"):
+        monkeypatch.setattr(tsvc.cli, name, no_work)
+    data = tmp_path / "data.csv"
+    _write_fit_csv(data)
+    argv = {
+        "fit": ["fit", "--input", str(data), "--response", "y", "--smax", "1"],
+        "simulate": ["simulate", "--scenario", "1", "--s-dgp", "0", "--n", "100",
+                     "--reps", "1", "--dof", "naive"],
+    }[command]
+    out = tmp_path / "out"
+    (tmp_path / "link").symlink_to(tmp_path, target_is_directory=True)
+    for alias in (out, tmp_path / "link" / "out"):  # one spelling, then through a link
+        assert main(argv + [first, str(out), second, str(alias)]) == 2
+        assert capsys.readouterr().err == (f"error: cannot write {alias}: "
+                                           f"it is the same file as {out}\n")
+    assert not out.exists()
 
 
 def test_fit_ignores_spaces_around_cells_and_blank_lines(tmp_path, capsys):

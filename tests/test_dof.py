@@ -5,6 +5,7 @@ import pickle
 import numpy as np
 import pytest
 
+from tsvc._io import read_csv
 from tsvc.core import Dataset, solve_least_squares
 from tsvc.dof import (
     DofSpec,
@@ -14,7 +15,6 @@ from tsvc.dof import (
     McDofTable,
     TsvcPathFitter,
     _mc_dof_run,
-    _read_csv,
     dof_mfp,
     dof_naive,
     mc_dof,
@@ -300,13 +300,13 @@ def test_table_parser_finds_columns_by_name():
 
 def test_csv_reader_types_other_columns_in_header_order():
     text = "b, y ,a\n1.5,2,3\n\n4,5,6\n"
-    assert [list(row.items()) for row in _read_csv(text, {"y": int}, others=float)] == [
+    assert [list(row.items()) for row in read_csv(text, {"y": int}, others=float)] == [
         [("b", 1.5), ("y", 2), ("a", 3.0)], [("b", 4.0), ("y", 5), ("a", 6.0)]]
-    assert _read_csv(text, {"y": int}) == [{"y": 2}, {"y": 5}]
+    assert read_csv(text, {"y": int}) == [{"y": 2}, {"y": 5}]
     blank = "b,, y ,a, \n1.5,,2,3, \n4, ,5,6,\n"  # columns 2 and 5 have no name
-    assert _read_csv(blank, {"y": int}, others=float) == _read_csv(text, {"y": int}, others=float)
+    assert read_csv(blank, {"y": int}, others=float) == read_csv(text, {"y": int}, others=float)
     with pytest.raises(ValidationError, match="CSV column 5 has no name but holds '7' on line 3"):
-        _read_csv("b,, y ,a,\n1.5,,2,3,\n4,,5,6,7\n", {"y": int}, others=float)
+        read_csv("b,, y ,a,\n1.5,,2,3,\n4,,5,6,7\n", {"y": int}, others=float)
 
 
 def test_table_reads_back_reordered_columns():

@@ -8,8 +8,9 @@ import pytest
 from tsvc.core import Dataset, LinearFit
 from tsvc.dof import DofSpec, McDofConfig, McDofEntry, McDofResult, mc_dof
 from tsvc.errors import DegenerateFitError, MissingDofError, ValidationError
+from tsvc.model import CoefficientTree, ModelPath, SplitRule, TsvcModel
 from tsvc.selection import PruneReport, bic, prune_path
-from tsvc.tree import CoefficientTree, ModelPath, SplitRule, TsvcModel, fit_path
+from tsvc.tree import fit_path
 
 
 def test_bic_value():

@@ -8,6 +8,7 @@ import pytest
 from tsvc.core import Dataset, LinearFit
 from tsvc.dof import DofSpec
 from tsvc.errors import DegenerateFitError, ValidationError
+from tsvc.model import CoefficientTree, TsvcModel
 from tsvc.simulate import (
     SCENARIO_P,
     ApproachSummary,
@@ -21,7 +22,7 @@ from tsvc.simulate import (
     run_simulation,
     true_mu,
 )
-from tsvc.tree import CoefficientTree, TsvcModel, fit_path
+from tsvc.tree import fit_path
 
 
 # ---------------------------------------------------------------------------

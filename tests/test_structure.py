@@ -1,6 +1,8 @@
-"""Structural guards: every file the package reads or writes goes through
-``dof._read_file`` and ``dof._write_file``, the CLI parses no CSV of its
-own, and scipy's LAPACK comes only through ``core``'s loader."""
+"""Structural guards: one job per module.  Every file the package reads
+or writes, every CSV and every worker process goes through ``_io``; no
+module imports another's private names; ``model`` (the fitted model
+and its JSON) rests on ``core`` and ``errors`` alone; and scipy's LAPACK
+comes only through ``core``'s loader."""
 
 import ast
 from pathlib import Path
@@ -14,22 +16,53 @@ def _tree(name):
     return ast.parse((SRC / name).read_text(encoding="utf-8"), filename=name)
 
 
-def test_only_dof_opens_files():
+def _imports(name):
+    """(module, names) of every import in a module, a relative module
+    written with its leading dots; a plain import's names are empty."""
+    for node in ast.walk(_tree(name)):
+        if isinstance(node, ast.Import):
+            yield from ((alias.name, ()) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            yield module, tuple(alias.name for alias in node.names)
+
+
+def test_only_io_opens_files():
     opening = sorted(
         path.name for path in SRC.glob("*.py")
         if any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                and node.func.id == "open" for node in ast.walk(_tree(path.name))))
-    assert opening == ["dof.py"]
+    assert opening == ["_io.py"]
 
 
-def test_cli_imports_no_csv_or_io():
-    imported = set()
-    for node in ast.walk(_tree("cli.py")):
-        if isinstance(node, ast.Import):
-            imported.update(alias.name.split(".")[0] for alias in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            imported.add(node.module.split(".")[0])
-    assert not imported & {"csv", "io"}
+def test_only_io_imports_csv_io_or_workers():
+    # cli reads TSVC_THREADS and core finds scipy's LAPACK file through os
+    reaching_out = {"csv", "io", "os", "concurrent.futures"}
+    found = {}
+    for path in SRC.glob("*.py"):
+        modules = {module for module, _ in _imports(path.name)} & reaching_out
+        if modules:
+            found[path.name] = modules
+    assert found == {"_io.py": reaching_out, "cli.py": {"os"}, "core.py": {"os"}}
+
+
+def test_no_module_imports_a_private_name_of_another():
+    private = [(path.name, module, name) for path in SRC.glob("*.py")
+               for module, names in _imports(path.name)
+               if module.startswith((".", "tsvc")) for name in names if name.startswith("_")]
+    assert private == []
+
+
+def test_model_rests_on_core_and_errors_alone():
+    assert {module for module, _ in _imports("model.py")
+            if module.startswith((".", "tsvc"))} <= {".core", ".errors"}
+    # and no other module, tree.py included, defines a model name again
+    defined = {node.name for node in _tree("model.py").body
+               if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
+    elsewhere = {(path.name, node.name) for path in SRC.glob("*.py") if path.name != "model.py"
+                 for node in _tree(path.name).body
+                 if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name in defined}
+    assert elsewhere == set()
 
 
 def _imported_on_load(node):

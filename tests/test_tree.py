@@ -13,18 +13,20 @@ from tsvc.errors import (
     RankDeficientError,
     ValidationError,
 )
-from tsvc.tree import (
+from tsvc.model import (
     CoefficientTree,
     SplitRule,
+    model_from_dict,
+    model_from_json,
+    model_to_json,
+    predict,
+)
+from tsvc.tree import (
     build_design,
     enumerate_candidates,
     fit_path,
     fit_paths,
     grow_one_split,
-    model_from_dict,
-    model_from_json,
-    model_to_json,
-    predict,
 )
 
 
@@ -894,7 +896,8 @@ def _split_root(doc):
 
 
 # documents that describe no model: once loaded, predict would index a
-# missing column or read one column twice, or n_params would be wrong
+# missing column, read one column twice or give NaN, n_params would be
+# wrong, or sigma2_hat would divide by zero or be negative
 _JSON_DEFECTS = {
     "target_out_of_range": (lambda doc: doc["trees"][0].update(target=7),
                             r"trees are for covariates \[1, 2, 7\]"),
@@ -903,6 +906,18 @@ _JSON_DEFECTS = {
     "target_twice": (lambda doc: doc["trees"][2].update(target=0),
                      r"trees are for covariates \[0, 0, 1\]"),
     "s_not_the_splits": (lambda doc: doc.update(s=0), "s = 0, but the trees hold 3 splits"),
+    "names_too_few": (lambda doc: doc.update(names=["a"]),
+                      r"names = \['a'\], but a model with p = 3 has 3 distinct names"),
+    "names_repeated": (lambda doc: doc.update(names=["a", "b", "a"]), "3 distinct names"),
+    "names_not_strings": (lambda doc: doc.update(names=[1, 2, 3]), "3 distinct names"),
+    "intercept_nan": (lambda doc: doc.update(intercept="nan"), "intercept = nan is not finite"),
+    "coefficient_nan": (lambda doc: doc["trees"][0]["leaves"][0].update(coefficient="nan"),
+                        "tree for covariate 0: a coefficient or threshold is not finite"),
+    "threshold_nan": (lambda doc: _split_root(doc).update(threshold="nan"),
+                      "a coefficient or threshold is not finite"),
+    "rss_nan": (lambda doc: doc.update(rss="nan"), "rss = nan, but a residual sum of squares"),
+    "rss_negative": (lambda doc: doc.update(rss=-1.0), r"rss = -1\.0, but"),
+    "n_zero": (lambda doc: doc.update(n=0), "n = 0, but a model is fitted to n >= 1 rows"),
 }
 
 
