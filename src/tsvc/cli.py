@@ -8,8 +8,9 @@ derive-formula  fit a closed-form DoF surface to a grid CSV
 simulate        run one simulation setting and summarise it
 dof             evaluate a single degrees-of-freedom value
 
-Exit codes: 0 on success, 2 for bad input (files, parameters), 3 for
-numeric failures (singular designs, saturated fits, off-grid lookups).
+Exit codes follow the error's type: 0 on success, 2 for a
+ValidationError (bad files or parameters), 3 for any other TsvcError
+(singular designs, saturated fits, off-grid lookups).
 """
 
 from __future__ import annotations
@@ -22,14 +23,7 @@ from dataclasses import replace
 from ._io import check_writable, read_csv, read_file, write_file
 from .core import Dataset
 from .dof import DofSpec, McDofConfig, McDofTable, mc_dof
-from .errors import (
-    DimensionMismatchError,
-    DomainError,
-    MissingDofError,
-    NonPositiveValuesError,
-    TsvcError,
-    ValidationError,
-)
+from .errors import MissingDofError, TsvcError, ValidationError
 from .mfp import derive_dof_formula
 from .model import model_to_json
 from .selection import prune_path
@@ -37,9 +31,6 @@ from .simulate import MC_DOF_SOURCES, ScenarioConfig, run_simulation
 from .tree import fit_path
 
 THREADS_ENV = "TSVC_THREADS"
-
-_INPUT_ERRORS = (ValidationError, DomainError, DimensionMismatchError,
-                 NonPositiveValuesError)
 
 
 def _read_dataset_csv(path: str, response: str) -> Dataset:
@@ -246,7 +237,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _INPUT_ERRORS as exc:
+    except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TsvcError as exc:

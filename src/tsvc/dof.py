@@ -33,12 +33,7 @@ import numpy as np
 
 from ._io import map_jobs, read_csv, read_file, write_csv
 from .core import Dataset
-from .errors import (
-    DomainError,
-    MissingDofError,
-    OffGridError,
-    ValidationError,
-)
+from .errors import DomainError, OffGridError, ValidationError
 from .tree import fit_path, fit_paths
 
 # Closed-form surface coefficients: intercept, s, p, p*s, p*s*n.
@@ -135,10 +130,7 @@ class McDofResult:
     entries: tuple[McDofEntry, ...]
 
     def dof_for(self, s: int) -> float:
-        for entry in self.entries:
-            if entry.s == s:
-                return entry.dof
-        raise MissingDofError(f"no Monte-Carlo estimate for s = {s}")
+        return self.table().lookup(self.p, self.n, s)
 
     def table(self) -> McDofTable:
         """The entries as the grid rows (p, n, s, dof, se) of their own
@@ -288,17 +280,26 @@ class McDofTable:
     def from_csv_text(cls, text: str) -> "McDofTable":
         """Parse a grid CSV.  Columns p, n, s and dof are found by header
         name, se is optional and any other column is ignored; p, n and s
-        must be integers, dof and se finite, and each (p, n, s) cell may
-        appear only once."""
+        must be integers of at least 1 (a grid prices searched splits, and
+        every source charges s = 0 itself), dof finite and positive, se
+        finite and nonnegative, and each (p, n, s) cell may appear only
+        once."""
         rows = read_csv(text, {"p": int, "n": int, "s": int, "dof": float},
                         optional={"se": float})
         if not rows:
             raise ValidationError("table has no data rows")
         for r in rows:
-            for c in ("dof", "se"):
-                if not math.isfinite(r.get(c, 0.0)):
-                    raise ValidationError(f"table cell (p={r['p']}, n={r['n']}, "
-                                          f"s={r['s']}) has {c} = {r[c]!r}")
+            cell = "table cell (p={p}, n={n}, s={s})".format(**r)
+            if min(r["p"], r["n"], r["s"]) < 1:
+                raise ValidationError(f"{cell} is not a grid cell: p, n and s must be >= 1")
+            dof, se = r["dof"], r.get("se", 0.0)
+            for c, value in (("dof", dof), ("se", se)):
+                if not math.isfinite(value):
+                    raise ValidationError(f"{cell} has {c} = {value!r}")
+            if dof <= 0:
+                raise ValidationError(f"{cell} has dof = {dof!r}, but a DoF must be > 0")
+            if se < 0:
+                raise ValidationError(f"{cell} has se = {se!r}, but a standard error must be >= 0")
         cells = Counter((r["p"], r["n"], r["s"]) for r in rows)
         repeated = [cell for cell, k in cells.items() if k > 1]
         if repeated:
@@ -398,8 +399,5 @@ class DofSpec:
             return dof_naive(p, s)
         if self.source == "mfp":
             return dof_mfp(s, p, n)
-        try:
-            return (self.table or reference_table()).lookup(
-                p, n, s, nearest=self.source == "table-nearest")
-        except OffGridError as exc:
-            raise MissingDofError(str(exc)) from exc
+        return (self.table or reference_table()).lookup(
+            p, n, s, nearest=self.source == "table-nearest")

@@ -1,9 +1,11 @@
 """Exception types shared across the package.
 
-Two broad families matter to callers: problems with user-supplied input
-(bad data files, out-of-range parameters) and numeric failures arising
-during a computation (rank-deficient designs, saturated fits).  The CLI
-maps the first family to exit code 2 and the second to exit code 3.
+Two broad families matter to callers, and the type says which one an
+error belongs to: problems with user-supplied input (bad data files,
+out-of-range parameters) are ``ValidationError`` or a subclass of it,
+and every other ``TsvcError`` is a failure during a computation
+(rank-deficient designs, saturated fits, a DoF cell the source cannot
+price).  The CLI exits 2 on the first family and 3 on the second.
 """
 
 
@@ -15,15 +17,15 @@ class ValidationError(TsvcError, ValueError):
     """Invalid user-supplied data or parameters."""
 
 
-class DomainError(TsvcError, ValueError):
+class DomainError(ValidationError):
     """Argument outside the domain of a closed-form expression."""
 
 
-class DimensionMismatchError(TsvcError, ValueError):
+class DimensionMismatchError(ValidationError):
     """Array shapes incompatible with the model or operation."""
 
 
-class NonPositiveValuesError(TsvcError, ValueError):
+class NonPositiveValuesError(ValidationError):
     """Nonpositive values fed to a transform that requires positivity."""
 
 
@@ -43,12 +45,12 @@ class NoAdmissibleSplitError(TsvcError):
     """No candidate split satisfies the minimum leaf size."""
 
 
-class OffGridError(TsvcError):
-    """Requested cell absent from a lookup table."""
-
-
 class MissingDofError(TsvcError):
     """A degrees-of-freedom source cannot supply a needed value."""
+
+
+class OffGridError(MissingDofError):
+    """Requested cell absent from a lookup table."""
 
 
 class NoConvergenceError(TsvcError):

@@ -372,9 +372,11 @@ def mfp_select(dataset: Dataset, alpha: float = 0.05, interactions: int = 0,
     """Multivariable fractional-polynomial selection with a closed test.
 
     Per covariate and cycle: (1) the best degree-2 form against the
-    model without the covariate, on 2 df -- failure excludes it;
-    (2) best degree-2 against linear, on 1 df -- failure keeps the
-    linear effect; (3) best degree-2 against best degree-1, on 1 df.
+    model without the covariate, on 2 df -- failure excludes it (where
+    no degree-2 form can be fitted, linear against exclusion on 1 df
+    decides instead); (2) best degree-2 against linear, on 1 df --
+    failure keeps the linear effect; (3) best degree-2 against best
+    degree-1, on 1 df.
     With ``interactions`` set to 2 or 3, all products of that many
     distinct covariates are then tested in and out on 1 df each.
     Cycles repeat until nothing changes.
@@ -410,15 +412,21 @@ def mfp_select(dataset: Dataset, alpha: float = 0.05, interactions: int = 0,
             others = {k: v for k, v in forms.items() if k != j}
             fp2, rss_fp2 = _best_fp_with_rss(columns, j, 2, others,
                                              included_inters, shifts[j])
-            if fp2 is None:
-                forms.pop(j, None)
-                continue
             rss_null = _rss(columns, others, included_inters)
+            linear = dict(others)
+            linear[j] = FpTerm(j, LINEAR, shifts[j])
+            if fp2 is None:
+                # no FP2 form fits (a covariate with two values, say, on which
+                # every FP1 form fits as the linear one does): linear or out
+                rss_linear = _rss(columns, linear, included_inters)
+                if tester.significant(rss_null, rss_linear, df=1):
+                    forms[j] = linear[j]
+                else:
+                    forms.pop(j, None)
+                continue
             if not tester.significant(rss_null, rss_fp2, df=2):
                 forms.pop(j, None)
                 continue
-            linear = dict(others)
-            linear[j] = FpTerm(j, LINEAR, shifts[j])
             rss_linear = _rss(columns, linear, included_inters)
             if not tester.significant(rss_linear, rss_fp2, df=1):
                 forms[j] = linear[j]

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import tsvc.cli
+import tsvc.errors
 import tsvc.simulate
 from tsvc.cli import main
 from tsvc.dof import MFP_SURFACE, McDofTable, dof_mfp, reference_table
@@ -587,6 +588,12 @@ _MALFORMED_INPUTS = {
         lines, lambda r: r.rsplit(",", 1)[0] + ",nan"), "table cell (p=2, n=100, s=3) has dof = nan"),
     "data_value_without_name": ("data", lambda lines: ["y,,x2"] + lines[1:],
                                 "CSV column 2 has no name but holds"),
+    "grid_dof_not_positive": ("grid", lambda lines: _edit_row(
+        lines, lambda r: r.rsplit(",", 1)[0] + ",-1.0"),
+        "table cell (p=2, n=100, s=3) has dof = -1.0, but a DoF must be > 0"),
+    "grid_cell_off_grid": ("grid", lambda lines: lines + ["2,100,0,4.0"],
+                           "table cell (p=2, n=100, s=0) is not a grid cell: "
+                           "p, n and s must be >= 1"),
 }
 
 
@@ -685,6 +692,34 @@ def test_dof_off_grid_exits_2(capsys):
     assert main(["dof", "--approach", "table", "--s", "1", "--p", "5",
                  "--n", "100"]) == 2
     capsys.readouterr()
+
+
+def test_dof_refuses_a_grid_cell_no_dof_can_have(tmp_path, capsys):
+    # it printed -1.0 and exited 0, where fit's pruning refused that cell
+    grid = tmp_path / "grid.csv"
+    grid.write_text("p,n,s,dof\n2,100,1,-1.0\n")
+    assert main(["dof", "--approach", "table", "--s", "1", "--p", "2", "--n", "100",
+                 "--table", str(grid)]) == 2
+    assert capsys.readouterr() == ("", f"error: {grid}: table cell (p=2, n=100, s=1) "
+                                       f"has dof = -1.0, but a DoF must be > 0\n")
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name, cls in vars(tsvc.errors).items()
+    if isinstance(cls, type) and issubclass(cls, tsvc.errors.TsvcError)
+    and cls is not tsvc.errors.TsvcError))
+def test_exit_code_follows_the_error_type(monkeypatch, capsys, name):
+    cls = getattr(tsvc.errors, name)
+
+    def fail(args):
+        raise cls("stub")
+
+    monkeypatch.setattr(tsvc.cli, "cmd_dof", fail)
+    code = main(["dof", "--approach", "naive", "--s", "1", "--p", "2"])
+    if issubclass(cls, tsvc.errors.ValidationError):
+        assert (code, capsys.readouterr().err) == (2, "error: stub\n")
+    else:
+        assert (code, capsys.readouterr().err) == (3, "numeric failure: stub\n")
 
 
 # ---------------------------------------------------------------------------

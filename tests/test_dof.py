@@ -298,6 +298,30 @@ def test_table_parser_finds_columns_by_name():
     assert McDofTable.from_csv_text("p,n,s,dof,\n2,100,1,7.5,\n").rows == ((2, 100, 1, 7.5, None),)
 
 
+def test_table_parser_refuses_cells_no_dof_can_have():
+    # a grid prices s >= 1 splits of p >= 1 covariates on n >= 1 rows, at a
+    # positive DoF with a nonnegative standard error
+    off_grid = "is not a grid cell: p, n and s must be >= 1"
+    for row, message in (("0,100,1,7.5,0.1", f"(p=0, n=100, s=1) {off_grid}"),
+                         ("-2,100,1,7.5,0.1", f"(p=-2, n=100, s=1) {off_grid}"),
+                         ("2,0,1,7.5,0.1", f"(p=2, n=0, s=1) {off_grid}"),
+                         ("2,100,0,7.5,0.1", f"(p=2, n=100, s=0) {off_grid}"),
+                         ("2,100,-1,7.5,0.1", f"(p=2, n=100, s=-1) {off_grid}"),
+                         ("2,100,2,-1.0,0.1", "(p=2, n=100, s=2) has dof = -1.0, but a DoF must be > 0"),
+                         ("2,100,2,0.0,0.1", "(p=2, n=100, s=2) has dof = 0.0, but a DoF must be > 0"),
+                         ("2,100,2,-0.0,0.1", "(p=2, n=100, s=2) has dof = -0.0, but a DoF must be > 0"),
+                         ("2,100,2,7.0,-0.5",
+                          "(p=2, n=100, s=2) has se = -0.5, but a standard error must be >= 0")):
+        with pytest.raises(ValidationError) as info:
+            McDofTable.from_csv_text(f"p,n,s,dof,se\n2,100,1,7.5,0.1\n{row}\n")
+        assert str(info.value) == f"table cell {message}"
+    with pytest.raises(ValidationError, match=r"has dof = -1.0"):  # without an se column
+        McDofTable.from_csv_text("p,n,s,dof\n2,100,1,-1.0\n")
+    # the edges stay valid: a tiny positive DoF, a zero or negative-zero se
+    table = McDofTable.from_csv_text("p,n,s,dof,se\n1,1,1,1e-320,0.0\n1,1,2,7.0,-0.0\n")
+    assert [row[3:] for row in table.rows] == [(1e-320, 0.0), (7.0, -0.0)]
+
+
 def test_csv_reader_types_other_columns_in_header_order():
     text = "b, y ,a\n1.5,2,3\n\n4,5,6\n"
     assert [list(row.items()) for row in read_csv(text, {"y": int}, others=float)] == [

@@ -253,6 +253,31 @@ def test_mfp_select_reports_nonconvergence():
     assert fit.terms[0].powers == (2.0,)
 
 
+def test_mfp_select_tests_a_two_valued_covariate_linear_against_out():
+    # no FP2 form of p in {2, 4} can be fitted, and every FP1 form fits as
+    # the linear one does, so p is tested linear against exclusion
+    s = np.arange(1.0, 11.0)
+    p = np.array([2.0, 4.0] * 5)
+    fit = mfp_select(Dataset.from_arrays(s + p, np.column_stack([s, p]), names=("s", "p")))
+    assert [(t.covariate, t.powers) for t in fit.terms] == [(0, (1.0,)), (1, (1.0,))]
+    assert fit.excluded == ()
+    assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
+    # a two-valued covariate without an effect is still tested out
+    rng = np.random.default_rng(44)
+    noise = rng.standard_normal(10)
+    fit = mfp_select(Dataset.from_arrays(s + 0.1 * noise, np.column_stack([s, p])))
+    assert [t.covariate for t in fit.terms] == [0] and fit.excluded == (1,)
+
+
+def test_derive_dof_formula_keeps_two_valued_grid_axes():
+    rows = [(p, n, s, float(p + s)) for p in (2, 4) for n in (100, 200) for s in range(1, 6)]
+    fit, expression = derive_dof_formula(rows)
+    assert {fit.names[t.covariate]: t.powers for t in fit.terms} == {"s": (1.0,), "p": (1.0,)}
+    assert [fit.names[j] for j in fit.excluded] == ["n"]
+    assert fit.interactions == ()
+    assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
+
+
 def test_mfp_predict_matches_manual_assembly():
     rng = np.random.default_rng(43)
     X = rng.uniform(0.5, 3.0, (300, 2))

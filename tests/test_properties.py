@@ -1,12 +1,18 @@
-"""Properties of fitted paths on generated data (hypothesis, derandomised
-by the profile in conftest.py)."""
+"""Properties of fitted paths and of the command line on generated data
+(hypothesis, derandomised by the profile in conftest.py)."""
+
+import contextlib
+import io
 
 import numpy as np
 from hypothesis import given, reject, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from tsvc._io import read_csv
+from tsvc.cli import main
 from tsvc.core import Dataset
-from tsvc.errors import TsvcError
+from tsvc.dof import McDofTable
+from tsvc.errors import TsvcError, ValidationError
 from tsvc.tree import fit_path
 
 
@@ -38,3 +44,62 @@ def test_scaling_y_by_a_power_of_two_scales_the_path_exactly(fit, ks):
             assert a.rss == np.ldexp(b.rss, 2 * k), k
             assert a.fit.fitted.tobytes() == np.ldexp(b.fit.fitted, k).tobytes(), k
             assert a.fit.coefficients.tobytes() == np.ldexp(b.fit.coefficients, k).tobytes(), k
+
+
+_COLUMNS = ("y", "x1", "x2", "p", "n", "s", "dof", "se")
+_ODD_CELLS = ("", " ", "nan", "inf", "-inf", "-0.0", "0", "-1", "1e-320", "1e300",
+              "-1e300", "2.5", "x", "1,2", '"', "0x10")
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV text of a data file (y, x1, x2) or a grid (p, n, s, dof, se),
+    columns in any order and perhaps an extra or repeated name, with up to
+    24 rows, a few cells of which (or of the header) are swapped for odd
+    ones: negatives, blanks, nan, inf, -0.0, subnormals, huge values, junk."""
+    header = draw(st.permutations(draw(st.sampled_from([("y", "x1", "x2"),
+                                                        ("p", "n", "s", "dof", "se")]))))
+    header += draw(st.lists(st.sampled_from(_COLUMNS), max_size=2))
+    cells = st.integers(-3, 6).map(str)
+    rows = []
+    for k in range(draw(st.integers(0, 5) | st.integers(20, 24))):
+        # p, n and s run over distinct grid cells; the rest are small numbers
+        base = {"p": 2 + k % 2, "n": 100 * (1 + k // 2 % 3), "s": 1 + k // 6, "se": 0.25}
+        base["dof"] = base["p"] + 2 * base["s"] + draw(st.integers(0, 2))
+        rows.append([str(base[c]) if c in base else draw(cells) for c in header])
+    lines = [header] + rows
+    for i, j, odd in draw(st.lists(st.tuples(st.integers(0, 24), st.integers(0, 6),
+                                             st.sampled_from(_ODD_CELLS + _COLUMNS)),
+                                   max_size=3)):
+        if i < len(lines) and j < len(header):
+            lines[i][j] = odd
+    return "".join(",".join(line) + "\n" for line in lines)
+
+
+def _refused(parse, text):
+    try:
+        parse(text)
+    except ValidationError:
+        return True
+    return False
+
+
+@given(csv_texts())
+def test_no_input_file_makes_the_cli_crash(tmp_path_factory, text):
+    # every command exits 0, 2 or 3 and raises nothing (a numpy warning is
+    # an error in this suite); a file its reader refuses exits 2
+    path = tmp_path_factory.mktemp("fuzz") / "input.csv"
+    path.write_text(text, encoding="utf-8")
+    data_refused = _refused(lambda t: read_csv(t, {"y": float}, others=float), text)
+    grid_refused = _refused(McDofTable.from_csv_text, text)
+    for argv, refused in (
+            (["fit", "--input", str(path), "--response", "y", "--smax", "2",
+              "--min-leaf", "1"], data_refused),
+            (["derive-formula", "--table", str(path)], grid_refused),
+            (["dof", "--approach", "table", "--table", str(path),
+              "--s", "1", "--p", "2", "--n", "100"], grid_refused)):
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 2, 3), argv[0]
+        assert code == 2 or not refused, argv[0]

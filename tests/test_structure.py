@@ -1,8 +1,9 @@
 """Structural guards: one job per module.  Every file the package reads
 or writes, every CSV and every worker process goes through ``_io``; no
 module imports another's private names; ``model`` (the fitted model
-and its JSON) rests on ``core`` and ``errors`` alone; and scipy's LAPACK
-comes only through ``core``'s loader."""
+and its JSON) rests on ``core`` and ``errors`` alone; scipy's LAPACK
+comes only through ``core``'s loader; and the CLI's exit code is set by
+the error types alone."""
 
 import ast
 from pathlib import Path
@@ -95,3 +96,13 @@ def test_scipy_is_loaded_only_by_the_core_loader():
                               and node.lineno <= number <= node.end_lineno), None)
                 owners.add((path.name, owner))
     assert owners <= {("core.py", "_flapack_path"), ("core.py", "_load_lapack")}
+
+
+def test_cli_exit_code_is_the_error_type():
+    # main catches ValidationError (exit 2), then TsvcError (exit 3): the
+    # type hierarchy in errors.py, not a list in cli.py, sets the code
+    main = next(node for node in _tree("cli.py").body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    handlers = [ast.unparse(node.type) for node in ast.walk(main)
+                if isinstance(node, ast.ExceptHandler)]
+    assert handlers == ["ValidationError", "TsvcError"]
