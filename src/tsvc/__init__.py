@@ -64,4 +64,19 @@ from .tree import build_design, fit_path, fit_paths, grow_one_split
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "Dataset", "LinearFit", "gaussian_log_lik", "solve_least_squares",
+    "DofSpec", "McDofConfig", "McDofEntry", "McDofResult", "McDofTable",
+    "TsvcPathFitter", "dof_mfp", "dof_naive", "mc_dof", "reference_table",
+    "DegenerateFitError", "DimensionMismatchError", "DomainError", "EmptyLeafError",
+    "MissingDofError", "NoAdmissibleSplitError", "NoConvergenceError",
+    "NonPositiveValuesError", "OffGridError", "RankDeficientError", "TsvcError",
+    "ValidationError",
+    "FpTerm", "InteractionTerm", "MfpFit", "best_fp", "derive_dof_formula", "mfp_select",
+    "CoefficientTree", "ModelPath", "SplitRule", "TsvcModel", "model_from_dict",
+    "model_from_json", "model_to_dict", "model_to_json", "predict",
+    "PruneEntry", "PruneReport", "bic", "prune_path",
+    "ScenarioConfig", "SimSummary", "generate_scenario", "predictive_log_lik",
+    "run_simulation",
+    "build_design", "fit_path", "fit_paths", "grow_one_split",
+]

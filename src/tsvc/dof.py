@@ -32,8 +32,8 @@ from importlib import resources
 import numpy as np
 
 from ._io import map_jobs, read_csv, read_file, write_csv
-from .core import Dataset
 from .errors import DomainError, OffGridError, ValidationError
+# fit_path is unused here but stays bound: tsvcbench/spans.py hooks tsvc.dof.fit_path
 from .tree import fit_path, fit_paths
 
 # Closed-form surface coefficients: intercept, s, p, p*s, p*s*n.
@@ -78,13 +78,12 @@ def dof_mfp(s: int, p: int, n: int) -> float:
 # Monte-Carlo estimator
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class McDofConfig:
     """Settings for the Monte-Carlo DoF estimator.
 
-    ``mu`` is the fixed expectation vector (zeros when None).  Each of
-    the ``runs`` runs draws a fresh standard-normal design (unless one
-    is supplied to ``mc_dof``) and ``m`` response vectors.
+    Each of the ``runs`` runs draws a fresh standard-normal design
+    (unless one is supplied to ``mc_dof``) and ``m`` response vectors.
     """
 
     m: int = 100
@@ -92,7 +91,6 @@ class McDofConfig:
     s_max: int = 5
     min_leaf: int = 10
     seed: int = 0
-    mu: np.ndarray | None = None
 
     def __post_init__(self):
         if self.m < 2:
@@ -103,6 +101,8 @@ class McDofConfig:
             raise ValidationError(f"s_max must be >= 1, got {self.s_max}")
         if self.min_leaf < 1:
             raise ValidationError(f"min_leaf must be >= 1, got {self.min_leaf}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -147,24 +147,15 @@ class McDofResult:
 
 @dataclass(frozen=True)
 class TsvcPathFitter:
-    """Default path fitter for ``mc_dof``: one fitted-value vector per
-    split count 1 .. s_max actually reached by the greedy path.  Its
-    ``block`` call fits the m responses of a run in lockstep; ``mc_dof``
-    uses it where a fitter has one."""
+    """Default fitter for ``mc_dof``: per response, one fitted-value vector
+    per split count 1 .. s_max its greedy path reached, all grown in lockstep."""
 
     s_max: int = 5
     min_leaf: int = 10
 
-    def __call__(self, y: np.ndarray, X: np.ndarray) -> dict[int, np.ndarray]:
-        return _fitted(fit_path(Dataset.from_arrays(y, X), self.s_max, self.min_leaf))
-
-    def block(self, Y: np.ndarray, X: np.ndarray) -> list[dict[int, np.ndarray]]:
-        """``[self(y, X) for y in Y]``, from paths grown in lockstep."""
-        return [_fitted(path) for path in fit_paths(X, Y, self.s_max, self.min_leaf)]
-
-
-def _fitted(path) -> dict[int, np.ndarray]:
-    return {m.s: m.fit.fitted for m in path.models if m.s >= 1}
+    def __call__(self, Y: np.ndarray, X: np.ndarray) -> list[dict[int, np.ndarray]]:
+        return [{m.s: m.fit.fitted for m in path.models if m.s >= 1}
+                for path in fit_paths(X, Y, self.s_max, self.min_leaf)]
 
 
 def _mc_dof_run(args):
@@ -173,8 +164,7 @@ def _mc_dof_run(args):
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(run_index,)))
     Xr = rng.standard_normal((n, p)) if X is None else X
     Y = mu[None, :] + rng.standard_normal((m, n))
-    block = getattr(fitter, "block", None)
-    fits = block(Y, Xr) if block is not None else [fitter(y, Xr) for y in Y]
+    fits = fitter(Y, Xr)
     keys = sorted({s for f in fits for s in f})
     out = {}
     for s in keys:
@@ -193,22 +183,23 @@ def _mc_dof_run(args):
 
 
 def mc_dof(n: int, p: int, config: McDofConfig, fitter=None, X=None,
-           threads: int = 1) -> McDofResult:
+           mu=None, threads: int = 1) -> McDofResult:
     """Monte-Carlo estimate of the generalized degrees of freedom.
 
     Parameters
     ----------
     n, p : int
-        Dataset dimensions.  When ``X`` is None each run draws a fresh
-        standard-normal design held fixed within that run.
+        Dataset dimensions.
     config : McDofConfig
-        Replicates per run, run count, seed and the fixed mean vector.
+        Replicates per run, run count, seed and the search settings.
     fitter : callable, optional
-        ``fitter(y, X) -> {s: fitted values}``.  Defaults to the greedy
-        tree path with ``config.s_max`` and ``config.min_leaf``, whose
-        ``block(Y, X)`` call fits the m responses of a run in lockstep;
-        a fitter without one is called once per response.  Must be
-        picklable when ``threads > 1``.
+        ``fitter(Y, X) -> [{s: fitted values} for each row of Y]``, called
+        once per run on its (m, n) responses; ``TsvcPathFitter(config.s_max,
+        config.min_leaf)`` when None.  Must be picklable when ``threads > 1``.
+    X, mu : array_like, optional
+        The fixed truth: the (n, p) design of every run (each run draws a
+        fresh standard-normal one when None) and the length-n expectation
+        of each response (zeros when None).
     threads : int
         Worker processes across runs, at least 1; results are identical
         for any value because every run derives its own random stream.
@@ -225,7 +216,7 @@ def mc_dof(n: int, p: int, config: McDofConfig, fitter=None, X=None,
     """
     if n < 1 or p < 1:
         raise ValidationError(f"need n >= 1 and p >= 1, got n = {n}, p = {p}")
-    mu = np.zeros(n) if config.mu is None else np.asarray(config.mu, dtype=float)
+    mu = np.zeros(n) if mu is None else np.asarray(mu, dtype=float)
     if mu.shape != (n,):
         raise ValidationError(f"mu must have shape ({n},), got {mu.shape}")
     if X is not None:

@@ -383,11 +383,16 @@ def mfp_select(dataset: Dataset, alpha: float = 0.05, interactions: int = 0,
 
     Raises
     ------
+    ValidationError
+        If alpha is outside (0, 1) or so small that ``1 - alpha/2``
+        rounds to 1, where the 1-df critical value is infinite.
     NoConvergenceError
         If forms keep changing after ``max_cycles`` cycles.
     """
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
+    if 1.0 - alpha / 2.0 == 1.0:
+        raise ValidationError(f"alpha = {alpha!r} is too small: 1 - alpha/2 rounds to 1")
     if interactions not in (0, 2, 3):
         raise ValidationError("interactions must be 0, 2 or 3")
     if max_cycles < 1:

@@ -70,6 +70,8 @@ class ScenarioConfig:
                 f"scenario {self.scenario} defines s_dgp in "
                 f"{SCENARIO_S_DGP[self.scenario]}, got {self.s_dgp}"
             )
+        if self.n < 1:
+            raise ValidationError(f"n must be >= 1, got {self.n}")
         if not self.allow_nonstandard and self.n not in SCENARIO_N[self.scenario]:
             raise ValidationError(
                 f"scenario {self.scenario} uses n in {SCENARIO_N[self.scenario]}; "
@@ -85,6 +87,8 @@ class ScenarioConfig:
             raise ValidationError("need at least one replication")
         if self.min_leaf < 1:
             raise ValidationError(f"min_leaf must be >= 1, got {self.min_leaf}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if not self.dof_specs:
             raise ValidationError("need at least one DoF source")
         names = [spec.name for spec in self.dof_specs]
@@ -326,9 +330,8 @@ def make_dgp_dof_spec(config: ScenarioConfig, m: int = 100, runs: int = 10,
     """
     train, _, mu_train, _ = generate_scenario(config, 0)
     mc_config = McDofConfig(m=m, runs=runs, s_max=config.effective_s_max,
-                            min_leaf=config.min_leaf, seed=config.seed + 2,
-                            mu=mu_train)
-    result = mc_dof(config.n, config.p, mc_config, X=train.X, threads=threads)
+                            min_leaf=config.min_leaf, seed=config.seed + 2)
+    result = mc_dof(config.n, config.p, mc_config, X=train.X, mu=mu_train, threads=threads)
     return DofSpec("table", result.table(), "mc-dgp")
 
 

@@ -35,9 +35,9 @@ def _check(num, ok, detail):
 class OlsFitter:
     """Plain 3-parameter least squares, used as a known-DoF reference."""
 
-    def __call__(self, y, X):
-        design = np.column_stack([np.ones(len(y)), X])
-        return {1: solve_least_squares(design, y).fitted}
+    def __call__(self, Y, X):
+        design = np.column_stack([np.ones(len(X)), X])
+        return [{1: fit.fitted} for fit in solve_least_squares(design, Y)]
 
 
 def test_criterion_01_closed_form_anchors():

@@ -32,8 +32,9 @@ def test_every_hook_target_resolves():
 
 
 # Hooks that no command reaches today: ``mc_dof`` grows its paths in
-# lockstep through ``fit_paths``, and ``fit_path`` no longer calls
-# ``grow_one_split``.  These are the blind spots of ROADMAP items 1 and 4.
+# lockstep through ``fit_paths`` (``dof`` imports ``fit_path`` only for
+# this hook), and ``fit_path`` no longer calls ``grow_one_split``.
+# These are the blind spots of ROADMAP items 1 and 4.
 BLIND_SPOTS = {"tsvc.dof.fit_path", "tsvc.tree.grow_one_split"}
 
 

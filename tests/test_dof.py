@@ -85,9 +85,9 @@ def test_dof_mfp_per_split_increment_exceeds_one():
 class OlsFitter:
     """Non-adaptive 3-parameter projection; its DoF is its trace."""
 
-    def __call__(self, y, X):
-        design = np.column_stack([np.ones(len(y)), X])
-        return {1: solve_least_squares(design, y).fitted}
+    def __call__(self, Y, X):
+        design = np.column_stack([np.ones(len(X)), X])
+        return [{1: fit.fitted} for fit in solve_least_squares(design, Y)]
 
 
 def test_mc_dof_config_validation():
@@ -97,6 +97,16 @@ def test_mc_dof_config_validation():
         McDofConfig(runs=0)
     with pytest.raises(ValidationError):
         McDofConfig(s_max=0)
+
+
+def test_mc_dof_config_refuses_a_negative_seed():
+    with pytest.raises(ValidationError, match="seed must be >= 0"):
+        McDofConfig(seed=-1)
+
+
+def test_mc_dof_config_compares_by_value():
+    assert McDofConfig(m=3) == McDofConfig(m=3)
+    assert McDofConfig(m=3) != McDofConfig(m=4)
 
 
 def test_mc_dof_of_fixed_projection_is_parameter_count():
@@ -157,15 +167,15 @@ def test_mc_dof_without_any_split_is_an_error():
 
 
 class PathLoopFitter:
-    """The default fitter without its block call, so that ``mc_dof``
-    fits the replicates of a run one at a time."""
+    """The default fitter's reference: one ``fit_path`` per response,
+    not the paths of a run grown in lockstep."""
 
     def __init__(self, s_max, min_leaf):
         self.s_max, self.min_leaf = s_max, min_leaf
 
-    def __call__(self, y, X):
-        path = fit_path(Dataset.from_arrays(y, X), self.s_max, self.min_leaf)
-        return {m.s: m.fit.fitted for m in path.models if m.s >= 1}
+    def __call__(self, Y, X):
+        paths = (fit_path(Dataset.from_arrays(y, X), self.s_max, self.min_leaf) for y in Y)
+        return [{m.s: m.fit.fitted for m in path.models if m.s >= 1} for path in paths]
 
 
 def _tied_design(n, p, seed):
@@ -195,6 +205,18 @@ def test_mc_dof_lockstep_runs_equal_the_replicate_loop(n, p, s_max, min_leaf, ti
     assert a.entries == b.entries
     if (n, p) == (31, 2):
         assert short > 0
+
+
+def test_mc_dof_fixed_truth_is_checked_and_shared_by_every_fitter():
+    config = McDofConfig(m=4, runs=2, s_max=3, min_leaf=6, seed=11)
+    X = _tied_design(40, 3, seed=12)
+    mu = 3.0 * (X[:, 1] > 1.0) * X[:, 0]
+    with pytest.raises(ValidationError, match="mu must have shape"):
+        mc_dof(40, 3, config, X=X, mu=mu[:-1])
+    shifted = mc_dof(40, 3, config, X=X, mu=mu)
+    loop = mc_dof(40, 3, config, fitter=PathLoopFitter(3, 6), X=X, mu=mu)
+    assert shifted.entries == loop.entries
+    assert shifted.entries != mc_dof(40, 3, config, X=X).entries
 
 
 def test_mc_dof_lockstep_is_thread_independent():

@@ -2,6 +2,7 @@
 
 import importlib.machinery
 import json
+import math
 import os
 import subprocess
 import sys
@@ -238,6 +239,18 @@ def test_mfp_select_validates_arguments():
         mfp_select(ds, interactions=4)
     with pytest.raises(ValidationError):
         mfp_select(ds, max_cycles=0)
+
+
+def test_mfp_select_refuses_an_alpha_with_an_infinite_critical_value():
+    # at 2^-53 (about 1.1e-16) and below, 1 - alpha/2 rounds to 1 and the
+    # 1-df critical value would be infinite; the next float up works
+    rng = np.random.default_rng(41)
+    ds = Dataset.from_arrays(rng.standard_normal(30), rng.standard_normal((30, 2)))
+    for alpha in (1e-300, 2.0 ** -53):
+        with pytest.raises(ValidationError, match="too small"):
+            mfp_select(ds, alpha=alpha)
+    smallest = math.nextafter(2.0 ** -53, 1.0)
+    assert mfp_select(ds, alpha=smallest).alpha == smallest
 
 
 def test_mfp_select_reports_nonconvergence():

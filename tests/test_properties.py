@@ -3,15 +3,17 @@
 
 import contextlib
 import io
+from pathlib import Path
 
 import numpy as np
-from hypothesis import given, reject, strategies as st
+from hypothesis import example, given, reject, strategies as st
 from hypothesis.extra.numpy import arrays
 
+import tsvc
 from tsvc._io import read_csv
 from tsvc.cli import main
 from tsvc.core import Dataset
-from tsvc.dof import McDofTable
+from tsvc.dof import DofSpec, McDofTable
 from tsvc.errors import TsvcError, ValidationError
 from tsvc.tree import fit_path
 
@@ -103,3 +105,63 @@ def test_no_input_file_makes_the_cli_crash(tmp_path_factory, text):
             code = main(argv)
         assert code in (0, 2, 3), argv[0]
         assert code == 2 or not refused, argv[0]
+
+
+_GRID = Path(tsvc.__file__).parent / "data" / "mc_dof_table.csv"
+_ODD_ALPHAS = st.sampled_from([0.0, 1.0, -0.05, 1.5, 1e-300, -1e-300, 2.0 ** -53,
+                               float("nan"), float("inf")])
+# per command: each flag's usual values, then a few odd values for it
+_CLI_FLAGS = {
+    "mc-dof": {"n": st.integers(1, 60), "p": st.integers(1, 6), "m": st.integers(2, 4),
+               "runs": st.integers(1, 2), "smax": st.integers(1, 3),
+               "min-leaf": st.integers(1, 15), "seed": st.integers(0, 5)},
+    "simulate": {"s-dgp": st.integers(0, 6), "n": st.integers(1, 60),
+                 "reps": st.integers(1, 2), "smax": st.integers(1, 3),
+                 "min-leaf": st.integers(1, 15), "seed": st.integers(0, 5),
+                 "mc-m": st.integers(2, 4), "mc-runs": st.integers(1, 2)},
+    "derive-formula": {"alpha": st.floats(1e-3, 0.5) | st.sampled_from([0.05, 2.0 ** -52])},
+    "dof": {"s": st.integers(0, 6), "p": st.integers(1, 11),
+            "n": st.integers(1, 60) | st.sampled_from([100, 400, 1000])},
+}
+
+
+@st.composite
+def cli_argvs(draw):
+    """One command line with small arguments: up to two flags take an odd
+    value (a negative, 0, 1e-300, nan) and the rest a usual one.  Sizes
+    stay small (n <= 60, m <= 4, runs <= 2, smax <= 3), and the commands
+    that can start workers run on one thread."""
+    command = draw(st.sampled_from(sorted(_CLI_FLAGS)))
+    flags = _CLI_FLAGS[command]
+    odd = draw(st.sets(st.sampled_from(sorted(flags)), max_size=2))
+    argv = [command] + [f"--{name}={draw(_ODD_ALPHAS if name == 'alpha' else st.integers(-3, 0))}"
+                        if name in odd else f"--{name}={draw(values)}"
+                        for name, values in flags.items()]
+    if command == "mc-dof":
+        argv.append("--threads=1")
+    elif command == "simulate":
+        sources = st.sampled_from(["naive", "mfp", "table-nearest", "naive,mc-null", "mc-dgp"])
+        argv += [f"--scenario={draw(st.integers(1, 4))}", f"--dof={draw(sources)}",
+                 "--allow-custom", "--threads=1"]
+    elif command == "derive-formula":
+        argv.append(f"--table={_GRID}")
+    else:
+        argv.append(f"--approach={draw(st.sampled_from(DofSpec.SOURCES))}")
+    return argv
+
+
+@given(cli_argvs())
+@example(["mc-dof", "--n=30", "--p=2", "--smax=1", "--m=2", "--runs=1", "--seed=-1",
+          "--threads=1"])
+@example(["simulate", "--scenario=1", "--s-dgp=1", "--n=100", "--reps=1", "--seed=-1",
+          "--threads=1"])
+@example(["simulate", "--scenario=1", "--s-dgp=1", "--allow-custom", "--n=-1",
+          "--threads=1"])
+@example(["derive-formula", f"--table={_GRID}", "--alpha=1e-300"])
+def test_no_command_line_argument_makes_the_cli_crash(argv):
+    # every command exits 0, 2 or 3 and raises nothing (a numpy warning is
+    # an error in this suite)
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 2, 3), argv

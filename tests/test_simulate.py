@@ -54,6 +54,14 @@ def test_config_rejects_bad_settings():
                        dof_specs=(DofSpec("naive"), DofSpec("naive")))
 
 
+def test_config_refuses_a_negative_seed_and_n_below_one():
+    with pytest.raises(ValidationError, match="seed must be >= 0"):
+        ScenarioConfig(scenario=1, s_dgp=0, n=100, seed=-1)
+    for n in (0, -1):
+        with pytest.raises(ValidationError, match="n must be >= 1"):
+            ScenarioConfig(scenario=1, s_dgp=0, n=n, allow_nonstandard=True)
+
+
 def test_config_nonstandard_needs_flag():
     cfg = ScenarioConfig(scenario=1, s_dgp=0, n=64, s_max=3,
                          allow_nonstandard=True)

@@ -2,10 +2,11 @@
 or writes, every CSV and every worker process goes through ``_io``; no
 module imports another's private names; ``model`` (the fitted model
 and its JSON) rests on ``core`` and ``errors`` alone; scipy's LAPACK
-comes only through ``core``'s loader; and the CLI's exit code is set by
-the error types alone."""
+comes only through ``core``'s loader; the CLI's exit code is set by the
+error types alone; and the package exports names, not its modules."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import tsvc
@@ -106,3 +107,8 @@ def test_cli_exit_code_is_the_error_type():
     handlers = [ast.unparse(node.type) for node in ast.walk(main)
                 if isinstance(node, ast.ExceptHandler)]
     assert handlers == ["ValidationError", "TsvcError"]
+
+
+def test_package_exports_no_module():
+    # ``from tsvc import *`` binds the public names, not the submodules
+    assert [name for name in tsvc.__all__ if inspect.ismodule(getattr(tsvc, name))] == []
