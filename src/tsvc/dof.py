@@ -165,6 +165,10 @@ def _mc_dof_run(args):
     Xr = rng.standard_normal((n, p)) if X is None else X
     Y = mu[None, :] + rng.standard_normal((m, n))
     fits = fitter(Y, Xr)
+    if len(fits) != m:
+        raise ValidationError(
+            f"the fitter returned {len(fits)} fits for {m} responses"
+        )
     keys = sorted({s for f in fits for s in f})
     out = {}
     for s in keys:

@@ -136,8 +136,13 @@ class _Segments(NamedTuple):
         return ((self.rep * p + self.tree) * p + self.modifier) * (2 * width) + self.leaf
 
     def rule(self, seg: int, pos: int) -> SplitRule:
-        return SplitRule(target=int(self.target[seg]), modifier=int(self.modifier[seg]),
-                         threshold=float(self.thresholds(seg, pos)),
+        """The cut of ``thresholds``, computed on two Python floats."""
+        at = self.start[seg] + pos
+        modifier = int(self.modifier[seg])
+        lower, upper = self.values(modifier, self.rows[at:at + 2]).tolist()
+        mid = 0.5 * (lower + upper)
+        return SplitRule(target=int(self.target[seg]), modifier=modifier,
+                         threshold=mid if mid < upper else lower,
                          parent_leaf=int(self.leaf[seg]))
 
 
@@ -547,24 +552,12 @@ class _Screen:
         row[pos] = -np.inf
         self.best[seg] = row.max()
 
-    def direction(self, seg: int, pos: int, Q, resid, offset: int):
-        """The unit part of the left-child column of the cut after
-        position ``pos`` of segment ``seg`` orthogonal to its replicate's
-        basis ``Q``, and its product with that replicate's residual;
-        ``offset`` is the number of the replicate's first row."""
-        segs = self.segs
-        left = segs.rows[segs.start[seg]:segs.start[seg] + pos + 1]
-        u = np.zeros(Q.shape[0])
-        u[left - offset] = segs.values(segs.target[seg], left)
-        for _ in range(2):  # the second pass restores what cancellation lost
-            u -= Q @ (Q.T @ u)
-        u /= np.linalg.norm(u)
-        return u, float(u @ resid)
-
-    def carry(self, direction, rq) -> _Carry:
+    def carry(self, picks, n: int) -> _Carry:
         """What the next step needs: this step's scores, from each
-        segment's home row only, and the unit directions the replicates'
-        splits added with their products with the residuals (see ``_Carry``)."""
+        segment's home row only, and the unit directions that the
+        replicates' splits added to their bases, with their products with
+        the residuals (see ``_Carry``).  ``picks`` holds the (seg, pos)
+        of each split; every replicate has n rows."""
         blocks = []
         for b, block in enumerate(self.blocks):
             home = self.home[block.seg] == b
@@ -572,7 +565,28 @@ class _Screen:
                 blocks.append(_Block(*map(_frozen, block)))
             elif home.any():
                 blocks.append(_Block(*(_frozen(a[home]) for a in block)))
-        return _Carry(_frozen(self.segs.keys()), tuple(blocks), _frozen(direction), _frozen(rq))
+        direction, rq = self._directions(picks, n)
+        return _Carry(_frozen(self.segs.keys()), tuple(blocks), direction, rq)
+
+    def _directions(self, picks, n: int):
+        """Per replicate, the unit part of its picked cut's left-child
+        column orthogonal to its basis, and that part's product with its
+        residual, from one two-pass projection over the stacked bases;
+        zeros for a replicate that did not split."""
+        segs = self.segs
+        U = np.zeros(self.resid.size)
+        for seg, pos in picks:
+            left = segs.rows[segs.start[seg]:segs.start[seg] + pos + 1]
+            U[left] = segs.values(segs.target[seg], left)
+        U = U.reshape(-1, n, 1)
+        Q = self.Q.reshape(U.shape[0], n, -1)
+        for _ in range(2):  # the second pass restores what cancellation lost
+            U -= Q @ (Q.transpose(0, 2, 1) @ U)
+        U = U.reshape(-1, n)
+        split = segs.rep[[seg for seg, _ in picks]]
+        U[split] /= np.sqrt(np.einsum("wn,wn->w", U[split], U[split]))[:, None]
+        rq = np.einsum("wn,wn->w", U, self.resid.reshape(U.shape))
+        return _frozen(U.reshape(-1)), _frozen(rq)
 
 
 def _leaf_column(xj: np.ndarray, leaf_of: np.ndarray, leaf: int, target: int) -> np.ndarray:
@@ -610,7 +624,8 @@ def _stack(parts) -> np.ndarray:
     return np.concatenate([blank if part is None else part for part in parts])
 
 
-def _grow_splits(dataset: Dataset, Y, order, states, carry: _Carry | None, min_leaf: int):
+def _grow_splits(dataset: Dataset, Y, order, states, carry: _Carry | None, min_leaf: int,
+                 last: bool = False):
     """One greedy step of every replicate j whose ``states[j]`` is not
     None, with response ``Y[j]``, all in lockstep on the covariates of
     ``dataset``.  The group owns ``order``, the stable argsort of X's
@@ -623,28 +638,29 @@ def _grow_splits(dataset: Dataset, Y, order, states, carry: _Carry | None, min_l
     first step (no carried scores) of more than one replicate they all
     start from the same trees and basis, and share every sum but the
     residual's.  Each replicate then picks, bans and refits its own
-    winner.
+    winner.  The last step of the paths (``last``) makes only the rules
+    and models: no next state and no carry.
 
     Returns
     -------
     (grown, carry): per replicate, (SplitRule, TsvcModel, next
-    _StepState) or None when it is inactive or has no admissible split
-    left; and the group's carry for its next step.
+    _StepState, None on the last step) or None when it is inactive or
+    has no admissible split left; and the group's carry for its next
+    step, None on the last.
     """
     n, width = dataset.n, len(states)
     active = [j for j, state in enumerate(states) if state is not None]
-    resid = [None if state is None else Y[j] - state.fit.fitted
-             for j, state in enumerate(states)]
+    resid = _stack([None if state is None else Y[j] - state.fit.fitted
+                    for j, state in enumerate(states)])
     segs = _stacked_segments(np.tile(dataset.X.T, (1, width)), min_leaf, order,
                              [(j, states[j].trees, states[j].leaf_of, states[j].grouped)
                               for j in active])
     copies = width if width > 1 and carry is None else 1
-    screen = _Screen(segs, min_leaf, _stack(resid),
+    screen = _Screen(segs, min_leaf, resid,
                      _stack([None if state is None else state.Q for state in states]),
                      carry, copies)
     bounds = np.searchsorted(segs.rep, np.arange(width + 1))
-    direction, rq = np.zeros(width * n), np.zeros(width)
-    grown = [None] * width
+    grown, picks = [None] * width, []
     for j in active:
         state = states[j]
         while (picked := screen.pick(bounds[j], bounds[j + 1])) is not None:
@@ -653,10 +669,12 @@ def _grow_splits(dataset: Dataset, Y, order, states, carry: _Carry | None, min_l
             i = int(segs.tree[seg])
             split = state.trees[i].split(rule)
             trees = state.trees[:i] + (split,) + state.trees[i + 1:]
-            # only the parent leaf's rows move
+            # only the parent leaf's rows move, to its children left, left + 1
+            left = split.n_created - 2
             leaf_of = state.leaf_of.copy()
             rows = np.flatnonzero(leaf_of[i] == rule.parent_leaf)
-            leaf_of[i, rows] = split.assign(dataset.X[rows])
+            leaf_of[i, rows] = np.where(dataset.X[rows, rule.modifier] <= rule.threshold,
+                                        left, left + 1)
             design = _split_design(state.design, dataset.X, state.trees, i, rule.parent_leaf,
                                    leaf_of[i], split)
             try:
@@ -666,16 +684,18 @@ def _grow_splits(dataset: Dataset, Y, order, states, carry: _Carry | None, min_l
                 # candidate and take the next best.
                 screen.ban(seg, pos)
                 continue
-            direction[j * n:(j + 1) * n], rq[j] = screen.direction(seg, pos, state.Q,
-                                                                   resid[j], j * n)
+            model = _make_model(dataset, trees, fit)
+            if last:
+                grown[j] = (rule, model, None)
+                break
+            picks.append(picked)
             grouped = list(state.grouped)
             grouped[i] = _regroup(grouped[i], order, state.leaf_of[i], leaf_of[i],
-                                  rule.parent_leaf, split.n_created - 2)
-            grown[j] = (rule, _make_model(dataset, trees, fit),
-                        _StepState(trees, _frozen(leaf_of), tuple(grouped),
-                                   _frozen(design), fit, _frozen(Q)))
+                                  rule.parent_leaf, left)
+            grown[j] = (rule, model, _StepState(trees, _frozen(leaf_of), tuple(grouped),
+                                                _frozen(design), fit, _frozen(Q)))
             break
-    return grown, screen.carry(direction, rq)
+    return grown, None if last else screen.carry(picks, n)
 
 
 def _start_states(dataset: Dataset, trees, Y):
@@ -722,7 +742,7 @@ def grow_one_split(dataset: Dataset, trees, min_leaf: int = 10):
     _check_min_leaf(min_leaf)
     Y = dataset.y[None]
     order, states = _start_states(dataset, tuple(trees), Y)
-    (grown,), _ = _grow_splits(dataset, Y, order, states, None, min_leaf)
+    (grown,), _ = _grow_splits(dataset, Y, order, states, None, min_leaf, last=True)
     if grown is None:
         raise NoAdmissibleSplitError("no admissible split candidate")
     return grown[:2]
@@ -775,10 +795,11 @@ def _lockstep(dataset: Dataset, Y, s_max: int, min_leaf: int) -> list[ModelPath]
     models = [[_make_model(dataset, trees, state.fit)] for state in states]
     rules = [[] for _ in states]
     carry = None
-    for _ in range(s_max):
+    for step in range(1, s_max + 1):
         if all(state is None for state in states):
             break
-        grown, carry = _grow_splits(dataset, Y, order, states, carry, min_leaf)
+        grown, carry = _grow_splits(dataset, Y, order, states, carry, min_leaf,
+                                    last=step == s_max)
         for j, out in enumerate(grown):
             if out is None:
                 states[j] = None

@@ -166,6 +166,12 @@ def test_mc_dof_without_any_split_is_an_error():
             mc_dof(n=n, p=p, config=config)
 
 
+def test_mc_dof_refuses_a_fitter_that_returns_too_few_fits():
+    config = McDofConfig(m=3, runs=1, s_max=1, seed=0)
+    with pytest.raises(ValidationError, match="returned 1 fits for 3 responses"):
+        mc_dof(n=20, p=2, config=config, fitter=lambda Y, X: [{1: Y[0]}])
+
+
 class PathLoopFitter:
     """The default fitter's reference: one ``fit_path`` per response,
     not the paths of a run grown in lockstep."""

@@ -15,7 +15,7 @@ from tsvc.cli import main
 from tsvc.core import Dataset
 from tsvc.dof import DofSpec, McDofTable
 from tsvc.errors import TsvcError, ValidationError
-from tsvc.tree import fit_path
+from tsvc.tree import fit_path, fit_paths
 
 
 @st.composite
@@ -46,6 +46,55 @@ def test_scaling_y_by_a_power_of_two_scales_the_path_exactly(fit, ks):
             assert a.rss == np.ldexp(b.rss, 2 * k), k
             assert a.fit.fitted.tobytes() == np.ldexp(b.fit.fitted, k).tobytes(), k
             assert a.fit.coefficients.tobytes() == np.ldexp(b.fit.coefficients, k).tobytes(), k
+
+
+@st.composite
+def small_groups(draw):
+    """(Y, X, s_max, min_leaf): 2-4 responses on one X with n 10-30 and
+    p 2-3, whose columns take few lattice values, so ties are common."""
+    p = draw(st.integers(2, 3))
+    n = draw(st.integers(max(10, 2 * p + 2), 30))
+    X = draw(arrays(float, (n, p), elements=st.integers(-6, 6).map(float)))
+    Y = draw(arrays(float, (draw(st.integers(2, 4)), n),
+                    elements=st.integers(-64, 64).map(lambda v: v / 8)))
+    return Y, X, draw(st.integers(1, 5)), draw(st.integers(1, 5))
+
+
+def _assert_same_steps(a, b, steps):
+    """The first ``steps`` splits of the paths a and b agree bit for bit."""
+    assert a.rules[:steps] == b.rules[:steps]
+    assert len(a.models[:steps + 1]) == len(b.models[:steps + 1])
+    for x, y in zip(a.models[:steps + 1], b.models[:steps + 1]):
+        assert x.trees == y.trees and x.rss == y.rss
+        assert x.fit.fitted.tobytes() == y.fit.fitted.tobytes()
+        assert x.fit.coefficients.tobytes() == y.fit.coefficients.tobytes()
+
+
+@given(small_groups())
+def test_lockstep_paths_equal_one_path_per_response(group):
+    Y, X, s_max, min_leaf = group
+    try:
+        paths = fit_paths(X, Y, s_max, min_leaf)
+    except TsvcError:
+        reject()  # constant or duplicate columns, a singular base design
+    for path, y in zip(paths, Y):
+        alone = fit_path(Dataset.from_arrays(y, X), s_max, min_leaf)
+        _assert_same_steps(path, alone, s_max)
+        assert len(path.models) == len(alone.models)
+
+
+@given(small_groups())
+def test_a_truncated_path_is_a_prefix_of_a_longer_one(group):
+    # the last step of a short path is a middle step of a longer one
+    Y, X, s_max, min_leaf = group
+    try:
+        longer = fit_paths(X, Y, s_max, min_leaf)
+    except TsvcError:
+        reject()
+    for k in range(s_max):
+        for short, long_ in zip(fit_paths(X, Y, k, min_leaf), longer):
+            assert len(short.rules) == min(k, len(long_.rules))
+            _assert_same_steps(short, long_, k)
 
 
 _COLUMNS = ("y", "x1", "x2", "p", "n", "s", "dof", "se")

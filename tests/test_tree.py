@@ -155,6 +155,39 @@ def test_candidate_thresholds_are_midpoints():
     assert [r.threshold for r in rules] == [1.5, 2.5, 3.5]
 
 
+def test_rule_threshold_equals_the_batched_threshold_of_every_cut():
+    # the rule of a picked cut computes its threshold on Python floats,
+    # the candidate table on arrays; both take the midpoint, or the lower
+    # value where the midpoint of adjacent floats rounds up.  Column x2
+    # holds 1+2^-52 and 1+2^-51, whose midpoint rounds up.
+    from tsvc.tree import _candidate_blocks, _segments
+
+    lo, hi = 1.0 + 2.0 ** -52, 1.0 + 2.0 ** -51
+    assert 0.5 * (lo + hi) == hi
+    rng = np.random.default_rng(17)
+    x2 = np.concatenate([np.linspace(-2.0, 3.0, 9), [lo] * 3, [hi] * 3])
+    X = np.column_stack([rng.standard_normal(15), x2, rng.integers(0, 4, 15).astype(float)])
+    ds = Dataset.from_arrays(rng.standard_normal(15), X)
+    first = CoefficientTree.stump(0).split(
+        SplitRule(target=0, modifier=2, threshold=1.5, parent_leaf=0))
+    for trees in ((CoefficientTree.stump(0),), (first,)):
+        trees += (CoefficientTree.stump(1), CoefficientTree.stump(2))
+        order = np.argsort(X, axis=0, kind="stable")
+        segs = _segments(ds, trees, 2, order, np.stack([tree.assign(X) for tree in trees]))
+        between = 0  # cuts between lo and hi
+        for seg, _, admissible in _candidate_blocks(segs, 2, width=3):
+            for b, pos in zip(*np.nonzero(admissible)):
+                s = int(seg[b])
+                rule = segs.rule(s, int(pos))
+                assert rule.threshold == segs.thresholds(s, pos)
+                # x <= threshold sends exactly the positions 0..pos left
+                rows = segs.rows[segs.start[s]:segs.start[s] + segs.size[s]]
+                left = X[rows, rule.modifier] <= rule.threshold
+                assert left.sum() == pos + 1 and left[:pos + 1].all()
+                between += rule.modifier == 1 and rule.threshold == lo
+        assert between >= 1
+
+
 def test_min_leaf_filters_candidates():
     # counts per side are 1/5, 3/3, 5/1: only the middle cut survives
     ds = Dataset.from_arrays(_ENUM_Y, _ENUM_X)
