@@ -81,7 +81,7 @@ def cmd_fit(args) -> int:
     if args.out_report:
         report.to_csv(args.out_report)
     row = next(e for e in report.entries if e.selected)
-    print(f"selected s = {report.selected_s} of {path.models[-1].s} grown "
+    print(f"selected s = {report.selected_s} of {len(path.rules)} grown "
           f"(dof = {row.dof:.4g}, bic = {row.bic:.6g}, rss = {model.rss:.6g})")
     return 0
 

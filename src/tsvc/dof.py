@@ -154,7 +154,7 @@ class TsvcPathFitter:
     min_leaf: int = 10
 
     def __call__(self, Y: np.ndarray, X: np.ndarray) -> list[dict[int, np.ndarray]]:
-        return [{m.s: m.fit.fitted for m in path.models if m.s >= 1}
+        return [{s: fit.fitted for s, fit in enumerate(path.fits) if s >= 1}
                 for path in fit_paths(X, Y, self.s_max, self.min_leaf)]
 
 

@@ -7,7 +7,8 @@ modifiers).  A model with s splits spends ``p + s + 1`` coefficients:
 the intercept plus one coefficient per leaf across all p trees.
 
 This module holds the trees, the models and paths that ``tree`` grows,
-prediction, and the JSON document a model is saved as.
+the one place a least-squares fit becomes a model, prediction, and the
+JSON document a model is saved as.
 """
 
 from __future__ import annotations
@@ -171,24 +172,40 @@ class TsvcModel:
     def predict(self, X_new) -> np.ndarray:
         return predict(self, X_new)
 
+    @classmethod
+    def from_fit(cls, trees, fit: LinearFit, names) -> "TsvcModel":
+        """The model of ``fit``, a least-squares fit of the trees' design:
+        its coefficients go onto the trees in design-column order, the
+        intercept first, then each tree's leaves in creation order (see
+        ``tree.build_design``)."""
+        values = fit.coefficients.tolist()
+        fitted_trees, at = [], 1
+        for tree in trees:
+            width = len(tree.leaves)
+            fitted_trees.append(replace(tree, coefficients=tuple(values[at:at + width])))
+            at += width
+        return cls(intercept=values[0], trees=tuple(fitted_trees),
+                   s=sum(tree.n_splits for tree in trees), n=fit.fitted.size, p=len(trees),
+                   names=names, rss=fit.rss, fit=fit)
+
 
 @dataclass(frozen=True)
 class ModelPath:
-    """Nested greedy path M0 .. Ms, plus the rule chosen at each step."""
+    """Nested greedy path M0 .. Ms as the search made it: step s holds
+    exactly s splits, its trees ``trees[s]`` and their least-squares fit
+    ``fits[s]``; ``rules[s]`` is the split that leads from step s to
+    step s + 1.  ``model_at`` builds a step's model when asked."""
 
-    models: tuple[TsvcModel, ...]
+    trees: tuple[tuple[CoefficientTree, ...], ...]
+    fits: tuple[LinearFit, ...]
     rules: tuple[SplitRule, ...]
     s_max: int
-
-    @property
-    def deviances(self) -> tuple[float, ...]:
-        return tuple(m.rss for m in self.models)
+    names: tuple[str, ...]
 
     def model_at(self, s: int) -> TsvcModel:
-        for m in self.models:
-            if m.s == s:
-                return m
-        raise ValidationError(f"path has no model with {s} splits")
+        if not 0 <= s < len(self.fits):
+            raise ValidationError(f"path has no model with {s} splits")
+        return TsvcModel.from_fit(self.trees[s], self.fits[s], self.names)
 
 
 # ---------------------------------------------------------------------------

@@ -74,24 +74,21 @@ def prune_path(path: ModelPath, dof_spec: DofSpec) -> PruneReport:
     MissingDofError
         If the DoF source cannot price some split count on the path.
     DegenerateFitError
-        If a path model is saturated (infinite log-likelihood).
+        If a step's fit is saturated (infinite log-likelihood).
     """
-    if not path.models:
+    if not path.fits:
         raise ValidationError("empty model path")
-    first = path.models[0]
-    p, n = first.p, first.n
+    p, n = len(path.names), path.fits[0].fitted.size
     rows = []
     best_s = None
     best_bic = math.inf
-    for model in path.models:
-        if model.fit is None:
-            raise ValidationError("path models must carry their fits")
-        dof = dof_spec.dof_for(model.s, p, n)
-        value = bic(model.fit.log_lik, dof, n)
-        rows.append((model.s, dof, model.fit.log_lik, value))
+    for s, fit in enumerate(path.fits):
+        dof = dof_spec.dof_for(s, p, n)
+        value = bic(fit.log_lik, dof, n)
+        rows.append((s, dof, fit.log_lik, value))
         if value < best_bic:
             best_bic = value
-            best_s = model.s
+            best_s = s
     entries = tuple(
         PruneEntry(s=s, dof=dof, log_lik=ll, bic=b, selected=(s == best_s))
         for s, dof, ll, b in rows

@@ -3,9 +3,10 @@
 Fitting is greedy: every admissible one-split refinement of the current
 coefficient trees (see ``model``) is scored by the residual sum of
 squares of a full least-squares refit, and the best one is kept.
-Repeating this yields a nested path of models with 0..s_max splits.
-``build_design`` expands trees into the least-squares design whose
-column layout the search and ``_make_model`` share.
+Repeating this yields a nested path of 0..s_max splits, which keeps each
+step's trees and least-squares fit.  ``build_design`` expands trees into
+the least-squares design whose column layout the search and
+``TsvcModel.from_fit`` share.
 """
 
 from __future__ import annotations
@@ -352,28 +353,6 @@ def enumerate_candidates(dataset: Dataset, trees, min_leaf: int) -> list[SplitRu
     ]
 
 
-def _make_model(dataset: Dataset, trees, fit: LinearFit) -> TsvcModel:
-    """Distribute fitted coefficients onto the trees, in design-column
-    order (see ``build_design``)."""
-    values = fit.coefficients.tolist()
-    fitted_trees, at = [], 1
-    for tree in trees:
-        width = len(tree.leaves)
-        fitted_trees.append(CoefficientTree(tree.target, tree.root, tree.leaves,
-                                            tree.n_created, tuple(values[at:at + width])))
-        at += width
-    return TsvcModel(
-        intercept=values[0],
-        trees=tuple(fitted_trees),
-        s=sum(tree.n_splits for tree in trees),
-        n=dataset.n,
-        p=dataset.p,
-        names=dataset.names,
-        rss=fit.rss,
-        fit=fit,
-    )
-
-
 def _score_candidates(segs: _Segments, min_leaf: int, resid, Q, which, copies: int = 1):
     """Exact scores of every cut of the segments ``which``, from one
     batched pass.
@@ -638,12 +617,12 @@ def _grow_splits(dataset: Dataset, Y, order, states, carry: _Carry | None, min_l
     first step (no carried scores) of more than one replicate they all
     start from the same trees and basis, and share every sum but the
     residual's.  Each replicate then picks, bans and refits its own
-    winner.  The last step of the paths (``last``) makes only the rules
-    and models: no next state and no carry.
+    winner.  The last step of the paths (``last``) makes only the rules,
+    trees and fits: no next state and no carry.  No step builds a model.
 
     Returns
     -------
-    (grown, carry): per replicate, (SplitRule, TsvcModel, next
+    (grown, carry): per replicate, (SplitRule, trees, LinearFit, next
     _StepState, None on the last step) or None when it is inactive or
     has no admissible split left; and the group's carry for its next
     step, None on the last.
@@ -684,16 +663,15 @@ def _grow_splits(dataset: Dataset, Y, order, states, carry: _Carry | None, min_l
                 # candidate and take the next best.
                 screen.ban(seg, pos)
                 continue
-            model = _make_model(dataset, trees, fit)
             if last:
-                grown[j] = (rule, model, None)
+                grown[j] = (rule, trees, fit, None)
                 break
             picks.append(picked)
             grouped = list(state.grouped)
             grouped[i] = _regroup(grouped[i], order, state.leaf_of[i], leaf_of[i],
                                   rule.parent_leaf, left)
-            grown[j] = (rule, model, _StepState(trees, _frozen(leaf_of), tuple(grouped),
-                                                _frozen(design), fit, _frozen(Q)))
+            grown[j] = (rule, trees, fit, _StepState(trees, _frozen(leaf_of), tuple(grouped),
+                                                     _frozen(design), fit, _frozen(Q)))
             break
     return grown, None if last else screen.carry(picks, n)
 
@@ -732,7 +710,8 @@ def grow_one_split(dataset: Dataset, trees, min_leaf: int = 10):
 
     Returns
     -------
-    (SplitRule, TsvcModel)
+    (SplitRule, TsvcModel): the winning rule and the model of its
+    exact refit.
 
     Raises
     ------
@@ -745,7 +724,8 @@ def grow_one_split(dataset: Dataset, trees, min_leaf: int = 10):
     (grown,), _ = _grow_splits(dataset, Y, order, states, None, min_leaf, last=True)
     if grown is None:
         raise NoAdmissibleSplitError("no admissible split candidate")
-    return grown[:2]
+    rule, trees, fit, _ = grown
+    return rule, TsvcModel.from_fit(trees, fit, dataset.names)
 
 
 def fit_path(dataset: Dataset, s_max: int, min_leaf: int = 10) -> ModelPath:
@@ -792,8 +772,8 @@ def _lockstep(dataset: Dataset, Y, s_max: int, min_leaf: int) -> list[ModelPath]
     _check_min_leaf(min_leaf)
     trees = tuple(CoefficientTree.stump(j) for j in range(dataset.p))
     order, states = _start_states(dataset, trees, Y)
-    models = [[_make_model(dataset, trees, state.fit)] for state in states]
-    rules = [[] for _ in states]
+    # per path: its rules, and each step's trees and fit
+    paths = [([], [trees], [state.fit]) for state in states]
     carry = None
     for step in range(1, s_max + 1):
         if all(state is None for state in states):
@@ -804,8 +784,9 @@ def _lockstep(dataset: Dataset, Y, s_max: int, min_leaf: int) -> list[ModelPath]
             if out is None:
                 states[j] = None
                 continue
-            rule, model, states[j] = out
-            rules[j].append(rule)
-            models[j].append(model)
-    return [ModelPath(models=tuple(path), rules=tuple(steps), s_max=s_max)
-            for path, steps in zip(models, rules)]
+            *made, states[j] = out  # the rule, trees and fit
+            for kept, part in zip(paths[j], made):
+                kept.append(part)
+    return [ModelPath(trees=tuple(steps), fits=tuple(fits), rules=tuple(rules), s_max=s_max,
+                      names=dataset.names)
+            for rules, steps, fits in paths]

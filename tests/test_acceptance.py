@@ -351,7 +351,7 @@ def test_criterion_09_greedy_step_equals_exhaustive_oracle():
         X = rng.normal(size=(n, p))
         y = rng.normal(size=n) + X[:, 0] * (1.0 + (X[:, 1] > 0))
         dataset = Dataset.from_arrays(y, X)
-        base = fit_path(dataset, s_max=0).models[0]
+        base = fit_path(dataset, s_max=0).model_at(0)
         rule, model = grow_one_split(dataset, base.trees, min_leaf=4)
         rss, j, k, c = _oracle_first_split(dataset, min_leaf=4)
         agree = (rule.target == j and rule.modifier == k

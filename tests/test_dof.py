@@ -26,6 +26,9 @@ from tsvc.errors import (
     OffGridError,
     ValidationError,
 )
+from tsvc.cli import main
+from tsvc.model import TsvcModel
+from tsvc.simulate import ScenarioConfig, run_simulation
 from tsvc.tree import fit_path
 
 
@@ -172,6 +175,34 @@ def test_mc_dof_refuses_a_fitter_that_returns_too_few_fits():
         mc_dof(n=20, p=2, config=config, fitter=lambda Y, X: [{1: Y[0]}])
 
 
+def test_only_the_selected_models_are_built(monkeypatch, tmp_path, capsys):
+    # mc_dof reads each step's fitted values and builds no model; fit
+    # builds the one it selects, simulate one per replicate and DoF source
+    built = []
+    from_fit = TsvcModel.from_fit.__func__
+
+    def counted(cls, *args):
+        built.append(args)
+        return from_fit(cls, *args)
+
+    monkeypatch.setattr(TsvcModel, "from_fit", classmethod(counted))
+    mc_dof(60, 3, McDofConfig(m=3, runs=2, s_max=2))
+    assert len(built) == 0
+
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((60, 2))
+    data = tmp_path / "data.csv"
+    y = X[:, 0] * (X[:, 1] > 0) + 0.1 * rng.standard_normal(60)
+    np.savetxt(data, np.column_stack([y, X]), delimiter=",",
+               header="y,x1,x2", comments="")
+    assert main(["fit", "--input", str(data), "--response", "y", "--smax", "3"]) == 0
+    assert len(built) == 1
+
+    config = ScenarioConfig(scenario=1, s_dgp=1, n=100, replications=2, seed=2)
+    run_simulation(config, threads=1)
+    assert len(built) == 1 + config.replications * len(config.dof_specs)
+
+
 class PathLoopFitter:
     """The default fitter's reference: one ``fit_path`` per response,
     not the paths of a run grown in lockstep."""
@@ -181,7 +212,7 @@ class PathLoopFitter:
 
     def __call__(self, Y, X):
         paths = (fit_path(Dataset.from_arrays(y, X), self.s_max, self.min_leaf) for y in Y)
-        return [{m.s: m.fit.fitted for m in path.models if m.s >= 1} for path in paths]
+        return [{s: fit.fitted for s, fit in enumerate(path.fits) if s >= 1} for path in paths]
 
 
 def _tied_design(n, p, seed):

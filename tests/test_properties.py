@@ -15,6 +15,7 @@ from tsvc.cli import main
 from tsvc.core import Dataset
 from tsvc.dof import DofSpec, McDofTable
 from tsvc.errors import TsvcError, ValidationError
+from tsvc.model import model_from_json, model_to_json, predict
 from tsvc.tree import fit_path, fit_paths
 
 
@@ -41,11 +42,11 @@ def test_scaling_y_by_a_power_of_two_scales_the_path_exactly(fit, ks):
     for k in [-480, 480] + ks:
         scaled = fit_path(Dataset.from_arrays(np.ldexp(y, k), X), s_max, min_leaf)
         assert scaled.rules == path.rules, k
-        assert len(scaled.models) == len(path.models), k
-        for a, b in zip(scaled.models, path.models):
+        assert len(scaled.fits) == len(path.fits), k
+        for a, b in zip(scaled.fits, path.fits):
             assert a.rss == np.ldexp(b.rss, 2 * k), k
-            assert a.fit.fitted.tobytes() == np.ldexp(b.fit.fitted, k).tobytes(), k
-            assert a.fit.coefficients.tobytes() == np.ldexp(b.fit.coefficients, k).tobytes(), k
+            assert a.fitted.tobytes() == np.ldexp(b.fitted, k).tobytes(), k
+            assert a.coefficients.tobytes() == np.ldexp(b.coefficients, k).tobytes(), k
 
 
 @st.composite
@@ -63,11 +64,12 @@ def small_groups(draw):
 def _assert_same_steps(a, b, steps):
     """The first ``steps`` splits of the paths a and b agree bit for bit."""
     assert a.rules[:steps] == b.rules[:steps]
-    assert len(a.models[:steps + 1]) == len(b.models[:steps + 1])
-    for x, y in zip(a.models[:steps + 1], b.models[:steps + 1]):
-        assert x.trees == y.trees and x.rss == y.rss
-        assert x.fit.fitted.tobytes() == y.fit.fitted.tobytes()
-        assert x.fit.coefficients.tobytes() == y.fit.coefficients.tobytes()
+    assert len(a.fits[:steps + 1]) == len(b.fits[:steps + 1])
+    assert a.trees[:steps + 1] == b.trees[:steps + 1]
+    for x, y in zip(a.fits[:steps + 1], b.fits[:steps + 1]):
+        assert x.rss == y.rss
+        assert x.fitted.tobytes() == y.fitted.tobytes()
+        assert x.coefficients.tobytes() == y.coefficients.tobytes()
 
 
 @given(small_groups())
@@ -80,7 +82,7 @@ def test_lockstep_paths_equal_one_path_per_response(group):
     for path, y in zip(paths, Y):
         alone = fit_path(Dataset.from_arrays(y, X), s_max, min_leaf)
         _assert_same_steps(path, alone, s_max)
-        assert len(path.models) == len(alone.models)
+        assert len(path.fits) == len(alone.fits)
 
 
 @given(small_groups())
@@ -95,6 +97,24 @@ def test_a_truncated_path_is_a_prefix_of_a_longer_one(group):
         for short, long_ in zip(fit_paths(X, Y, k, min_leaf), longer):
             assert len(short.rules) == min(k, len(long_.rules))
             _assert_same_steps(short, long_, k)
+
+
+@given(small_fits())
+def test_every_model_of_a_path_round_trips_through_json(fit):
+    # the text of a model's clone is the model's text, and the clone
+    # predicts the same bits, on the training rows and between them
+    y, X, s_max, min_leaf = fit
+    try:
+        path = fit_path(Dataset.from_arrays(y, X), s_max, min_leaf)
+    except TsvcError:
+        reject()
+    probe = np.concatenate([X, X + 0.5])
+    for s in range(len(path.fits)):
+        model = path.model_at(s)
+        text = model_to_json(model)
+        clone = model_from_json(text)
+        assert model_to_json(clone) == text, s
+        assert predict(clone, probe).tobytes() == predict(model, probe).tobytes(), s
 
 
 _COLUMNS = ("y", "x1", "x2", "p", "n", "s", "dof", "se")

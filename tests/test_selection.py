@@ -8,7 +8,7 @@ import pytest
 from tsvc.core import Dataset, LinearFit
 from tsvc.dof import DofSpec, McDofConfig, McDofEntry, McDofResult, mc_dof
 from tsvc.errors import DegenerateFitError, MissingDofError, ValidationError
-from tsvc.model import CoefficientTree, ModelPath, SplitRule, TsvcModel
+from tsvc.model import CoefficientTree, ModelPath, SplitRule
 from tsvc.selection import PruneReport, bic, prune_path
 from tsvc.tree import fit_path
 
@@ -49,16 +49,14 @@ def test_bic_rejects_degenerate_inputs():
 
 def _stub_path(log_liks, n=100, p=2):
     """Model path with prescribed per-s log-likelihoods."""
-    models = []
-    for s, ll in enumerate(log_liks):
-        fit = LinearFit(coefficients=np.zeros(p + s + 1),
-                        fitted=np.zeros(n), rss=1.0, sigma2_hat=1.0 / n,
-                        log_lik=ll, n_params=p + s + 1)
-        trees = tuple(CoefficientTree.stump(j) for j in range(p))
-        models.append(TsvcModel(intercept=0.0, trees=trees, s=s, n=n, p=p,
-                                names=("x1", "x2"), rss=1.0, fit=fit))
+    fits = tuple(LinearFit(coefficients=np.zeros(p + s + 1),
+                           fitted=np.zeros(n), rss=1.0, sigma2_hat=1.0 / n,
+                           log_lik=ll, n_params=p + s + 1)
+                 for s, ll in enumerate(log_liks))
+    trees = tuple(CoefficientTree.stump(j) for j in range(p))
     rules = tuple(SplitRule(0, 1, 0.0, 0) for _ in log_liks[1:])
-    return ModelPath(models=tuple(models), rules=rules, s_max=len(log_liks) - 1)
+    return ModelPath(trees=(trees,) * len(fits), fits=fits, rules=rules,
+                     s_max=len(log_liks) - 1, names=("x1", "x2"))
 
 
 def _custom_spec(dofs, n=100, p=2):
@@ -112,11 +110,11 @@ def test_prune_report_matches_oracle_on_real_data():
     path = fit_path(Dataset.from_arrays(y, X), s_max=4, min_leaf=10)
     for spec in (DofSpec("naive"), DofSpec("mfp")):
         report = prune_path(path, spec)
-        expected = [bic(m.fit.log_lik, spec.dof_for(m.s, 2, 120), 120)
-                    for m in path.models]
+        expected = [bic(fit.log_lik, spec.dof_for(s, 2, 120), 120)
+                    for s, fit in enumerate(path.fits)]
         assert [e.bic for e in report.entries] == pytest.approx(expected)
         best = min(range(len(expected)), key=lambda i: (expected[i], i))
-        assert report.selected_s == path.models[best].s
+        assert report.selected_s == path.model_at(best).s
 
 
 def test_penalty_dominance_on_random_paths():

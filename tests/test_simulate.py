@@ -185,8 +185,8 @@ def test_unsplit_model_predicts_better_than_overgrown_one():
     for rep in range(25):
         train, test, _, _ = generate_scenario(cfg, rep)
         path = fit_path(train, s_max=5, min_leaf=10)
-        gaps.append(predictive_log_lik(path.models[0], test)
-                    - predictive_log_lik(path.models[-1], test))
+        gaps.append(predictive_log_lik(path.model_at(0), test)
+                    - predictive_log_lik(path.model_at(len(path.fits) - 1), test))
     assert np.mean(gaps) > 0
 
 

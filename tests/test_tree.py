@@ -77,10 +77,15 @@ def test_assign_routes_rows_to_leaves():
     assert tree.assign(X).tolist() == [1, 3, 4]
 
 
+def _last_model(path):
+    """The model of the path's last step."""
+    return path.model_at(len(path.fits) - 1)
+
+
 def test_every_row_matches_exactly_one_leaf():
     ds = _dataset(n=60, p=3, seed=2)
     path = fit_path(ds, s_max=3, min_leaf=5)
-    for tree in path.models[-1].trees:
+    for tree in path.trees[-1]:
         hits = tree.assign(ds.X)
         assert set(hits.tolist()) <= set(tree.leaves)
 
@@ -117,7 +122,7 @@ def test_one_split_design_row_pattern():
 def test_per_covariate_one_nonzero_leaf_column():
     ds = _dataset(n=50, p=2, seed=4)
     path = fit_path(ds, s_max=3, min_leaf=5)
-    model = path.models[-1]
+    model = _last_model(path)
     design = build_design(ds, model.trees)
     # columns 1..(1+leaves of tree 0) belong to covariate 0
     width0 = len(model.trees[0].leaves)
@@ -223,7 +228,7 @@ def test_candidates_sorted_by_enumeration_key():
 
 def test_grow_one_split_finds_planted_split():
     ds = _dataset(n=40, p=2, seed=6)
-    base = fit_path(ds, s_max=0, min_leaf=5).models[0]
+    base = fit_path(ds, s_max=0, min_leaf=5).model_at(0)
     rule, model = grow_one_split(ds, base.trees, min_leaf=5)
     assert rule.target == 0 and rule.modifier == 1
     x2 = np.sort(ds.X[:, 1])
@@ -262,7 +267,7 @@ def test_grow_one_split_matches_exhaustive_oracle():
         X = rng.standard_normal((n, p))
         y = X @ rng.standard_normal(p) + rng.standard_normal(n)
         ds = Dataset.from_arrays(y, X)
-        base = fit_path(ds, s_max=0, min_leaf=4).models[0]
+        base = fit_path(ds, s_max=0, min_leaf=4).model_at(0)
         try:
             rule, model = grow_one_split(ds, base.trees, min_leaf=4)
         except NoAdmissibleSplitError:
@@ -285,7 +290,7 @@ def test_grow_one_split_matches_exhaustive_oracle_after_splits():
              + rng.standard_normal(n))
         ds = Dataset.from_arrays(y, X)
         path = fit_path(ds, s_max=2, min_leaf=4)
-        for model in path.models[1:]:
+        for model in map(path.model_at, range(1, len(path.fits))):
             trees = model.trees
             assert any(len(t.leaves) >= 2 for t in trees)
             assert all(
@@ -312,7 +317,7 @@ def test_exact_tie_goes_to_the_lower_modifier():
     X = np.column_stack([x1, x2, np.exp(x2)])
     y = x1 * np.where(x2 > 0.3, 2.0, -1.0) + 0.05 * rng.standard_normal(60)
     ds = Dataset.from_arrays(y, X)
-    base = fit_path(ds, s_max=0, min_leaf=5).models[0]
+    base = fit_path(ds, s_max=0, min_leaf=5).model_at(0)
     rule, model = grow_one_split(ds, base.trees, min_leaf=5)
     assert (rule.target, rule.modifier) == (0, 1)
     x2_sorted = np.sort(x2)
@@ -330,7 +335,7 @@ def test_exact_tie_goes_to_the_lower_modifier():
 
 def test_no_admissible_split_when_min_leaf_too_large():
     ds = _dataset(n=10, p=2, seed=8, signal=False)
-    base = fit_path(ds, s_max=0, min_leaf=10).models[0]
+    base = fit_path(ds, s_max=0, min_leaf=10).model_at(0)
     with pytest.raises(NoAdmissibleSplitError):
         grow_one_split(ds, base.trees, min_leaf=10)
 
@@ -343,8 +348,9 @@ def test_no_admissible_split_when_min_leaf_too_large():
 
 def _assert_same_path(lockstep, alone, label):
     assert lockstep.rules == alone.rules, label
-    assert len(lockstep.models) == len(alone.models), label
-    for a, b in zip(lockstep.models, alone.models):
+    assert len(lockstep.fits) == len(alone.fits), label
+    for s in range(len(alone.fits)):
+        a, b = lockstep.model_at(s), alone.model_at(s)
         assert model_to_json(a) == model_to_json(b), label
         assert a.rss == b.rss, label
         assert a.fit.fitted.tobytes() == b.fit.fitted.tobytes(), label
@@ -465,9 +471,9 @@ def test_fit_path_keeps_its_rules_from_a_tiny_to_a_huge_response():
     path = fit_path(Dataset.from_arrays(y, X), 5, 5)
     tiny = fit_path(Dataset.from_arrays(np.ldexp(y, -60), X), 5, 5)
     assert tiny.rules == path.rules
-    for a, b in zip(tiny.models, path.models):
+    for a, b in zip(tiny.fits, path.fits):
         assert a.rss == np.ldexp(b.rss, -120) > 0.0
-        assert a.fit.fitted.tobytes() == np.ldexp(b.fit.fitted, -60).tobytes()
+        assert a.fitted.tobytes() == np.ldexp(b.fitted, -60).tobytes()
     assert fit_path(Dataset.from_arrays(y * 1e152, X), 5, 5).rules == path.rules
     with pytest.raises(ValidationError, match="split gains overflow the float range"):
         fit_path(Dataset.from_arrays(y * 1e153, X), 5, 5)
@@ -486,8 +492,8 @@ def test_carried_grouped_orders_equal_a_fresh_sort():
             (grown,), carry = _grow_splits(ds, ds.y[None], order, [state], carry, min_leaf)
             if grown is None:
                 break
-            _, model, state = grown
-            trees = model.trees
+            *_, state = grown
+            trees = state.trees
             fresh = _grouped_orders(order, state.leaf_of, trees)
             for carried, sorted_ in zip(state.grouped, fresh):
                 assert (carried is None) == (sorted_ is None)
@@ -500,9 +506,9 @@ def test_carried_grouped_orders_equal_a_fresh_sort():
 def test_fit_path_smax_zero():
     ds = _dataset(seed=9)
     path = fit_path(ds, s_max=0, min_leaf=5)
-    assert len(path.models) == 1
-    assert path.models[0].s == 0
-    assert path.models[0].n_params == ds.p + 1
+    assert len(path.fits) == 1
+    assert path.model_at(0).s == 0
+    assert path.model_at(0).n_params == ds.p + 1
 
 
 def test_path_drivers_check_min_leaf_without_a_step():
@@ -513,17 +519,18 @@ def test_path_drivers_check_min_leaf_without_a_step():
     with pytest.raises(ValidationError, match="min_leaf must be >= 1, got -4"):
         fit_paths(ds.X, np.stack([ds.y, -ds.y]), 0, -4)
     with pytest.raises(ValidationError, match="min_leaf must be >= 1, got 0"):
-        grow_one_split(ds, fit_path(ds, s_max=0).models[0].trees, min_leaf=0)
+        grow_one_split(ds, fit_path(ds, s_max=0).trees[0], min_leaf=0)
 
 
 def test_fit_path_nesting_and_monotone_deviance():
     ds = _dataset(n=80, p=3, seed=10)
     path = fit_path(ds, s_max=4, min_leaf=5)
-    assert [m.s for m in path.models] == list(range(len(path.models)))
-    dev = path.deviances
+    models = [path.model_at(s) for s in range(len(path.fits))]
+    assert [m.s for m in models] == list(range(len(models)))
+    dev = [f.rss for f in path.fits]
     assert all(dev[i + 1] <= dev[i] + 1e-8 for i in range(len(dev) - 1))
-    assert len(path.rules) == len(path.models) - 1
-    for m in path.models:
+    assert len(path.rules) == len(path.fits) - 1
+    for m in models:
         assert m.n_params == ds.p + m.s + 1
         assert m.fit.n_params == m.n_params
 
@@ -531,18 +538,18 @@ def test_fit_path_nesting_and_monotone_deviance():
 def test_fit_path_refinement_one_tree_at_a_time():
     ds = _dataset(n=80, p=3, seed=11)
     path = fit_path(ds, s_max=4, min_leaf=5)
-    for prev, cur, rule in zip(path.models, path.models[1:], path.rules):
+    for prev, cur, rule in zip(path.trees, path.trees[1:], path.rules):
         for j in range(ds.p):
             if j == rule.target:
-                old = set(prev.trees[j].leaves)
-                new = set(cur.trees[j].leaves)
+                old = set(prev[j].leaves)
+                new = set(cur[j].leaves)
                 assert len(new) == len(old) + 1
                 assert rule.parent_leaf in old - new
             else:
                 # untouched trees keep their structure; the full refit
                 # still updates every coefficient
-                assert cur.trees[j].root == prev.trees[j].root
-                assert cur.trees[j].leaves == prev.trees[j].leaves
+                assert cur[j].root == prev[j].root
+                assert cur[j].leaves == prev[j].leaves
 
 
 def test_fit_path_stops_early_without_candidates():
@@ -552,14 +559,14 @@ def test_fit_path_stops_early_without_candidates():
 
     # min_leaf equal to n forbids any split at all
     path = fit_path(ds, s_max=5, min_leaf=12)
-    assert len(path.models) == 1 and path.rules == ()
-    assert path.models[-1].s == 0 and path.s_max == 5
+    assert len(path.fits) == 1 and path.rules == ()
+    assert _last_model(path).s == 0 and path.s_max == 5
 
     # min_leaf = 6 allows at most one split per tree before every leaf
     # is unsplittable, so the path ends before s_max
     path = fit_path(ds, s_max=5, min_leaf=6)
     assert len(path.rules) <= 2
-    assert path.models[-1].s == len(path.rules) < 5
+    assert _last_model(path).s == len(path.rules) < 5
 
 
 def _carried_state_dataset(kind):
@@ -604,14 +611,15 @@ def test_fit_path_carried_state_matches_fresh_steps(kind, monkeypatch):
 
     trees = tuple(CoefficientTree.stump(j) for j in range(ds.p))
     first = solve_least_squares(build_design(ds, trees), ds.y)
-    assert path.models[0].fit.fitted.tobytes() == first.fitted.tobytes()
+    assert path.fits[0].fitted.tobytes() == first.fitted.tobytes()
     for k in range(s_max):
         rule, model = grow_one_split(ds, trees, min_leaf)
+        step = path.model_at(k + 1)
         assert rule == path.rules[k], f"step {k + 1}"
-        assert model.trees == path.models[k + 1].trees
-        assert model.rss == path.models[k + 1].rss
-        assert model.fit.fitted.tobytes() == path.models[k + 1].fit.fitted.tobytes()
-        assert model.fit.coefficients.tobytes() == path.models[k + 1].fit.coefficients.tobytes()
+        assert model.trees == step.trees
+        assert model.rss == step.rss
+        assert model.fit.fitted.tobytes() == step.fit.fitted.tobytes()
+        assert model.fit.coefficients.tobytes() == step.fit.coefficients.tobytes()
         trees = model.trees
 
 
@@ -658,13 +666,13 @@ def test_fit_path_matches_exhaustive_oracle_at_every_step():
     checked = ties = 0
     for ds, min_leaf in _short_paths(seed=31, count=30):
         path = fit_path(ds, s_max=6, min_leaf=min_leaf)
-        for k, model in enumerate(path.models):
-            best = _oracle_step(ds, model.trees, min_leaf)
+        for k, trees in enumerate(path.trees):
+            best = _oracle_step(ds, trees, min_leaf)
             if k == len(path.rules):
                 assert best is None or len(path.rules) == 6
                 continue
             assert best is not None
-            rule, grown = path.rules[k], path.models[k + 1]
+            rule, grown = path.rules[k], path.fits[k + 1]
             if _key(rule) != _key(best[1]):
                 ties += 1
                 assert grown.rss == pytest.approx(best[0], rel=1e-12)
@@ -694,8 +702,8 @@ def test_downdated_gains_stay_within_the_bound_of_fresh_gains():
             (grown,), carry = _grow_splits(ds, ds.y[None], order, [state], carry, min_leaf)
             if grown is None:
                 break
-            _, model, state = grown
-            trees = model.trees
+            *_, state = grown
+            trees = state.trees
             segs = _segments(ds, trees, min_leaf, order, state.leaf_of)
             if not segs.size.size:
                 break
@@ -740,7 +748,7 @@ def test_carry_holds_each_segment_once_with_its_rescored_scores(monkeypatch):
             (grown,), carry = _grow_splits(ds, ds.y[None], order, [state], carry, min_leaf)
             if grown is None:
                 break
-            state = grown[2]
+            state = grown[3]
             carried = np.concatenate([block.seg for block in carry.blocks])
             assert np.array_equal(np.sort(carry.keys[carried]), carry.keys)
             for screen, which in rescores:
@@ -784,11 +792,11 @@ def test_few_segments_are_rescored(monkeypatch):
     for ds, min_leaf in _short_paths(seed=51, count=30):
         path = fit_path(ds, s_max=6, min_leaf=min_leaf)
         # the first step of a path scores every segment in full
-        rescored.extend(per_step[1:len(path.models)])
-        for model in path.models[1:]:
+        rescored.extend(per_step[1:len(path.fits)])
+        for trees in path.trees[1:]:
             order = np.argsort(ds.X, axis=0, kind="stable")
-            leaf_of = np.stack([t.assign(ds.X) for t in model.trees])
-            segments.append(_segments(ds, model.trees, min_leaf, order, leaf_of).size.size)
+            leaf_of = np.stack([t.assign(ds.X) for t in trees])
+            segments.append(_segments(ds, trees, min_leaf, order, leaf_of).size.size)
         per_step.clear()
     assert np.median(rescored) <= 0.1 * np.median(segments)
     assert np.mean(rescored) <= 0.2 * np.mean(segments)
@@ -815,13 +823,13 @@ def test_exact_tie_after_a_first_split_goes_to_the_lower_modifier(monkeypatch):
     below = x2_sorted[x2_sorted <= rule.threshold].max()
     above = x2_sorted[x2_sorted > rule.threshold].min()
     assert rule.threshold == 0.5 * (below + above)
-    trees = path.models[1].trees
+    trees = path.trees[1]
     twin = [r for r in enumerate_candidates(ds, trees, min_leaf=5)
             if (r.target, r.modifier) == (0, 2)
             and (np.exp(x2) <= r.threshold).sum() == (x2 <= rule.threshold).sum()]
     assert len(twin) == 1
     refined = (trees[0].split(twin[0]),) + trees[1:]
-    assert solve_least_squares(build_design(ds, refined), ds.y).rss == path.models[2].rss
+    assert solve_least_squares(build_design(ds, refined), ds.y).rss == path.fits[2].rss
 
 
 def test_degenerate_candidates_are_rescored_not_screened(monkeypatch):
@@ -843,11 +851,11 @@ def test_degenerate_candidates_are_rescored_not_screened(monkeypatch):
     assert (path.rules[0].target, path.rules[0].modifier) == (0, 2)
     assert all(count >= 1 for count in per_step[2:])
     monkeypatch.undo()
-    trees = path.models[0].trees
+    trees = path.trees[0]
     for k, rule in enumerate(path.rules):
         fresh_rule, model = grow_one_split(ds, trees, min_leaf=4)
         assert fresh_rule == rule, f"step {k + 1}"
-        assert model.fit.fitted.tobytes() == path.models[k + 1].fit.fitted.tobytes()
+        assert model.fit.fitted.tobytes() == path.fits[k + 1].fitted.tobytes()
         trees = model.trees
 
 
@@ -855,8 +863,10 @@ def test_model_at_and_missing_s():
     ds = _dataset(seed=12)
     path = fit_path(ds, s_max=2, min_leaf=5)
     assert path.model_at(1).s == 1
-    with pytest.raises(ValidationError):
-        path.model_at(99)
+    # an index past either end names no step: -1 is not the last one
+    for s in (99, -1, len(path.fits)):
+        with pytest.raises(ValidationError, match=f"path has no model with {s} splits"):
+            path.model_at(s)
 
 
 # ---------------------------------------------------------------------------
@@ -865,7 +875,7 @@ def test_model_at_and_missing_s():
 
 def test_predict_zero_split_equals_linear():
     ds = _dataset(n=30, p=2, seed=13, signal=False)
-    model = fit_path(ds, s_max=0, min_leaf=5).models[0]
+    model = fit_path(ds, s_max=0, min_leaf=5).model_at(0)
     fit = solve_least_squares(np.column_stack([np.ones(ds.n), ds.X]), ds.y)
     np.testing.assert_allclose(predict(model, ds.X), fit.fitted, atol=1e-10)
 
@@ -876,7 +886,7 @@ def test_predict_hand_evaluated_piecewise_coefficient():
         SplitRule(target=0, modifier=1, threshold=0.0, parent_leaf=0))
     t0 = t0.with_coefficients([2.0, 5.0])  # leaf 1: x2 <= 0, leaf 2: x2 > 0
     t1 = CoefficientTree.stump(1).with_coefficients([0.0])
-    model = fit_path(ds, s_max=0, min_leaf=5).models[0]
+    model = fit_path(ds, s_max=0, min_leaf=5).model_at(0)
     hand = type(model)(intercept=0.0, trees=(t0, t1), s=1, n=ds.n, p=2,
                        names=ds.names, rss=1.0)
     assert predict(hand, np.array([[1.0, -1.0]]))[0] == pytest.approx(2.0)
@@ -886,14 +896,14 @@ def test_predict_hand_evaluated_piecewise_coefficient():
 def test_predict_on_training_matches_fitted():
     ds = _dataset(n=60, p=3, seed=15)
     path = fit_path(ds, s_max=3, min_leaf=5)
-    for model in path.models:
+    for model in map(path.model_at, range(len(path.fits))):
         np.testing.assert_allclose(predict(model, ds.X), model.fit.fitted,
                                    atol=1e-10)
 
 
 def test_predict_checks_width():
     ds = _dataset(seed=16)
-    model = fit_path(ds, s_max=1, min_leaf=5).models[-1]
+    model = _last_model(fit_path(ds, s_max=1, min_leaf=5))
     with pytest.raises(DimensionMismatchError):
         predict(model, np.ones((3, 5)))
 
@@ -904,7 +914,7 @@ def test_predict_checks_width():
 
 def test_json_round_trip_is_stable():
     ds = _dataset(n=70, p=3, seed=17)
-    model = fit_path(ds, s_max=3, min_leaf=5).models[-1]
+    model = _last_model(fit_path(ds, s_max=3, min_leaf=5))
     text = model_to_json(model)
     clone = model_from_json(text)
     assert model_to_json(clone) == text
@@ -917,7 +927,7 @@ def test_json_round_trip_is_stable():
 
 def test_json_leaf_ids_must_match_the_tree():
     ds = _dataset(n=70, p=3, seed=17)
-    doc = json.loads(model_to_json(fit_path(ds, s_max=3, min_leaf=5).models[-1]))
+    doc = json.loads(model_to_json(_last_model(fit_path(ds, s_max=3, min_leaf=5))))
     tree = next(t for t in doc["trees"] if len(t["leaves"]) > 1)
     tree["leaves"][0]["id"] += 100
     with pytest.raises(ValidationError, match="differ from the leaves of its root"):
@@ -957,7 +967,7 @@ _JSON_DEFECTS = {
 @pytest.mark.parametrize("defect", sorted(_JSON_DEFECTS))
 def test_json_must_describe_a_model(defect):
     ds = _dataset(n=70, p=3, seed=17)
-    doc = json.loads(model_to_json(fit_path(ds, s_max=3, min_leaf=5).models[-1]))
+    doc = json.loads(model_to_json(_last_model(fit_path(ds, s_max=3, min_leaf=5))))
     corrupt, match = _JSON_DEFECTS[defect]
     corrupt(doc)
     with pytest.raises(ValidationError, match=match):
@@ -999,7 +1009,7 @@ _JSON_MALFORMED = {
 @pytest.mark.parametrize("case", sorted(_JSON_MALFORMED))
 def test_malformed_json_raises_validation_error(case):
     ds = _dataset(n=70, p=3, seed=17)
-    doc = json.loads(model_to_json(fit_path(ds, s_max=3, min_leaf=5).models[-1]))
+    doc = json.loads(model_to_json(_last_model(fit_path(ds, s_max=3, min_leaf=5))))
     make, match = _JSON_MALFORMED[case]
     document = make(doc)
     load = model_from_json if isinstance(document, str) else model_from_dict
