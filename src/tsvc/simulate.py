@@ -251,19 +251,14 @@ def _run_replicate(args):
     config, replicate = args
     train, test, _, _ = generate_scenario(config, replicate)
     path = fit_path(train, config.effective_s_max, config.min_leaf)
-    records = []
-    for spec in config.dof_specs:
-        report = prune_path(path, spec)
-        model = path.model_at(report.selected_s)
-        records.append(
-            ReplicateRecord(
-                replicate=replicate,
-                dof_name=spec.name,
-                selected_s=report.selected_s,
-                pred_log_lik=predictive_log_lik(model, test),
-            )
-        )
-    return records
+    selected = [prune_path(path, spec).selected_s for spec in config.dof_specs]
+    # sources that select the same s share one model and its score
+    log_lik = {s: predictive_log_lik(path.model_at(s), test) for s in set(selected)}
+    return [
+        ReplicateRecord(replicate=replicate, dof_name=spec.name, selected_s=s,
+                        pred_log_lik=log_lik[s])
+        for spec, s in zip(config.dof_specs, selected)
+    ]
 
 
 def run_simulation(config: ScenarioConfig, threads: int = 1) -> SimSummary:

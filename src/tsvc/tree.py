@@ -43,9 +43,14 @@ _SCREEN_RTOL = 1e-6
 _DOWNDATE_FLOOR = 1e-6
 
 # Cap on the array entries (segments x row positions x values per
-# position) that one block of the batched split search holds; it bounds
-# the search's working memory.
-_BLOCK_ELEMENTS = 1 << 16
+# position) that one block of the batched split search holds.  It bounds
+# a block's scoring temporaries, unless one segment alone is larger; the
+# scores carried from step to step are bounded by _LOCKSTEP_POSITIONS.
+# 2^18 float64 entries are 2 MiB, one core's L2 cache on the host where
+# a sweep of 2^16..2^20 chose it (README): larger blocks take fewer numpy
+# passes per step, and past 2^18 the largest grid cell grew slower and
+# its peak memory higher.
+_BLOCK_ELEMENTS = 1 << 18
 
 # Cap on the candidate positions (about p^2 * n per replicate) that the
 # replicates of one lockstep group of ``fit_paths`` carry from step to

@@ -177,7 +177,8 @@ def test_mc_dof_refuses_a_fitter_that_returns_too_few_fits():
 
 def test_only_the_selected_models_are_built(monkeypatch, tmp_path, capsys):
     # mc_dof reads each step's fitted values and builds no model; fit
-    # builds the one it selects, simulate one per replicate and DoF source
+    # builds the one it selects, simulate one per replicate and selected
+    # s, shared by the DoF sources that select the same s
     built = []
     from_fit = TsvcModel.from_fit.__func__
 
@@ -198,9 +199,11 @@ def test_only_the_selected_models_are_built(monkeypatch, tmp_path, capsys):
     assert main(["fit", "--input", str(data), "--response", "y", "--smax", "3"]) == 0
     assert len(built) == 1
 
-    config = ScenarioConfig(scenario=1, s_dgp=1, n=100, replications=2, seed=2)
-    run_simulation(config, threads=1)
-    assert len(built) == 1 + config.replications * len(config.dof_specs)
+    config = ScenarioConfig(scenario=1, s_dgp=1, n=100, replications=6, seed=3)
+    selected = {(rec.replicate, rec.selected_s)
+                for rec in run_simulation(config, threads=1).records}
+    assert len(selected) < config.replications * len(config.dof_specs)
+    assert len(built) == 1 + len(selected)
 
 
 class PathLoopFitter:

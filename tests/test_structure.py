@@ -3,7 +3,9 @@ or writes, every CSV and every worker process goes through ``_io``; no
 module imports another's private names; ``model`` (the fitted model
 and its JSON) rests on ``core`` and ``errors`` alone; scipy's LAPACK
 comes only through ``core``'s loader; the CLI's exit code is set by the
-error types alone; and the package exports names, not its modules."""
+error types alone; the package exports names, not its modules; and the
+split search's block budget is a constant that only the block maker
+reads."""
 
 import ast
 import inspect
@@ -112,3 +114,28 @@ def test_cli_exit_code_is_the_error_type():
 def test_package_exports_no_module():
     # ``from tsvc import *`` binds the public names, not the submodules
     assert [name for name in tsvc.__all__ if inspect.ismodule(getattr(tsvc, name))] == []
+
+
+def test_block_budget_is_a_constant_read_by_the_block_maker_alone():
+    # the split search's block budget is one constant, not a knob: tree.py
+    # assigns it once from literals, only _candidate_blocks reads it, and
+    # no other module names it, so no CLI option or environment variable
+    # (tree.py imports no os, see above) can reach it
+    name = "_BLOCK_ELEMENTS"
+    assert [path.name for path in SRC.glob("*.py")
+            if path.name != "tree.py" and name in path.read_text(encoding="utf-8")] == []
+    stores, loads = [], []
+    for top in _tree("tree.py").body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, (ast.Global, ast.Nonlocal)) and name in node.names:
+                stores.append((owner, type(node).__name__))
+            elif isinstance(node, ast.Attribute) and node.attr == name:
+                stores.append((owner, "attribute"))
+            elif isinstance(node, ast.Name) and node.id == name:
+                (loads if isinstance(node.ctx, ast.Load) else stores).append(owner)
+    assert stores == [None] and set(loads) == {"_candidate_blocks"}
+    (value,) = [top.value for top in _tree("tree.py").body if isinstance(top, ast.Assign)
+                and [ast.unparse(target) for target in top.targets] == [name]]
+    assert all(isinstance(node, (ast.Constant, ast.BinOp, ast.operator))
+               for node in ast.walk(value)), ast.unparse(value)

@@ -415,6 +415,101 @@ def test_fit_paths_in_groups_equal_one_group(monkeypatch):
         _assert_same_path(a, fit_path(Dataset.from_arrays(Y[j], X), 5, 5), f"replicate {j}")
 
 
+def _record_scores(monkeypatch):
+    """Per greedy step, the scores every segment was kept with: (segment,
+    exact, num, den, uu) over the segment's own positions."""
+    import tsvc.tree as tree_module
+
+    steps = []
+    real_init, real_keep = tree_module._Screen.__init__, tree_module._Screen._keep
+
+    def init(self, *args, **kwargs):
+        steps.append([])
+        real_init(self, *args, **kwargs)
+
+    def keep(self, block, exact):
+        own = self.segs.size[block.seg] - self.min_leaf + 1
+        steps[-1].extend((int(seg), exact) + tuple(a[b, :own[b]].tobytes() for a in
+                                                   (block.num, block.den, block.uu))
+                         for b, seg in enumerate(block.seg))
+        return real_keep(self, block, exact)
+
+    monkeypatch.setattr(tree_module._Screen, "__init__", init)
+    monkeypatch.setattr(tree_module._Screen, "_keep", keep)
+    return steps
+
+
+@pytest.mark.parametrize("cap", [1, 1 << 12, 1 << 24])
+def test_block_composition_leaves_the_paths_unchanged(cap, monkeypatch):
+    # a segment's scores do not depend on which segments share its block:
+    # one segment per block (cap 1), several blocks of several segments,
+    # or one block per step give the default's scores and paths bit for
+    # bit, on random, tied and mixed-scale columns, several responses per
+    # X so that the first step's copies share one table
+    import tsvc.tree as tree_module
+
+    rng = np.random.default_rng(89)
+    cases = []
+    while len(cases) < 6:
+        n, p = int(rng.integers(60, 121)), int(rng.integers(2, 5))
+        ds = _random_path_dataset(rng, ("normal", "tied", "mixed")[len(cases) % 3], n, p)
+        try:
+            fit_path(ds, s_max=0)
+        except RankDeficientError:
+            continue  # a collinear draw
+        X, Y = ds.X, rng.standard_normal((int(rng.integers(2, 5)), n))
+        Y[0] += 2.0 * X[:, 0] / np.abs(X[:, 0]).mean() * (X[:, -1] > np.median(X[:, -1]))
+        cases.append((X, Y, int(rng.integers(3, 8))))
+    scores = _record_scores(monkeypatch)
+    default = [fit_paths(X, Y, s_max=6, min_leaf=min_leaf) for X, Y, min_leaf in cases]
+    default_scores = scores[:]
+    scores.clear()
+    monkeypatch.setattr(tree_module, "_BLOCK_ELEMENTS", cap)
+    for c, ((X, Y, min_leaf), paths) in enumerate(zip(cases, default)):
+        for j, (a, b) in enumerate(zip(fit_paths(X, Y, s_max=6, min_leaf=min_leaf), paths)):
+            _assert_same_path(a, b, f"case {c}, replicate {j}")
+    assert [sorted(step) for step in scores] == [sorted(step) for step in default_scores]
+    assert sum(len(path.rules) for paths in default for path in paths) >= 60
+    assert sum(len(step) for step in scores) >= 500
+
+
+@pytest.mark.parametrize("cap", [1, 700, 1 << 12, None])
+def test_candidate_blocks_hold_at_most_the_cap(cap, monkeypatch):
+    # a block holds at most _BLOCK_ELEMENTS entries of a (segments x
+    # positions x width) array, or a single segment that alone exceeds
+    # it; the blocks cover the segments asked for, each once.  None
+    # keeps the default cap, which n = 3000 fills with several segments.
+    import tsvc.tree as tree_module
+    from tsvc.tree import _candidate_blocks, _segments
+
+    if cap is not None:
+        monkeypatch.setattr(tree_module, "_BLOCK_ELEMENTS", cap)
+    cap = tree_module._BLOCK_ELEMENTS
+    rng = np.random.default_rng(97)
+    sizes = set()
+    for n, p, min_leaf, splits in ((3000, 4, 10, 2), (80, 3, 4, 3), (45, 2, 2, 4)):
+        X = rng.standard_normal((n, p))
+        X[:, -1] = np.round(X[:, -1])  # a tied modifier
+        ds = Dataset.from_arrays(rng.standard_normal(n), X)
+        path = fit_path(ds, s_max=splits, min_leaf=min_leaf)
+        for trees in (path.trees[0], path.trees[-1]):
+            order = np.argsort(X, axis=0, kind="stable")
+            segs = _segments(ds, trees, min_leaf, order,
+                             np.stack([tree.assign(X) for tree in trees]))
+            for which in (None, np.arange(segs.size.size)[::2]):
+                for width in (3, 2 + p + 8):
+                    seen = []
+                    for seg, rows, admissible in _candidate_blocks(segs, min_leaf, width, which):
+                        assert rows.shape == admissible.shape == (seg.size, rows.shape[1])
+                        entries = seg.size * rows.shape[1] * width
+                        assert entries <= cap or seg.size == 1, (n, width, seg.size)
+                        seen.extend(seg.tolist())
+                        sizes.add(seg.size)
+                    want = range(segs.size.size) if which is None else which.tolist()
+                    assert sorted(seen) == sorted(want)
+    assert max(sizes) > 1 or cap == 1
+
+
 def test_fit_paths_ban_one_replicate_refit_and_not_the_others(monkeypatch):
     # on mixed-scale columns some winning refits are singular: replicates
     # 0 and 2 ban candidates, 1 and 3 never do, and each still follows
