@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass, replace
 from statistics import NormalDist
 
@@ -43,6 +44,19 @@ LINEAR = (1.0,)
 # fit; likelihood-ratio statistics are clamped accordingly so that an
 # exactly representable surface cannot trigger spurious rejections.
 _RSS_FLOOR_RTOL = 1e-14
+
+# The FP search screens every power tuple of a covariate from the basis of
+# the model without it and refits exactly only the tuples whose screened
+# rss lies within _FP_SCREEN_RTOL times that model's rss, plus the zero-rss
+# floor, of the best exact rss so far.  The screen only orders the
+# candidates: the exact refits decide, ties included.
+_FP_SCREEN_RTOL = 1e-6
+
+# A tuple whose FP columns keep less than this share of their squared norm
+# off that basis, or (degree 2) whose two projected columns are this close
+# to parallel, cannot be screened to the margin's accuracy; it reads -inf
+# and is always refit.
+_FP_SCREEN_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -223,7 +237,9 @@ def _fp_power_sets(degree: int):
 
 class _Columns:
     """The model columns of one dataset, each built once: FP blocks keyed
-    by (covariate, powers, shift), interaction products by covariates.
+    by (covariate, powers, shift), interaction products by covariates,
+    and each FP search's stack of candidate blocks by (covariate, degree,
+    shift).
 
     A selection scores hundreds of candidate models that share most of
     their columns; ``design`` assembles a candidate's design from the
@@ -235,6 +251,13 @@ class _Columns:
         self._ones = np.ones((dataset.n, 1))
         self._fp: dict[tuple, np.ndarray] = {}
         self._products: dict[tuple[int, ...], np.ndarray] = {}
+        self._stacks: dict[tuple, np.ndarray] = {}
+
+    def _block(self, j: int, powers: tuple[float, ...], shift: float) -> np.ndarray:
+        key = (j, powers, shift)
+        if key not in self._fp:
+            self._fp[key] = fp_columns(self.dataset.X[:, j] + shift, powers)
+        return self._fp[key]
 
     def design(self, forms: dict[int, FpTerm], interactions) -> np.ndarray:
         """Intercept, then each form's block by covariate, then each product."""
@@ -242,16 +265,22 @@ class _Columns:
         cols = [self._ones]
         for j in sorted(forms):
             term = forms[j]
-            key = (j, tuple(term.powers), term.shift)
-            if key not in self._fp:
-                self._fp[key] = fp_columns(X[:, j] + term.shift, term.powers)
-            cols.append(self._fp[key])
+            cols.append(self._block(j, tuple(term.powers), term.shift))
         for covs in interactions:
             key = tuple(covs)
             if key not in self._products:
                 self._products[key] = np.prod(X[:, list(key)], axis=1).reshape(-1, 1)
             cols.append(self._products[key])
         return np.concatenate(cols, axis=1)
+
+    def candidates(self, j: int, degree: int, shift: float) -> np.ndarray:
+        """The blocks of every degree-``degree`` power tuple of covariate j,
+        in ``_fp_power_sets`` order, stacked as an (n, tuples, degree) array."""
+        key = (j, degree, shift)
+        if key not in self._stacks:
+            self._stacks[key] = np.stack(
+                [self._block(j, powers, shift) for powers in _fp_power_sets(degree)], axis=1)
+        return self._stacks[key]
 
 
 def _rss(columns: _Columns, forms, interactions) -> float | None:
@@ -275,13 +304,17 @@ def _chi2_critical_values(alpha: float) -> dict[int, float]:
 class _LrTester:
     """Likelihood-ratio chi-square tests with a numerical-zero floor.
 
-    Without ``alpha`` it gives statistics only, not test decisions.
+    Without ``alpha`` it gives statistics only, not test decisions.  A
+    response whose floor is not a normal float is refused: below that
+    the rss values lose bits to underflow and no longer scale with y.
     """
 
     def __init__(self, dataset: Dataset, alpha: float | None = None):
         self.n = dataset.n
-        scale = float(np.mean(dataset.y ** 2))
-        self.floor = max(_RSS_FLOOR_RTOL * self.n * max(scale, 1e-300), 1e-300)
+        self.floor = _RSS_FLOOR_RTOL * self.n * float(np.mean(dataset.y ** 2))
+        if self.floor < sys.float_info.min:
+            raise ValidationError("y is too small for the likelihood-ratio tests "
+                                  "(its rss floor underflows): rescale y")
         self._crit = None if alpha is None else _chi2_critical_values(alpha)
 
     def statistic(self, rss_null: float, rss_alt: float) -> float:
@@ -312,12 +345,12 @@ def order_covariates(dataset: Dataset) -> list[int]:
 
 def _order_covariates(columns: _Columns) -> list[int]:
     dataset = columns.dataset
+    tester = _LrTester(dataset)
     forms = {j: FpTerm(j, LINEAR, positivity_shift(dataset.X[:, j]))
              for j in range(dataset.p)}
     full = _rss(columns, forms, [])
     if full is None:
         raise RankDeficientError("full linear model is singular")
-    tester = _LrTester(dataset)
     scores = []
     for j in range(dataset.p):
         reduced = {k: v for k, v in forms.items() if k != j}
@@ -342,8 +375,9 @@ def best_fp(dataset: Dataset, j: int, degree: int,
         raise ValidationError(f"degree must be 1 or 2, got {degree}")
     if j < 0 or j >= dataset.p:
         raise ValidationError(f"no covariate {j}")
-    term, _ = _best_fp_with_rss(_Columns(dataset), j, degree, current_forms or {},
-                                interactions, positivity_shift(dataset.X[:, j]))
+    term, _, _ = _best_fp_with_rss(_Columns(dataset), j, degree, current_forms or {},
+                                   interactions, positivity_shift(dataset.X[:, j]),
+                                   _LrTester(dataset).floor)
     if term is None:
         raise RankDeficientError(
             f"every degree-{degree} candidate for covariate {j} is singular"
@@ -351,20 +385,72 @@ def best_fp(dataset: Dataset, j: int, degree: int,
     return term
 
 
-def _best_fp_with_rss(columns, j, degree, current_forms, interactions, delta):
-    """``best_fp`` with covariate j shifted by ``delta``, and the rss of
-    its fit; (None, inf) when every candidate is singular."""
+def _best_fp_with_rss(columns, j, degree, current_forms, interactions, delta, floor):
+    """``best_fp`` with covariate j shifted by ``delta``: the best term,
+    the rss of its fit, and the rss of the model without covariate j
+    (None when that design is singular); the term is None and its rss
+    inf when every candidate is singular.
+
+    The model without j is solved once.  Every candidate is screened
+    from that fit's basis and residual (``_screened_gains``) and then
+    refit exactly in ascending screened order, until a screened rss
+    exceeds the best exact rss by more than the margin: ``_FP_SCREEN_RTOL``
+    times the null rss plus ``floor``, the zero-rss floor.  A candidate
+    the screen cannot trust reads -inf, so it is always refit; where the
+    null design is singular, every candidate does.  The result is the
+    exhaustive loop's: the least exact rss, ties to the first tuple.
+    """
     others = {k: v for k, v in current_forms.items() if k != j}
-    best = None
-    best_rss = math.inf
-    for powers in _fp_power_sets(degree):
+    power_sets = _fp_power_sets(degree)
+    try:
+        null, Q = solve_least_squares(columns.design(others, interactions),
+                                      columns.dataset.y, return_basis=True)
+    except RankDeficientError:
+        rss_null, screened, margin = None, np.full(len(power_sets), -np.inf), 0.0
+    else:
+        rss_null = null.rss
+        screened = rss_null - _screened_gains(columns.candidates(j, degree, delta), Q,
+                                              columns.dataset.y - null.fitted)
+        margin = _FP_SCREEN_RTOL * rss_null + floor
+    best, best_rss, best_k = None, math.inf, len(power_sets)
+    for k in np.argsort(screened, kind="stable"):
+        if screened[k] > best_rss + margin:
+            break
         forms = dict(others)
-        forms[j] = FpTerm(j, powers, delta)
+        forms[j] = FpTerm(j, power_sets[k], delta)
         rss = _rss(columns, forms, interactions)
-        if rss is not None and rss < best_rss:
-            best_rss = rss
-            best = FpTerm(j, powers, delta)
-    return best, best_rss
+        if rss is not None and (rss, k) < (best_rss, best_k):
+            best, best_rss, best_k = forms[j], rss, k
+    return best, best_rss, rss_null
+
+
+def _screened_gains(C, Q, r) -> np.ndarray:
+    """Per candidate block ``C[:, k]`` (n x degree), the fall in rss from
+    adding it to the model with orthonormal basis Q and residual r: with
+    B the block projected off Q, ``t' G^-1 t`` for G = B'B and t = B'r,
+    in closed form.  inf where the projection leaves the block near
+    degenerate (``_FP_SCREEN_FLOOR``) or the arithmetic is not finite."""
+    n, count, degree = C.shape
+    C = C.reshape(n, count * degree)  # block k's columns side by side
+    B = C
+    with np.errstate(all="ignore"):
+        for _ in range(2):  # the second pass restores what cancellation lost
+            B = B - Q @ (Q.T @ B)
+        t = r @ B
+        squares = np.einsum("ij,ij->j", B, B)
+        kept = squares / np.einsum("ij,ij->j", C, C)
+        trusted = (kept >= _FP_SCREEN_FLOOR).reshape(count, degree).all(axis=1)
+        if degree == 1:
+            gains = t * t / squares
+        else:
+            a, d = squares[0::2], squares[1::2]
+            b = np.einsum("ij,ij->j", B[:, 0::2], B[:, 1::2])
+            t1, t2 = t[0::2], t[1::2]
+            det = a * d - b * b
+            trusted &= det >= _FP_SCREEN_FLOOR * a * d
+            gains = (d * t1 * t1 - 2.0 * b * t1 * t2 + a * t2 * t2) / det
+        trusted &= np.isfinite(gains)
+    return np.where(trusted, gains, np.inf)
 
 
 def mfp_select(dataset: Dataset, alpha: float = 0.05, interactions: int = 0,
@@ -415,9 +501,9 @@ def mfp_select(dataset: Dataset, alpha: float = 0.05, interactions: int = 0,
                   tuple(included_inters))
         for j in order:
             others = {k: v for k, v in forms.items() if k != j}
-            fp2, rss_fp2 = _best_fp_with_rss(columns, j, 2, others,
-                                             included_inters, shifts[j])
-            rss_null = _rss(columns, others, included_inters)
+            fp2, rss_fp2, rss_null = _best_fp_with_rss(columns, j, 2, others,
+                                                       included_inters, shifts[j],
+                                                       tester.floor)
             linear = dict(others)
             linear[j] = FpTerm(j, LINEAR, shifts[j])
             if fp2 is None:
@@ -436,8 +522,8 @@ def mfp_select(dataset: Dataset, alpha: float = 0.05, interactions: int = 0,
             if not tester.significant(rss_linear, rss_fp2, df=1):
                 forms[j] = linear[j]
                 continue
-            fp1, rss_fp1 = _best_fp_with_rss(columns, j, 1, others,
-                                             included_inters, shifts[j])
+            fp1, rss_fp1, _ = _best_fp_with_rss(columns, j, 1, others,
+                                                included_inters, shifts[j], tester.floor)
             if fp1 is not None and not tester.significant(rss_fp1, rss_fp2, df=1):
                 forms[j] = fp1
             else:

@@ -291,6 +291,19 @@ def test_derive_formula_refuses_non_integer_cells(tmp_path, capsys):
     assert f"error: {grid}: bad table row ['2.0'," in capsys.readouterr().err
 
 
+def test_derive_formula_refuses_a_grid_too_small_to_test(tmp_path, capsys):
+    # dof scaled by 2^-540: the rss floor of the closed test underflows,
+    # so the command exits 2 instead of selecting nothing or crashing
+    grid = tmp_path / "tiny.csv"
+    with open(grid, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["p", "n", "s", "dof"])
+        for p, n, s, dof, _ in reference_table().rows:
+            writer.writerow([p, n, s, repr(float(np.ldexp(dof, -540)))])
+    assert main(["derive-formula", "--table", str(grid)]) == 2
+    assert "rescale y" in capsys.readouterr().err
+
+
 def test_derive_formula_on_packaged_grid(tmp_path, capsys):
     from importlib.resources import files
 

@@ -1,6 +1,7 @@
 """Fractional-polynomial transforms, closed-test selection, surface fit."""
 
 import importlib.machinery
+import itertools
 import json
 import math
 import os
@@ -10,6 +11,7 @@ import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import example, given, reject, strategies as st
 
 from tsvc import mfp
 from tsvc.core import Dataset
@@ -21,6 +23,8 @@ from tsvc.errors import (
 )
 from tsvc.mfp import (
     FP_POWERS,
+    LINEAR,
+    FpTerm,
     _chi2_critical_values,
     _fp_power_sets,
     best_fp,
@@ -428,33 +432,48 @@ def _bootstrap_grids(count, seed=17):
 
 
 def test_column_store_designs_equal_a_fresh_build(monkeypatch):
-    # every design the selection solves, candidates and the final fit,
+    # every design the selection solves, each FP search's null model (the
+    # model without the searched covariate, solved once for its basis),
+    # the candidates it refits, the other tested models and the final fit,
     # is the one built from scratch, to the last bit
-    candidates, designs = [], []
-    rss, solve = mfp._rss, mfp.solve_least_squares
+    nulls, candidates, designs = [], [], []
+    search, rss, solve = mfp._best_fp_with_rss, mfp._rss, mfp.solve_least_squares
+
+    def recording_search(columns, j, degree, current_forms, interactions, delta, floor):
+        others = {k: v for k, v in current_forms.items() if k != j}
+        nulls.append((columns.dataset, others, list(interactions)))
+        return search(columns, j, degree, current_forms, interactions, delta, floor)
 
     def recording_rss(columns, forms, interactions):
         candidates.append((columns.dataset, dict(forms), list(interactions)))
         return rss(columns, forms, interactions)
 
-    def recording_solve(design, y):
-        designs.append(design)
-        return solve(design, y)
+    def recording_solve(design, y, return_basis=False):
+        designs.append((design, return_basis))
+        return solve(design, y, return_basis=return_basis)
 
+    monkeypatch.setattr(mfp, "_best_fp_with_rss", recording_search)
     monkeypatch.setattr(mfp, "_rss", recording_rss)
     monkeypatch.setattr(mfp, "solve_least_squares", recording_solve)
     for grid in _bootstrap_grids(5):
+        nulls.clear()
         candidates.clear()
         designs.clear()
         fit, _ = derive_dof_formula(grid)
-        assert len(designs) == len(candidates) + 1
-        for (dataset, forms, interactions), design in zip(candidates, designs):
+        # one null solve per FP search, one solve per exact refit or other
+        # tested model, and the final fit
+        assert len(designs) == len(nulls) + len(candidates) + 1
+        null_designs = [design for design, basis in designs if basis]
+        model_designs = [design for design, basis in designs if not basis]
+        assert len(null_designs) == len(nulls)
+        for (dataset, forms, interactions), design in zip(nulls + candidates,
+                                                          null_designs + model_designs):
             expected = _design_from_scratch(dataset, forms, interactions)
             assert design.shape == expected.shape
             assert design.tobytes() == expected.tobytes()
         final = {t.covariate: t for t in fit.terms}
         expected = _design_from_scratch(candidates[0][0], final, [i.covariates for i in fit.interactions])
-        assert designs[-1].tobytes() == expected.tobytes()
+        assert model_designs[-1].tobytes() == expected.tobytes()
 
 
 _SELECT_ALONE = """
@@ -481,3 +500,141 @@ def test_selections_on_same_shape_data_do_not_share_columns():
         alone = subprocess.run([sys.executable, "-c", _SELECT_ALONE], input=rows, env=env,
                                check=True, capture_output=True, text=True).stdout
         assert alone.strip() == together
+
+
+# ---------------------------------------------------------------------------
+# the screened FP search
+# ---------------------------------------------------------------------------
+
+def _exhaustive_best_fp(columns, j, degree, current_forms, interactions, delta):
+    """The FP search without a screen: every candidate refit exactly, the
+    least rss winning and ties going to the first tuple."""
+    others = {k: v for k, v in current_forms.items() if k != j}
+    best, best_rss = None, math.inf
+    for powers in _fp_power_sets(degree):
+        forms = dict(others)
+        forms[j] = FpTerm(j, powers, delta)
+        rss = mfp._rss(columns, forms, interactions)
+        if rss is not None and rss < best_rss:
+            best, best_rss = FpTerm(j, powers, delta), rss
+    return best, best_rss, mfp._rss(columns, others, interactions)
+
+
+@st.composite
+def fp_search_cases(draw):
+    """(X, y, interactions): 8-60 rows, 1-3 covariates of a few distinct
+    levels (tenths in [-3, 3]) at scales 1e-4 to 1e4, and a noisy or an
+    exactly fitted y."""
+    n = draw(st.integers(8, 60))
+    columns = []
+    for _ in range(draw(st.integers(1, 3))):
+        levels = draw(st.lists(st.integers(-30, 30), min_size=2, max_size=5, unique=True))
+        rows = draw(st.lists(st.integers(0, len(levels) - 1), min_size=n, max_size=n))
+        columns.append(np.array(levels)[rows] * 10.0 ** draw(st.integers(-5, 3)))
+    X = np.column_stack(columns)
+    if draw(st.booleans()):
+        y = 1.0 + 2.0 * X[:, 0] - X[:, -1]
+    else:
+        y = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)))
+    return X, y, draw(st.booleans())
+
+
+_TWO_VALUED = np.column_stack([np.arange(1.0, 11.0), [2.0, 4.0] * 5])
+_TWINNED = np.column_stack([np.arange(1.0, 13.0), 2.0 * np.arange(1.0, 13.0),
+                            [1.0, 3.0, 2.0] * 4])
+# covariate 0 has three levels, two of them 0.001 apart
+_CLOSE_LEVELS = np.column_stack([
+    [127, 126, 126, 127, -33, -33, 127, 126, 127, 126, -33, -33, 126, 127,
+     -33, 127, 126, 126, -33, 126, 127, -33, 126, -33, 126, 126, 126, 126],
+    [1358, 1181, 1181, 1685, 1548, 1548, 1358, 1685, 1548, 1358, 1358, 1181, 1358, 1358,
+     1358, 1181, 1358, 1181, 1358, 1358, 1548, 1181, 1358, 1685, 1181, 1358, 1181, 1181],
+]) / 1000.0
+_CLOSE_LEVELS_Y = np.array([117, 122, 123, 112, 33, 56, 109, 118, 121, 106, 18, 23, 109, 117,
+                            32, 134, 120, 122, 45, 137, 111, 46, 130, 25, 108, 114, 124,
+                            126]) / 1000.0
+
+
+@given(fp_search_cases())
+# a two-valued covariate: every FP2 block is singular with the intercept
+@example((_TWO_VALUED, _TWO_VALUED.sum(axis=1), False))
+# an exactly fitted response: the FP2 pairs with power 1 tie at rss 0, and
+# the first of them wins
+@example((_TWO_VALUED[:, :1], 3.0 - _TWO_VALUED[:, 0], False))
+# a singular null design: covariate 1 is twice covariate 0, so the model
+# without covariate 2 is singular and every candidate is refit
+@example((_TWINNED, np.log(_TWINNED[:, 0]) + _TWINNED[:, 2], True))
+# every FP2 form of covariate 0 fits its three level means, so the rss
+# values tie up to rounding, and the near-parallel projected columns of
+# the (q, q) pairs screen too coarsely to be trusted
+@example((_CLOSE_LEVELS, _CLOSE_LEVELS_Y, False))
+def test_screened_fp_search_is_the_exhaustive_search(case):
+    # the screen only orders the candidates: the screened search returns
+    # the exhaustive search's term and bit for bit its rss, and the null
+    # model's rss
+    X, y, with_interactions = case
+    try:
+        dataset = Dataset.from_arrays(y, X)
+        floor = mfp._LrTester(dataset).floor
+    except ValidationError:
+        reject()
+    columns = mfp._Columns(dataset)
+    shifts = [positivity_shift(X[:, j]) for j in range(dataset.p)]
+    forms = {j: FpTerm(j, LINEAR, shifts[j]) for j in range(dataset.p)}
+    interactions = list(itertools.combinations(range(dataset.p), 2)) if with_interactions else []
+    for j in range(dataset.p):
+        for degree in (1, 2):
+            got = mfp._best_fp_with_rss(columns, j, degree, forms, interactions, shifts[j], floor)
+            expected = _exhaustive_best_fp(columns, j, degree, forms, interactions, shifts[j])
+            assert got[0] == expected[0]
+            assert float(got[1]).hex() == float(expected[1]).hex()
+            assert got[2] == expected[2]
+
+
+def test_shipped_grid_derivation_refits_only_near_best_candidates(monkeypatch):
+    # the exhaustive FP search made 435 least-squares solves on the shipped
+    # grid; screened, the derivation makes at most a quarter of them
+    solves = []
+    solve = mfp.solve_least_squares
+
+    def counting_solve(*args, **kwargs):
+        solves.append(args[0].shape)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(mfp, "solve_least_squares", counting_solve)
+    derive_dof_formula(reference_table().rows)
+    assert len(solves) <= 435 // 4
+
+
+def _selection(fit):
+    return ([(t.covariate, t.powers, t.shift) for t in fit.terms],
+            [i.covariates for i in fit.interactions], fit.excluded)
+
+
+def _coefficients(fit):
+    return ([fit.intercept] + [c for t in fit.terms for c in t.coefficients]
+            + [i.coefficient for i in fit.interactions])
+
+
+def test_derive_dof_formula_on_a_rescaled_grid_selects_alike_or_refuses():
+    # dof scaled by 2^k gives the k = 0 selection with every coefficient
+    # scaled by exactly 2^k, or, below the scale where the rss floor is a
+    # normal float, a ValidationError; never another selection or a crash
+    grid = np.array(reference_table().rows, dtype=float)
+    base, _ = derive_dof_formula(grid)
+    ks = list(range(-560, -470)) + list(range(-470, 401, 10))
+    refused = []
+    for k in ks:
+        scaled = grid.copy()
+        scaled[:, 3] = np.ldexp(grid[:, 3], k)
+        try:
+            fit, _ = derive_dof_formula(scaled)
+        except ValidationError as exc:
+            assert "rescale y" in str(exc)
+            refused.append(k)
+            continue
+        assert _selection(fit) == _selection(base), k
+        assert _coefficients(fit) == [math.ldexp(c, k) for c in _coefficients(base)], k
+        assert fit.r_squared == base.r_squared, k
+    # the refusals are the smallest scales, from -560 up to a threshold
+    assert refused == ks[:len(refused)]
+    assert -540 in refused and -470 not in refused

@@ -3,9 +3,10 @@ or writes, every CSV and every worker process goes through ``_io``; no
 module imports another's private names; ``model`` (the fitted model
 and its JSON) rests on ``core`` and ``errors`` alone; scipy's LAPACK
 comes only through ``core``'s loader; the CLI's exit code is set by the
-error types alone; the package exports names, not its modules; and the
+error types alone; the package exports names, not its modules; the
 split search's block budget is a constant that only the block maker
-reads."""
+reads; and the FP search's screen margin and floor are constants that
+only the FP search reads."""
 
 import ast
 import inspect
@@ -116,16 +117,14 @@ def test_package_exports_no_module():
     assert [name for name in tsvc.__all__ if inspect.ismodule(getattr(tsvc, name))] == []
 
 
-def test_block_budget_is_a_constant_read_by_the_block_maker_alone():
-    # the split search's block budget is one constant, not a knob: tree.py
-    # assigns it once from literals, only _candidate_blocks reads it, and
-    # no other module names it, so no CLI option or environment variable
-    # (tree.py imports no os, see above) can reach it
-    name = "_BLOCK_ELEMENTS"
+def _constant_readers(module, name):
+    """The functions of ``module`` (top-level names) that read the module
+    constant ``name``, after checking that no other module names it and
+    that ``module`` assigns it once, at top level, from literals alone."""
     assert [path.name for path in SRC.glob("*.py")
-            if path.name != "tree.py" and name in path.read_text(encoding="utf-8")] == []
+            if path.name != module and name in path.read_text(encoding="utf-8")] == []
     stores, loads = [], []
-    for top in _tree("tree.py").body:
+    for top in _tree(module).body:
         owner = getattr(top, "name", None)
         for node in ast.walk(top):
             if isinstance(node, (ast.Global, ast.Nonlocal)) and name in node.names:
@@ -134,8 +133,26 @@ def test_block_budget_is_a_constant_read_by_the_block_maker_alone():
                 stores.append((owner, "attribute"))
             elif isinstance(node, ast.Name) and node.id == name:
                 (loads if isinstance(node.ctx, ast.Load) else stores).append(owner)
-    assert stores == [None] and set(loads) == {"_candidate_blocks"}
-    (value,) = [top.value for top in _tree("tree.py").body if isinstance(top, ast.Assign)
+    assert stores == [None]
+    (value,) = [top.value for top in _tree(module).body if isinstance(top, ast.Assign)
                 and [ast.unparse(target) for target in top.targets] == [name]]
     assert all(isinstance(node, (ast.Constant, ast.BinOp, ast.operator))
                for node in ast.walk(value)), ast.unparse(value)
+    return set(loads)
+
+
+def test_block_budget_is_a_constant_read_by_the_block_maker_alone():
+    # the split search's block budget is one constant, not a knob: tree.py
+    # assigns it once from literals, only _candidate_blocks reads it, and
+    # no other module names it, so no CLI option or environment variable
+    # (tree.py imports no os, see above) can reach it
+    assert _constant_readers("tree.py", "_BLOCK_ELEMENTS") == {"_candidate_blocks"}
+
+
+def test_fp_screen_margin_and_floor_are_constants_read_by_the_fp_search_alone():
+    # the FP search's screen margin and its trust floor are constants in
+    # the same way: mfp.py (which imports no os) assigns each once from
+    # literals, and only the search reads them, the margin where it stops
+    # refitting and the floor where it screens
+    assert _constant_readers("mfp.py", "_FP_SCREEN_RTOL") == {"_best_fp_with_rss"}
+    assert _constant_readers("mfp.py", "_FP_SCREEN_FLOOR") == {"_screened_gains"}
