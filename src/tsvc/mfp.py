@@ -224,11 +224,17 @@ def fp_columns(x_pos: np.ndarray, powers) -> np.ndarray:
     return np.column_stack(cols)
 
 
+# Every FP block is a pick of 16 columns (``_Columns.table``): column 2i is
+# x^q for q = FP_POWERS[i] (log x for q = 0) and column 2i + 1 is that
+# times log x.  _PICKS maps each FP1 and FP2 power tuple to its columns.
+_TABLE_POWERS = tuple(q for q in FP_POWERS for _ in range(2))
+_PICKS = {(q,): [2 * i] for i, q in enumerate(FP_POWERS)}
+_PICKS.update({(q, r): [2 * i, 2 * k if k > i else 2 * i + 1] for (i, q), (k, r)
+               in itertools.combinations_with_replacement(enumerate(FP_POWERS), 2)})
+
+
 def _fp_power_sets(degree: int):
-    if degree == 1:
-        return [(q,) for q in FP_POWERS]
-    return [tuple(pair) for pair in
-            itertools.combinations_with_replacement(FP_POWERS, 2)]
+    return [powers for powers in _PICKS if len(powers) == degree]
 
 
 # ---------------------------------------------------------------------------
@@ -236,28 +242,29 @@ def _fp_power_sets(degree: int):
 # ---------------------------------------------------------------------------
 
 class _Columns:
-    """The model columns of one dataset, each built once: FP blocks keyed
-    by (covariate, powers, shift), interaction products by covariates,
-    and each FP search's stack of candidate blocks by (covariate, degree,
-    shift).
+    """The model columns of one dataset, each built once: per (covariate,
+    shift) the table every FP block is picked from, and interaction
+    products by covariates.
 
     A selection scores hundreds of candidate models that share most of
-    their columns; ``design`` assembles a candidate's design from the
-    blocks built so far.  A store lives for one call on one dataset.
+    their columns; ``design`` assembles a candidate's design from them.
+    A store lives for one call on one dataset.
     """
 
     def __init__(self, dataset: Dataset):
         self.dataset = dataset
         self._ones = np.ones((dataset.n, 1))
-        self._fp: dict[tuple, np.ndarray] = {}
+        self._tables: dict[tuple[int, float], np.ndarray] = {}
         self._products: dict[tuple[int, ...], np.ndarray] = {}
-        self._stacks: dict[tuple, np.ndarray] = {}
 
-    def _block(self, j: int, powers: tuple[float, ...], shift: float) -> np.ndarray:
-        key = (j, powers, shift)
-        if key not in self._fp:
-            self._fp[key] = fp_columns(self.dataset.X[:, j] + shift, powers)
-        return self._fp[key]
+    def table(self, j: int, shift: float) -> np.ndarray:
+        """The (n, 16) columns of ``_TABLE_POWERS`` on covariate j + shift;
+        a power that overflows leaves an infinite column."""
+        key = (j, shift)
+        if key not in self._tables:
+            with np.errstate(over="ignore"):
+                self._tables[key] = fp_columns(self.dataset.X[:, j] + shift, _TABLE_POWERS)
+        return self._tables[key]
 
     def design(self, forms: dict[int, FpTerm], interactions) -> np.ndarray:
         """Intercept, then each form's block by covariate, then each product."""
@@ -265,7 +272,9 @@ class _Columns:
         cols = [self._ones]
         for j in sorted(forms):
             term = forms[j]
-            cols.append(self._block(j, tuple(term.powers), term.shift))
+            # C-ordered, as a fresh fp_columns block is: a design of
+            # F-ordered picks is F-ordered and its fit rounds differently
+            cols.append(np.ascontiguousarray(self.table(j, term.shift)[:, _PICKS[tuple(term.powers)]]))
         for covs in interactions:
             key = tuple(covs)
             if key not in self._products:
@@ -273,21 +282,20 @@ class _Columns:
             cols.append(self._products[key])
         return np.concatenate(cols, axis=1)
 
-    def candidates(self, j: int, degree: int, shift: float) -> np.ndarray:
-        """The blocks of every degree-``degree`` power tuple of covariate j,
-        in ``_fp_power_sets`` order, stacked as an (n, tuples, degree) array."""
-        key = (j, degree, shift)
-        if key not in self._stacks:
-            self._stacks[key] = np.stack(
-                [self._block(j, powers, shift) for powers in _fp_power_sets(degree)], axis=1)
-        return self._stacks[key]
+
+def _fit(columns: _Columns, forms, interactions, return_basis: bool = False):
+    """The least-squares fit of a model; RankDeficientError where its
+    design is singular or, an FP power having overflowed, not finite."""
+    design = columns.design(forms, interactions)
+    if not np.isfinite(design).all():
+        raise RankDeficientError("an FP column overflows")
+    return solve_least_squares(design, columns.dataset.y, return_basis=return_basis)
 
 
 def _rss(columns: _Columns, forms, interactions) -> float | None:
-    """rss of the least-squares fit, or None when the design is singular."""
-    design = columns.design(forms, interactions)
+    """rss of the least-squares fit, or None when it cannot be fitted."""
     try:
-        return solve_least_squares(design, columns.dataset.y).rss
+        return _fit(columns, forms, interactions).rss
     except RankDeficientError:
         return None
 
@@ -366,18 +374,23 @@ def best_fp(dataset: Dataset, j: int, degree: int,
     """Best fractional-polynomial form of the given degree for covariate j.
 
     All candidate power tuples are scored by the rss of the refitted
-    model, holding the other covariates at ``current_forms`` (and any
-    supplied interactions in the model); ties go to the
-    lexicographically smallest tuple.  The covariate is shifted by its
-    ``positivity_shift``.
+    model, holding the other covariates at ``current_forms`` (each an
+    FP1 or FP2 tuple of ``FP_POWERS``), with any supplied interactions in
+    the model; ties go to the lexicographically smallest tuple.  The
+    covariate is shifted by its ``positivity_shift``.
     """
     if degree not in (1, 2):
         raise ValidationError(f"degree must be 1 or 2, got {degree}")
     if j < 0 or j >= dataset.p:
         raise ValidationError(f"no covariate {j}")
-    term, _, _ = _best_fp_with_rss(_Columns(dataset), j, degree, current_forms or {},
-                                   interactions, positivity_shift(dataset.X[:, j]),
-                                   _LrTester(dataset).floor)
+    current_forms = current_forms or {}
+    for term in current_forms.values():
+        if tuple(term.powers) not in _PICKS:
+            raise ValidationError(f"powers {tuple(term.powers)} are not an FP1 or FP2 "
+                                  f"tuple of {FP_POWERS}")
+    search = _FpSearch(_Columns(dataset), j, current_forms, interactions,
+                       positivity_shift(dataset.X[:, j]), _LrTester(dataset).floor)
+    term, _ = search.best(degree)
     if term is None:
         raise RankDeficientError(
             f"every degree-{degree} candidate for covariate {j} is singular"
@@ -385,72 +398,74 @@ def best_fp(dataset: Dataset, j: int, degree: int,
     return term
 
 
-def _best_fp_with_rss(columns, j, degree, current_forms, interactions, delta, floor):
-    """``best_fp`` with covariate j shifted by ``delta``: the best term,
-    the rss of its fit, and the rss of the model without covariate j
-    (None when that design is singular); the term is None and its rss
-    inf when every candidate is singular.
+class _FpSearch:
+    """The FP searches for covariate j, shifted by ``delta``, with the
+    other covariates at their ``forms`` and ``interactions`` in the model:
+    ``best(degree)`` is ``best_fp``'s term and the rss of its fit (None
+    and inf when every candidate is singular), and ``rss_null`` the rss
+    of the model without covariate j (None when it cannot be fitted).
 
-    The model without j is solved once.  Every candidate is screened
-    from that fit's basis and residual (``_screened_gains``) and then
-    refit exactly in ascending screened order, until a screened rss
-    exceeds the best exact rss by more than the margin: ``_FP_SCREEN_RTOL``
-    times the null rss plus ``floor``, the zero-rss floor.  A candidate
-    the screen cannot trust reads -inf, so it is always refit; where the
-    null design is singular, every candidate does.  The result is the
-    exhaustive loop's: the least exact rss, ties to the first tuple.
+    The model without j is solved once and j's table projected off its
+    basis once, which screens every candidate of both degrees
+    (``_screened_gains``).  A search refits its candidates exactly in
+    ascending screened order, until a screened rss exceeds the best exact
+    rss by more than the margin: ``_FP_SCREEN_RTOL`` times the null rss
+    plus ``floor``, the zero-rss floor.  A candidate the screen cannot
+    trust reads -inf, so it is always refit; where the null model cannot
+    be fitted, every candidate does.  The result is the exhaustive loop's:
+    the least exact rss, ties to the first tuple.
     """
-    others = {k: v for k, v in current_forms.items() if k != j}
-    power_sets = _fp_power_sets(degree)
-    try:
-        null, Q = solve_least_squares(columns.design(others, interactions),
-                                      columns.dataset.y, return_basis=True)
-    except RankDeficientError:
-        rss_null, screened, margin = None, np.full(len(power_sets), -np.inf), 0.0
-    else:
-        rss_null = null.rss
-        screened = rss_null - _screened_gains(columns.candidates(j, degree, delta), Q,
-                                              columns.dataset.y - null.fitted)
-        margin = _FP_SCREEN_RTOL * rss_null + floor
-    best, best_rss, best_k = None, math.inf, len(power_sets)
-    for k in np.argsort(screened, kind="stable"):
-        if screened[k] > best_rss + margin:
-            break
-        forms = dict(others)
-        forms[j] = FpTerm(j, power_sets[k], delta)
-        rss = _rss(columns, forms, interactions)
-        if rss is not None and (rss, k) < (best_rss, best_k):
-            best, best_rss, best_k = forms[j], rss, k
-    return best, best_rss, rss_null
+
+    def __init__(self, columns, j, forms, interactions, delta, floor):
+        self.columns, self.j, self.interactions, self.delta = columns, j, interactions, delta
+        self.others = {k: v for k, v in forms.items() if k != j}
+        try:
+            null, Q = _fit(columns, self.others, interactions, return_basis=True)
+        except RankDeficientError:
+            self.rss_null, self.margin = None, 0.0
+            self.screened = {d: np.full(len(_fp_power_sets(d)), -np.inf) for d in (1, 2)}
+        else:
+            self.rss_null, self.margin = null.rss, _FP_SCREEN_RTOL * null.rss + floor
+            gains = _screened_gains(columns.table(j, delta), Q, columns.dataset.y - null.fitted)
+            self.screened = {d: null.rss - g for d, g in gains.items()}
+
+    def best(self, degree: int):
+        power_sets, screened = _fp_power_sets(degree), self.screened[degree]
+        best, best_rss, best_k = None, math.inf, len(power_sets)
+        for k in np.argsort(screened, kind="stable"):
+            if screened[k] > best_rss + self.margin:
+                break
+            forms = dict(self.others)
+            forms[self.j] = FpTerm(self.j, power_sets[k], self.delta)
+            rss = _rss(self.columns, forms, self.interactions)
+            if rss is not None and (rss, k) < (best_rss, best_k):
+                best, best_rss, best_k = forms[self.j], rss, k
+        return best, best_rss
 
 
-def _screened_gains(C, Q, r) -> np.ndarray:
-    """Per candidate block ``C[:, k]`` (n x degree), the fall in rss from
-    adding it to the model with orthonormal basis Q and residual r: with
-    B the block projected off Q, ``t' G^-1 t`` for G = B'B and t = B'r,
-    in closed form.  inf where the projection leaves the block near
-    degenerate (``_FP_SCREEN_FLOOR``) or the arithmetic is not finite."""
-    n, count, degree = C.shape
-    C = C.reshape(n, count * degree)  # block k's columns side by side
+def _screened_gains(C, Q, r) -> dict[int, np.ndarray]:
+    """Per degree, the fall in rss from adding each power tuple's block,
+    picked from the table C, to the model with orthonormal basis Q and
+    residual r, in ``_fp_power_sets`` order: with B the block projected
+    off Q, ``t' G^-1 t`` for G = B'B and t = B'r, in closed form.  inf
+    where the projection leaves the block near degenerate
+    (``_FP_SCREEN_FLOOR``) or the arithmetic is not finite."""
     B = C
+    i, k = np.array([_PICKS[powers] for powers in _fp_power_sets(2)]).T
     with np.errstate(all="ignore"):
         for _ in range(2):  # the second pass restores what cancellation lost
             B = B - Q @ (Q.T @ B)
         t = r @ B
         squares = np.einsum("ij,ij->j", B, B)
-        kept = squares / np.einsum("ij,ij->j", C, C)
-        trusted = (kept >= _FP_SCREEN_FLOOR).reshape(count, degree).all(axis=1)
-        if degree == 1:
-            gains = t * t / squares
-        else:
-            a, d = squares[0::2], squares[1::2]
-            b = np.einsum("ij,ij->j", B[:, 0::2], B[:, 1::2])
-            t1, t2 = t[0::2], t[1::2]
-            det = a * d - b * b
-            trusted &= det >= _FP_SCREEN_FLOOR * a * d
-            gains = (d * t1 * t1 - 2.0 * b * t1 * t2 + a * t2 * t2) / det
-        trusted &= np.isfinite(gains)
-    return np.where(trusted, gains, np.inf)
+        kept = squares / np.einsum("ij,ij->j", C, C) >= _FP_SCREEN_FLOOR
+        fp1 = t[::2] * t[::2] / squares[::2]  # the even columns are the FP1 blocks
+        a, c = squares[i], squares[k]
+        b = np.einsum("ij,ij->j", B[:, i], B[:, k])
+        det = a * c - b * b
+        fp2 = (c * t[i] * t[i] - 2.0 * b * t[i] * t[k] + a * t[k] * t[k]) / det
+        trusted = {1: kept[::2], 2: kept[i] & kept[k] & (det >= _FP_SCREEN_FLOOR * a * c)}
+        return {degree: np.where(trusted[degree] & np.isfinite(g), g, np.inf)
+                for degree, g in ((1, fp1), (2, fp2))}
 
 
 def mfp_select(dataset: Dataset, alpha: float = 0.05, interactions: int = 0,
@@ -500,30 +515,26 @@ def mfp_select(dataset: Dataset, alpha: float = 0.05, interactions: int = 0,
         before = (tuple(sorted((j, t.powers) for j, t in forms.items())),
                   tuple(included_inters))
         for j in order:
-            others = {k: v for k, v in forms.items() if k != j}
-            fp2, rss_fp2, rss_null = _best_fp_with_rss(columns, j, 2, others,
-                                                       included_inters, shifts[j],
-                                                       tester.floor)
-            linear = dict(others)
-            linear[j] = FpTerm(j, LINEAR, shifts[j])
+            search = _FpSearch(columns, j, forms, included_inters, shifts[j], tester.floor)
+            fp2, rss_fp2 = search.best(2)
+            linear = {**search.others, j: FpTerm(j, LINEAR, shifts[j])}
             if fp2 is None:
                 # no FP2 form fits (a covariate with two values, say, on which
                 # every FP1 form fits as the linear one does): linear or out
                 rss_linear = _rss(columns, linear, included_inters)
-                if tester.significant(rss_null, rss_linear, df=1):
+                if tester.significant(search.rss_null, rss_linear, df=1):
                     forms[j] = linear[j]
                 else:
                     forms.pop(j, None)
                 continue
-            if not tester.significant(rss_null, rss_fp2, df=2):
+            if not tester.significant(search.rss_null, rss_fp2, df=2):
                 forms.pop(j, None)
                 continue
             rss_linear = _rss(columns, linear, included_inters)
             if not tester.significant(rss_linear, rss_fp2, df=1):
                 forms[j] = linear[j]
                 continue
-            fp1, rss_fp1, _ = _best_fp_with_rss(columns, j, 1, others,
-                                                included_inters, shifts[j], tester.floor)
+            fp1, rss_fp1 = search.best(1)
             if fp1 is not None and not tester.significant(rss_fp1, rss_fp2, df=1):
                 forms[j] = fp1
             else:
@@ -552,7 +563,7 @@ def mfp_select(dataset: Dataset, alpha: float = 0.05, interactions: int = 0,
 
 def _final_fit(columns, forms, included_inters, alpha) -> MfpFit:
     dataset = columns.dataset
-    fit = solve_least_squares(columns.design(forms, included_inters), dataset.y)
+    fit = _fit(columns, forms, included_inters)
     coefs = fit.coefficients
     pos = 1
     terms = []

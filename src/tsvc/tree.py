@@ -122,18 +122,6 @@ class _Segments(NamedTuple):
         """``X[rows, covariate]``, elementwise over broadcast arguments."""
         return np.take(self.columns, covariate * self.columns.shape[1] + rows)
 
-    def thresholds(self, seg, pos) -> np.ndarray:
-        """Cut between the rows at ``pos`` and ``pos + 1`` of segment ``seg``:
-        their midpoint, or the lower value where the midpoint of two
-        adjacent floats rounds up to the upper one, so that ``x <= cut``
-        always splits the rows where they were scored."""
-        at = self.start[seg] + pos
-        k = self.modifier[seg]
-        lower = self.values(k, self.rows[at])
-        upper = self.values(k, self.rows[at + 1])
-        mid = 0.5 * (lower + upper)
-        return np.where(mid < upper, mid, lower)
-
     def keys(self) -> np.ndarray:
         """One integer per segment, ascending along the table, that
         names its (replicate, tree, modifier, leaf) in any step of a path."""
@@ -142,7 +130,10 @@ class _Segments(NamedTuple):
         return ((self.rep * p + self.tree) * p + self.modifier) * (2 * width) + self.leaf
 
     def rule(self, seg: int, pos: int) -> SplitRule:
-        """The cut of ``thresholds``, computed on two Python floats."""
+        """Cut between the rows at ``pos`` and ``pos + 1`` of segment ``seg``:
+        their midpoint, or the lower value where the midpoint of two
+        adjacent floats rounds up to the upper one, so that ``x <= cut``
+        always splits the rows where they were scored."""
         at = self.start[seg] + pos
         modifier = int(self.modifier[seg])
         lower, upper = self.values(modifier, self.rows[at:at + 2]).tolist()
@@ -349,13 +340,7 @@ def enumerate_candidates(dataset: Dataset, trees, min_leaf: int) -> list[SplitRu
         pos.append(t)
     seg, pos = np.concatenate(seg), np.concatenate(pos)
     order = np.lexsort((pos, seg))
-    seg, pos = seg[order], pos[order]
-    return [
-        SplitRule(target=j, modifier=k, threshold=c, parent_leaf=leaf)
-        for j, k, leaf, c in zip(segs.target[seg].tolist(), segs.modifier[seg].tolist(),
-                                 segs.leaf[seg].tolist(),
-                                 segs.thresholds(seg, pos).tolist())
-    ]
+    return [segs.rule(s, t) for s, t in zip(seg[order].tolist(), pos[order].tolist())]
 
 
 def _score_candidates(segs: _Segments, min_leaf: int, resid, Q, which, copies: int = 1):

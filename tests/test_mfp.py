@@ -177,6 +177,28 @@ def test_best_fp_validates_arguments():
         best_fp(ds, 5, 1)
 
 
+def test_best_fp_refuses_other_forms_outside_the_fp_tuples():
+    # every block is picked from the FP_POWERS table, so a current form of
+    # another covariate must be an FP1 or FP2 tuple of FP_POWERS
+    rng = np.random.default_rng(35)
+    X = rng.uniform(0.5, 3.0, (50, 2))
+    ds = Dataset.from_arrays(X.sum(axis=1), X)
+    for powers in ((1.5,), (1.0, 2.0, 3.0), ()):
+        with pytest.raises(ValidationError, match="not an FP1 or FP2 tuple"):
+            best_fp(ds, 0, 1, current_forms={1: FpTerm(1, powers)})
+    assert best_fp(ds, 0, 1, current_forms={1: FpTerm(1, (0.0, 0.0))}).degree == 1
+
+
+def test_an_overflowing_fp_power_is_an_unfittable_candidate():
+    # 1e-160 ** -2 overflows: every block holding that column is refused
+    # like a singular one, under warnings as errors, and no crash follows
+    X = np.column_stack([[1e-160, 1.0, 2.0, 3.0] * 3, np.arange(12.0)])
+    ds = Dataset.from_arrays(np.sin(np.arange(12.0)), X)
+    assert np.isfinite(mfp_select(ds).r_squared)
+    term = best_fp(ds, 0, 1)
+    assert np.isfinite(fp_columns(X[:, 0] + term.shift, term.powers)).all()
+
+
 # ---------------------------------------------------------------------------
 # covariate ordering
 # ---------------------------------------------------------------------------
@@ -437,12 +459,12 @@ def test_column_store_designs_equal_a_fresh_build(monkeypatch):
     # the candidates it refits, the other tested models and the final fit,
     # is the one built from scratch, to the last bit
     nulls, candidates, designs = [], [], []
-    search, rss, solve = mfp._best_fp_with_rss, mfp._rss, mfp.solve_least_squares
+    search, rss, solve = mfp._FpSearch, mfp._rss, mfp.solve_least_squares
 
-    def recording_search(columns, j, degree, current_forms, interactions, delta, floor):
-        others = {k: v for k, v in current_forms.items() if k != j}
+    def recording_search(columns, j, forms, interactions, delta, floor):
+        others = {k: v for k, v in forms.items() if k != j}
         nulls.append((columns.dataset, others, list(interactions)))
-        return search(columns, j, degree, current_forms, interactions, delta, floor)
+        return search(columns, j, forms, interactions, delta, floor)
 
     def recording_rss(columns, forms, interactions):
         candidates.append((columns.dataset, dict(forms), list(interactions)))
@@ -452,7 +474,7 @@ def test_column_store_designs_equal_a_fresh_build(monkeypatch):
         designs.append((design, return_basis))
         return solve(design, y, return_basis=return_basis)
 
-    monkeypatch.setattr(mfp, "_best_fp_with_rss", recording_search)
+    monkeypatch.setattr(mfp, "_FpSearch", recording_search)
     monkeypatch.setattr(mfp, "_rss", recording_rss)
     monkeypatch.setattr(mfp, "solve_least_squares", recording_solve)
     for grid in _bootstrap_grids(5):
@@ -460,7 +482,8 @@ def test_column_store_designs_equal_a_fresh_build(monkeypatch):
         candidates.clear()
         designs.clear()
         fit, _ = derive_dof_formula(grid)
-        # one null solve per FP search, one solve per exact refit or other
+        # one null solve per FP search (the FP2 and FP1 searches of a
+        # closed test share one), one solve per exact refit or other
         # tested model, and the final fit
         assert len(designs) == len(nulls) + len(candidates) + 1
         null_designs = [design for design, basis in designs if basis]
@@ -471,9 +494,12 @@ def test_column_store_designs_equal_a_fresh_build(monkeypatch):
             expected = _design_from_scratch(dataset, forms, interactions)
             assert design.shape == expected.shape
             assert design.tobytes() == expected.tobytes()
+            # and its layout: an F-ordered design fits to other bits
+            assert design.flags.c_contiguous and design.strides == expected.strides
         final = {t.covariate: t for t in fit.terms}
         expected = _design_from_scratch(candidates[0][0], final, [i.covariates for i in fit.interactions])
         assert model_designs[-1].tobytes() == expected.tobytes()
+        assert model_designs[-1].strides == expected.strides
 
 
 _SELECT_ALONE = """
@@ -582,12 +608,13 @@ def test_screened_fp_search_is_the_exhaustive_search(case):
     forms = {j: FpTerm(j, LINEAR, shifts[j]) for j in range(dataset.p)}
     interactions = list(itertools.combinations(range(dataset.p), 2)) if with_interactions else []
     for j in range(dataset.p):
-        for degree in (1, 2):
-            got = mfp._best_fp_with_rss(columns, j, degree, forms, interactions, shifts[j], floor)
+        search = mfp._FpSearch(columns, j, forms, interactions, shifts[j], floor)
+        for degree in (2, 1):  # the closed test's order, on one null solve
+            got = search.best(degree)
             expected = _exhaustive_best_fp(columns, j, degree, forms, interactions, shifts[j])
             assert got[0] == expected[0]
             assert float(got[1]).hex() == float(expected[1]).hex()
-            assert got[2] == expected[2]
+            assert search.rss_null == expected[2]
 
 
 def test_shipped_grid_derivation_refits_only_near_best_candidates(monkeypatch):
@@ -603,6 +630,28 @@ def test_shipped_grid_derivation_refits_only_near_best_candidates(monkeypatch):
     monkeypatch.setattr(mfp, "solve_least_squares", counting_solve)
     derive_dof_formula(reference_table().rows)
     assert len(solves) <= 435 // 4
+
+
+def test_shipped_grid_derivation_solves_each_null_once_and_builds_each_table_once(monkeypatch):
+    # a closed test's FP2 and FP1 searches share one null solve (73 solves
+    # when each solved its own), and every FP block is picked from one
+    # table per covariate (132 fp_columns calls when built block by block)
+    solves, tables = [], []
+    solve, columns = mfp.solve_least_squares, mfp.fp_columns
+
+    def counting_solve(*args, **kwargs):
+        solves.append(args[0].shape)
+        return solve(*args, **kwargs)
+
+    def counting_columns(*args, **kwargs):
+        tables.append(args[1])
+        return columns(*args, **kwargs)
+
+    monkeypatch.setattr(mfp, "solve_least_squares", counting_solve)
+    monkeypatch.setattr(mfp, "fp_columns", counting_columns)
+    derive_dof_formula(reference_table().rows)
+    assert len(solves) <= 65
+    assert len(tables) == 3
 
 
 def _selection(fit):

@@ -6,7 +6,8 @@ comes only through ``core``'s loader; the CLI's exit code is set by the
 error types alone; the package exports names, not its modules; the
 split search's block budget is a constant that only the block maker
 reads; and the FP search's screen margin and floor are constants that
-only the FP search reads."""
+only the FP search reads; and only the FP column table and a fitted
+surface's prediction build FP columns."""
 
 import ast
 import inspect
@@ -154,5 +155,29 @@ def test_fp_screen_margin_and_floor_are_constants_read_by_the_fp_search_alone():
     # the same way: mfp.py (which imports no os) assigns each once from
     # literals, and only the search reads them, the margin where it stops
     # refitting and the floor where it screens
-    assert _constant_readers("mfp.py", "_FP_SCREEN_RTOL") == {"_best_fp_with_rss"}
+    assert _constant_readers("mfp.py", "_FP_SCREEN_RTOL") == {"_FpSearch"}
     assert _constant_readers("mfp.py", "_FP_SCREEN_FLOOR") == {"_screened_gains"}
+
+
+def _readers(module, name):
+    """The functions and methods (``Class.method``) of ``module`` that
+    read the name ``name``, as a variable or an attribute."""
+    found = set()
+    for top in _tree(module).body:
+        scopes = ([(f"{top.name}.{getattr(node, 'name', None)}", node) for node in top.body]
+                  if isinstance(top, ast.ClassDef) else [(getattr(top, "name", None), top)])
+        for owner, scope in scopes:
+            if any(isinstance(node, ast.Name) and node.id == name
+                   or isinstance(node, ast.Attribute) and node.attr == name
+                   for node in ast.walk(scope)):
+                found.add(owner)
+    return found
+
+
+def test_fp_columns_are_built_by_the_column_table_and_predict_alone():
+    # a selection picks every FP block from one table per covariate, so FP
+    # columns have one builder per selection: only _Columns.table and a
+    # fitted surface's predict call fp_columns, in mfp.py or elsewhere
+    assert {(path.name, owner) for path in SRC.glob("*.py")
+            for owner in _readers(path.name, "fp_columns")} == {
+        ("mfp.py", "_Columns.table"), ("mfp.py", "MfpFit.predict")}

@@ -161,10 +161,10 @@ def test_candidate_thresholds_are_midpoints():
 
 
 def test_rule_threshold_equals_the_batched_threshold_of_every_cut():
-    # the rule of a picked cut computes its threshold on Python floats,
-    # the candidate table on arrays; both take the midpoint, or the lower
-    # value where the midpoint of adjacent floats rounds up.  Column x2
-    # holds 1+2^-52 and 1+2^-51, whose midpoint rounds up.
+    # the one cut rule of the split search, for picked cuts and the
+    # candidate list alike, takes the midpoint, or the lower value where
+    # the midpoint of adjacent floats rounds up.  Column x2 holds 1+2^-52
+    # and 1+2^-51, whose midpoint rounds up.
     from tsvc.tree import _candidate_blocks, _segments
 
     lo, hi = 1.0 + 2.0 ** -52, 1.0 + 2.0 ** -51
@@ -184,7 +184,6 @@ def test_rule_threshold_equals_the_batched_threshold_of_every_cut():
             for b, pos in zip(*np.nonzero(admissible)):
                 s = int(seg[b])
                 rule = segs.rule(s, int(pos))
-                assert rule.threshold == segs.thresholds(s, pos)
                 # x <= threshold sends exactly the positions 0..pos left
                 rows = segs.rows[segs.start[s]:segs.start[s] + segs.size[s]]
                 left = X[rows, rule.modifier] <= rule.threshold
