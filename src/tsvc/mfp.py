@@ -231,10 +231,14 @@ _TABLE_POWERS = tuple(q for q in FP_POWERS for _ in range(2))
 _PICKS = {(q,): [2 * i] for i, q in enumerate(FP_POWERS)}
 _PICKS.update({(q, r): [2 * i, 2 * k if k > i else 2 * i + 1] for (i, q), (k, r)
                in itertools.combinations_with_replacement(enumerate(FP_POWERS), 2)})
+_POWER_SETS = {d: [powers for powers in _PICKS if len(powers) == d] for d in (1, 2)}
+# the two table columns of each FP2 block, in _fp_power_sets(2) order
+_FP2_COLUMNS = np.array([_PICKS[powers] for powers in _POWER_SETS[2]]).T
+_FP2_COLUMNS.setflags(write=False)
 
 
 def _fp_power_sets(degree: int):
-    return [powers for powers in _PICKS if len(powers) == degree]
+    return _POWER_SETS[degree]
 
 
 # ---------------------------------------------------------------------------
@@ -244,11 +248,12 @@ def _fp_power_sets(degree: int):
 class _Columns:
     """The model columns of one dataset, each built once: per (covariate,
     shift) the table every FP block is picked from, and interaction
-    products by covariates.
+    products by covariates; and each model's fit, solved once (``_fit``).
 
     A selection scores hundreds of candidate models that share most of
-    their columns; ``design`` assembles a candidate's design from them.
-    A store lives for one call on one dataset.
+    their columns, and tests some models more than once; ``design``
+    assembles a candidate's design from the columns.  A store lives for
+    one call on one dataset.
     """
 
     def __init__(self, dataset: Dataset):
@@ -256,6 +261,7 @@ class _Columns:
         self._ones = np.ones((dataset.n, 1))
         self._tables: dict[tuple[int, float], np.ndarray] = {}
         self._products: dict[tuple[int, ...], np.ndarray] = {}
+        self._fits: dict[tuple, tuple | str] = {}
 
     def table(self, j: int, shift: float) -> np.ndarray:
         """The (n, 16) columns of ``_TABLE_POWERS`` on covariate j + shift;
@@ -284,12 +290,33 @@ class _Columns:
 
 
 def _fit(columns: _Columns, forms, interactions, return_basis: bool = False):
-    """The least-squares fit of a model; RankDeficientError where its
-    design is singular or, an FP power having overflowed, not finite."""
-    design = columns.design(forms, interactions)
-    if not np.isfinite(design).all():
-        raise RankDeficientError("an FP column overflows")
-    return solve_least_squares(design, columns.dataset.y, return_basis=return_basis)
+    """The least-squares fit of a model, and with ``return_basis`` its
+    design's orthonormal basis; RankDeficientError where its design is
+    singular or, an FP power having overflowed, not finite.
+
+    ``columns`` keeps each model's fit and basis, read-only, or the words
+    of its error (never the error, whose traceback would hold ``columns``
+    in a cycle), keyed by the forms and products that make its design:
+    a model is solved once per store, and a repeat reads the same bits.
+    """
+    key = (tuple((j, tuple(forms[j].powers), forms[j].shift) for j in sorted(forms)),
+           tuple(tuple(covs) for covs in interactions))
+    if key not in columns._fits:
+        design = columns.design(forms, interactions)
+        try:
+            if not np.isfinite(design).all():
+                raise RankDeficientError("an FP column overflows")
+            fit, Q = solve_least_squares(design, columns.dataset.y, return_basis=True)
+        except RankDeficientError as error:
+            columns._fits[key] = str(error)
+        else:
+            for array in (fit.coefficients, fit.fitted, Q):
+                array.setflags(write=False)
+            columns._fits[key] = fit, Q
+    solved = columns._fits[key]
+    if isinstance(solved, str):
+        raise RankDeficientError(solved)
+    return solved if return_basis else solved[0]
 
 
 def _rss(columns: _Columns, forms, interactions) -> float | None:
@@ -348,14 +375,14 @@ def order_covariates(dataset: Dataset) -> list[int]:
     Contribution is the likelihood-ratio statistic from dropping the
     covariate out of the all-linear model; ties keep index order.
     """
-    return _order_covariates(_Columns(dataset))
+    shifts = [positivity_shift(dataset.X[:, j]) for j in range(dataset.p)]
+    return _order_covariates(_Columns(dataset), shifts)
 
 
-def _order_covariates(columns: _Columns) -> list[int]:
+def _order_covariates(columns: _Columns, shifts) -> list[int]:
     dataset = columns.dataset
     tester = _LrTester(dataset)
-    forms = {j: FpTerm(j, LINEAR, positivity_shift(dataset.X[:, j]))
-             for j in range(dataset.p)}
+    forms = {j: FpTerm(j, LINEAR, shifts[j]) for j in range(dataset.p)}
     full = _rss(columns, forms, [])
     if full is None:
         raise RankDeficientError("full linear model is singular")
@@ -450,8 +477,7 @@ def _screened_gains(C, Q, r) -> dict[int, np.ndarray]:
     off Q, ``t' G^-1 t`` for G = B'B and t = B'r, in closed form.  inf
     where the projection leaves the block near degenerate
     (``_FP_SCREEN_FLOOR``) or the arithmetic is not finite."""
-    B = C
-    i, k = np.array([_PICKS[powers] for powers in _fp_power_sets(2)]).T
+    B, (i, k) = C, _FP2_COLUMNS
     with np.errstate(all="ignore"):
         for _ in range(2):  # the second pass restores what cancellation lost
             B = B - Q @ (Q.T @ B)
@@ -509,7 +535,7 @@ def mfp_select(dataset: Dataset, alpha: float = 0.05, interactions: int = 0,
             inter_candidates.extend(itertools.combinations(range(p), size))
     included_inters: list[tuple[int, ...]] = []
     columns = _Columns(dataset)
-    order = _order_covariates(columns)
+    order = _order_covariates(columns, shifts)
 
     for _cycle in range(max_cycles):
         before = (tuple(sorted((j, t.powers) for j, t in forms.items())),

@@ -1,5 +1,6 @@
 """Fractional-polynomial transforms, closed-test selection, surface fit."""
 
+import gc
 import importlib.machinery
 import itertools
 import json
@@ -8,6 +9,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import weakref
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from tsvc.dof import reference_table
 from tsvc.errors import (
     NoConvergenceError,
     NonPositiveValuesError,
+    RankDeficientError,
     ValidationError,
 )
 from tsvc.mfp import (
@@ -187,6 +190,9 @@ def test_best_fp_refuses_other_forms_outside_the_fp_tuples():
         with pytest.raises(ValidationError, match="not an FP1 or FP2 tuple"):
             best_fp(ds, 0, 1, current_forms={1: FpTerm(1, powers)})
     assert best_fp(ds, 0, 1, current_forms={1: FpTerm(1, (0.0, 0.0))}).degree == 1
+    # a form whose powers are written as a list is the tuple it lists
+    assert (best_fp(ds, 0, 1, current_forms={1: FpTerm(1, [0.0, 0.0])})
+            == best_fp(ds, 0, 1, current_forms={1: FpTerm(1, (0.0, 0.0))}))
 
 
 def test_an_overflowing_fp_power_is_an_unfittable_candidate():
@@ -453,53 +459,54 @@ def _bootstrap_grids(count, seed=17):
     return grids
 
 
+def _model_key(forms, interactions):
+    return (tuple((j, forms[j].powers, forms[j].shift) for j in sorted(forms)),
+            tuple(tuple(covs) for covs in interactions))
+
+
 def test_column_store_designs_equal_a_fresh_build(monkeypatch):
-    # every design the selection solves, each FP search's null model (the
-    # model without the searched covariate, solved once for its basis),
-    # the candidates it refits, the other tested models and the final fit,
-    # is the one built from scratch, to the last bit
-    nulls, candidates, designs = [], [], []
+    # every model the selection asks for, each FP search's null model (the
+    # model without the searched covariate, asked for its basis), the
+    # candidates it refits, the other tested models and the final fit, is
+    # solved once, on the design built from scratch, to the last bit
+    requests, designs = [], []
     search, rss, solve = mfp._FpSearch, mfp._rss, mfp.solve_least_squares
 
     def recording_search(columns, j, forms, interactions, delta, floor):
         others = {k: v for k, v in forms.items() if k != j}
-        nulls.append((columns.dataset, others, list(interactions)))
+        requests.append((columns.dataset, others, list(interactions)))
         return search(columns, j, forms, interactions, delta, floor)
 
     def recording_rss(columns, forms, interactions):
-        candidates.append((columns.dataset, dict(forms), list(interactions)))
+        requests.append((columns.dataset, dict(forms), list(interactions)))
         return rss(columns, forms, interactions)
 
     def recording_solve(design, y, return_basis=False):
-        designs.append((design, return_basis))
+        designs.append(design)
         return solve(design, y, return_basis=return_basis)
 
     monkeypatch.setattr(mfp, "_FpSearch", recording_search)
     monkeypatch.setattr(mfp, "_rss", recording_rss)
     monkeypatch.setattr(mfp, "solve_least_squares", recording_solve)
     for grid in _bootstrap_grids(5):
-        nulls.clear()
-        candidates.clear()
+        requests.clear()
         designs.clear()
         fit, _ = derive_dof_formula(grid)
-        # one null solve per FP search (the FP2 and FP1 searches of a
-        # closed test share one), one solve per exact refit or other
-        # tested model, and the final fit
-        assert len(designs) == len(nulls) + len(candidates) + 1
-        null_designs = [design for design, basis in designs if basis]
-        model_designs = [design for design, basis in designs if not basis]
-        assert len(null_designs) == len(nulls)
-        for (dataset, forms, interactions), design in zip(nulls + candidates,
-                                                          null_designs + model_designs):
+        final = {t.covariate: t for t in fit.terms}
+        requests.append((requests[0][0], final, [i.covariates for i in fit.interactions]))
+        # one solve per distinct model, in the order first asked for
+        first = {}
+        for dataset, forms, interactions in requests:
+            first.setdefault(_model_key(forms, interactions), (dataset, forms, interactions))
+        assert len(first) < len(requests)
+        assert len(designs) == len(first)
+        assert len({(d.shape, d.tobytes()) for d in designs}) == len(designs)
+        for (dataset, forms, interactions), design in zip(first.values(), designs):
             expected = _design_from_scratch(dataset, forms, interactions)
             assert design.shape == expected.shape
             assert design.tobytes() == expected.tobytes()
             # and its layout: an F-ordered design fits to other bits
             assert design.flags.c_contiguous and design.strides == expected.strides
-        final = {t.covariate: t for t in fit.terms}
-        expected = _design_from_scratch(candidates[0][0], final, [i.covariates for i in fit.interactions])
-        assert model_designs[-1].tobytes() == expected.tobytes()
-        assert model_designs[-1].strides == expected.strides
 
 
 _SELECT_ALONE = """
@@ -634,13 +641,15 @@ def test_shipped_grid_derivation_refits_only_near_best_candidates(monkeypatch):
 
 def test_shipped_grid_derivation_solves_each_null_once_and_builds_each_table_once(monkeypatch):
     # a closed test's FP2 and FP1 searches share one null solve (73 solves
-    # when each solved its own), and every FP block is picked from one
-    # table per covariate (132 fp_columns calls when built block by block)
+    # when each solved its own), every other model asked for again reads
+    # its first fit (65 solves, 22 of them repeats, when each request
+    # solved), and every FP block is picked from one table per covariate
+    # (132 fp_columns calls when built block by block)
     solves, tables = [], []
     solve, columns = mfp.solve_least_squares, mfp.fp_columns
 
     def counting_solve(*args, **kwargs):
-        solves.append(args[0].shape)
+        solves.append((args[0].shape, args[0].tobytes()))
         return solve(*args, **kwargs)
 
     def counting_columns(*args, **kwargs):
@@ -650,8 +659,55 @@ def test_shipped_grid_derivation_solves_each_null_once_and_builds_each_table_onc
     monkeypatch.setattr(mfp, "solve_least_squares", counting_solve)
     monkeypatch.setattr(mfp, "fp_columns", counting_columns)
     derive_dof_formula(reference_table().rows)
-    assert len(solves) <= 65
+    assert len(solves) == 43
+    assert len(set(solves)) == len(solves)
     assert len(tables) == 3
+
+
+def test_a_singular_model_is_solved_once_and_its_store_holds_no_cycle(monkeypatch):
+    # every FP2 form of the two-valued p is singular with the intercept: a
+    # store tries such a model once and remembers that it cannot be fitted,
+    # without keeping the error, whose traceback would hold the store in a
+    # reference cycle that only the cyclic collector frees
+    s = np.arange(1.0, 11.0)
+    p = np.array([2.0, 4.0] * 5)
+    dataset = Dataset.from_arrays(s + p, np.column_stack([s, p]), names=("s", "p"))
+    attempts, singular = [], []
+    solve = mfp.solve_least_squares
+
+    def counting_solve(*args, **kwargs):
+        attempts.append(args[0].shape)
+        try:
+            return solve(*args, **kwargs)
+        except RankDeficientError:
+            singular.append(args[0].shape)
+            raise
+
+    monkeypatch.setattr(mfp, "solve_least_squares", counting_solve)
+    columns = mfp._Columns(dataset)
+    forms = {0: FpTerm(0, LINEAR), 1: FpTerm(1, (1.0, 2.0))}
+    assert [mfp._rss(columns, forms, []) for _ in range(2)] == [None, None]
+    for _ in range(2):
+        with pytest.raises(RankDeficientError):
+            mfp._fit(columns, forms, [])
+    assert attempts == singular == [(10, 4)]
+
+    stores = []
+
+    class Recorded(mfp._Columns):
+        def __init__(self, dataset):
+            super().__init__(dataset)
+            stores.append(weakref.ref(self))
+
+    monkeypatch.setattr(mfp, "_Columns", Recorded)
+    singular.clear()
+    gc.disable()
+    try:
+        mfp_select(dataset)
+        assert singular and len(stores) == 1
+        assert stores[0]() is None
+    finally:
+        gc.enable()
 
 
 def _selection(fit):

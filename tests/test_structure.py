@@ -181,3 +181,11 @@ def test_fp_columns_are_built_by_the_column_table_and_predict_alone():
     assert {(path.name, owner) for path in SRC.glob("*.py")
             for owner in _readers(path.name, "fp_columns")} == {
         ("mfp.py", "_Columns.table"), ("mfp.py", "MfpFit.predict")}
+
+
+def test_every_mfp_solve_goes_through_the_fit_memo():
+    # a selection solves each distinct model once: in mfp.py only _fit
+    # calls solve_least_squares, and only _fit reads the store's fits
+    # (which _Columns.__init__ makes), so no solve path can skip the memo
+    assert _readers("mfp.py", "solve_least_squares") == {"_fit"}
+    assert _readers("mfp.py", "_fits") == {"_Columns.__init__", "_fit"}
