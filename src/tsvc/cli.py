@@ -43,14 +43,6 @@ def _read_dataset_csv(path: str, response: str) -> Dataset:
                                [[r[c] for c in names] for r in rows], names=names)
 
 
-def _default_threads() -> int:
-    raw = os.environ.get(THREADS_ENV, "")
-    try:
-        return max(1, int(raw)) if raw else 1
-    except ValueError:
-        return 1
-
-
 def _add_threads(parser):
     parser.add_argument(
         "--threads", type=int, default=None,
@@ -58,11 +50,17 @@ def _add_threads(parser):
 
 
 def _threads(args) -> int:
-    if args.threads is None:
-        return _default_threads()
-    if args.threads < 1:
-        raise ValidationError(f"--threads must be >= 1, got {args.threads}")
-    return args.threads
+    """``--threads``, else ``$TSVC_THREADS`` (1 when unset or empty); a
+    value that is not an integer >= 1 is refused, naming where it came from."""
+    source, raw = (("--threads", args.threads) if args.threads is not None
+                   else (THREADS_ENV, os.environ.get(THREADS_ENV) or "1"))
+    try:
+        threads = int(raw)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ValidationError(f"{source} must be >= 1, got {raw}")
+    return threads
 
 
 # ---------------------------------------------------------------------------

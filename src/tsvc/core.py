@@ -2,8 +2,8 @@
 
 All tree models in this package reduce to ordinary least squares on an
 expanded design matrix, so the numerical core lives here: a validated
-data container, a rank-checked QR solver, and the profile Gaussian
-log-likelihood evaluated at the variance MLE ``rss / n``.
+data container, a rank-checked QR solver, the projection off a basis,
+and the profile Gaussian log-likelihood at the variance MLE ``rss / n``.
 
 The solver calls LAPACK ``dgeqp3``, ``dorgqr`` and ``dtrtrs`` in the
 sequence ``scipy.linalg.qr(..., mode="economic", pivoting=True)`` and
@@ -76,10 +76,17 @@ def _load_lapack():
 
 lapack = _load_lapack()
 
-# Relative pivot threshold for declaring a design rank deficient: a
-# diagonal entry of the pivoted R factor below 1e-10 times the largest
-# pivot counts as zero.
+# A diagonal entry of a design's pivoted R factor below RANK_RTOL times
+# the largest pivot counts as zero: the design is rank deficient.
 RANK_RTOL = 1e-10
+
+# A split candidate whose added column keeps less than this share of its
+# squared norm off the basis (sin^2 of its angle to the span) is skipped.
+DEGENERATE_RTOL = 1e-10
+
+# A kept share this small has lost too many digits to cancellation to
+# screen by: a downdated split score is rescored, an FP tuple refit.
+SCREEN_FLOOR = 1e-6
 
 # A residual sum of squares this small relative to ||y||^2 is QR
 # round-off on a response the design reproduces exactly (for example a
@@ -180,9 +187,9 @@ def check_response_scale(Y: np.ndarray) -> None:
 class LinearFit:
     """Result of one least-squares solve.
 
-    ``sigma2_hat`` is the maximum-likelihood variance ``rss / n`` and
-    ``log_lik`` the Gaussian log-likelihood profiled at it.  A fit that
-    interpolates exactly (``rss == 0``) carries ``log_lik = inf``;
+    ``sigma2_hat`` is the maximum-likelihood variance ``rss / n``, ``log_lik``
+    the Gaussian log-likelihood profiled at it; the arrays are read-only.  A
+    fit that interpolates exactly (``rss == 0``) carries ``log_lik = inf``;
     downstream likelihood consumers treat that as a degenerate model.
     """
 
@@ -235,6 +242,7 @@ def solve_least_squares(design, y, return_basis: bool = False):
     Returns
     -------
     LinearFit or (LinearFit, ndarray); a list of m fits for m responses.
+    The coefficients, fitted values and Q are read-only.
 
     Raises
     ------
@@ -257,6 +265,7 @@ def solve_least_squares(design, y, return_basis: bool = False):
         rank = 0 if diag[0] == 0.0 else int(np.sum(diag >= RANK_RTOL * diag[0]))
         raise RankDeficientError(f"design has numerical rank {rank} < {q}")
 
+    Q.setflags(write=False)
     if y.ndim == 1:
         fit = _fit_factored(design, Q, R, piv, y)
     else:
@@ -264,6 +273,15 @@ def solve_least_squares(design, y, return_basis: bool = False):
     if return_basis:
         return fit, Q
     return fit
+
+
+def orthogonal_part(Q, B) -> np.ndarray:
+    """The part of the columns B off the orthonormal columns of a basis Q,
+    (n, q) or a stack (w, n, q) with B to match: ``B - Q(Q^T B)`` twice, the
+    second pass restoring what cancellation lost (Parlett 1980, "twice is enough")."""
+    for _ in range(2):
+        B = B - Q @ (Q.swapaxes(-1, -2) @ B)
+    return B
 
 
 @functools.lru_cache(maxsize=1024)
@@ -314,6 +332,8 @@ def _fit_factored(design, Q, R, piv, y) -> LinearFit:
     coefficients = np.empty(q)
     coefficients[piv] = coef_piv
     fitted = design @ coefficients
+    coefficients.setflags(write=False)
+    fitted.setflags(write=False)
     resid = y - fitted
     rss = float(resid @ resid)
     if rss <= RSS_ZERO_RTOL * float(y @ y):

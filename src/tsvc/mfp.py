@@ -28,7 +28,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .core import Dataset, solve_least_squares
+from .core import SCREEN_FLOOR, Dataset, orthogonal_part, solve_least_squares
 from .errors import (
     NoConvergenceError,
     NonPositiveValuesError,
@@ -51,12 +51,6 @@ _RSS_FLOOR_RTOL = 1e-14
 # floor, of the best exact rss so far.  The screen only orders the
 # candidates: the exact refits decide, ties included.
 _FP_SCREEN_RTOL = 1e-6
-
-# A tuple whose FP columns keep less than this share of their squared norm
-# off that basis, or (degree 2) whose two projected columns are this close
-# to parallel, cannot be screened to the margin's accuracy; it reads -inf
-# and is always refit.
-_FP_SCREEN_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -289,15 +283,15 @@ class _Columns:
         return np.concatenate(cols, axis=1)
 
 
-def _fit(columns: _Columns, forms, interactions, return_basis: bool = False):
-    """The least-squares fit of a model, and with ``return_basis`` its
-    design's orthonormal basis; RankDeficientError where its design is
-    singular or, an FP power having overflowed, not finite.
+def _fit(columns: _Columns, forms, interactions):
+    """The least-squares fit of a model and its design's orthonormal
+    basis, as (fit, Q); RankDeficientError where its design is singular
+    or, an FP power having overflowed, not finite.
 
-    ``columns`` keeps each model's fit and basis, read-only, or the words
-    of its error (never the error, whose traceback would hold ``columns``
-    in a cycle), keyed by the forms and products that make its design:
-    a model is solved once per store, and a repeat reads the same bits.
+    ``columns`` keeps each model's fit and basis, or the words of its
+    error (never the error, whose traceback would hold ``columns`` in a
+    cycle), keyed by the forms and products that make its design: a
+    model is solved once per store, and a repeat reads the same bits.
     """
     key = (tuple((j, tuple(forms[j].powers), forms[j].shift) for j in sorted(forms)),
            tuple(tuple(covs) for covs in interactions))
@@ -306,23 +300,20 @@ def _fit(columns: _Columns, forms, interactions, return_basis: bool = False):
         try:
             if not np.isfinite(design).all():
                 raise RankDeficientError("an FP column overflows")
-            fit, Q = solve_least_squares(design, columns.dataset.y, return_basis=True)
+            columns._fits[key] = solve_least_squares(design, columns.dataset.y,
+                                                     return_basis=True)
         except RankDeficientError as error:
             columns._fits[key] = str(error)
-        else:
-            for array in (fit.coefficients, fit.fitted, Q):
-                array.setflags(write=False)
-            columns._fits[key] = fit, Q
     solved = columns._fits[key]
     if isinstance(solved, str):
         raise RankDeficientError(solved)
-    return solved if return_basis else solved[0]
+    return solved
 
 
 def _rss(columns: _Columns, forms, interactions) -> float | None:
     """rss of the least-squares fit, or None when it cannot be fitted."""
     try:
-        return _fit(columns, forms, interactions).rss
+        return _fit(columns, forms, interactions)[0].rss
     except RankDeficientError:
         return None
 
@@ -447,7 +438,7 @@ class _FpSearch:
         self.columns, self.j, self.interactions, self.delta = columns, j, interactions, delta
         self.others = {k: v for k, v in forms.items() if k != j}
         try:
-            null, Q = _fit(columns, self.others, interactions, return_basis=True)
+            null, Q = _fit(columns, self.others, interactions)
         except RankDeficientError:
             self.rss_null, self.margin = None, 0.0
             self.screened = {d: np.full(len(_fp_power_sets(d)), -np.inf) for d in (1, 2)}
@@ -474,22 +465,22 @@ def _screened_gains(C, Q, r) -> dict[int, np.ndarray]:
     """Per degree, the fall in rss from adding each power tuple's block,
     picked from the table C, to the model with orthonormal basis Q and
     residual r, in ``_fp_power_sets`` order: with B the block projected
-    off Q, ``t' G^-1 t`` for G = B'B and t = B'r, in closed form.  inf
-    where the projection leaves the block near degenerate
-    (``_FP_SCREEN_FLOOR``) or the arithmetic is not finite."""
-    B, (i, k) = C, _FP2_COLUMNS
+    off Q (``orthogonal_part``), ``t' G^-1 t`` for G = B'B and t = B'r, in
+    closed form.  inf where the arithmetic is not finite or too little is
+    left to screen by: a column keeps less than ``SCREEN_FLOOR`` of its
+    squared norm off Q, or two columns come that close to parallel."""
+    i, k = _FP2_COLUMNS
     with np.errstate(all="ignore"):
-        for _ in range(2):  # the second pass restores what cancellation lost
-            B = B - Q @ (Q.T @ B)
+        B = orthogonal_part(Q, C)
         t = r @ B
         squares = np.einsum("ij,ij->j", B, B)
-        kept = squares / np.einsum("ij,ij->j", C, C) >= _FP_SCREEN_FLOOR
+        kept = squares / np.einsum("ij,ij->j", C, C) >= SCREEN_FLOOR
         fp1 = t[::2] * t[::2] / squares[::2]  # the even columns are the FP1 blocks
         a, c = squares[i], squares[k]
         b = np.einsum("ij,ij->j", B[:, i], B[:, k])
         det = a * c - b * b
         fp2 = (c * t[i] * t[i] - 2.0 * b * t[i] * t[k] + a * t[k] * t[k]) / det
-        trusted = {1: kept[::2], 2: kept[i] & kept[k] & (det >= _FP_SCREEN_FLOOR * a * c)}
+        trusted = {1: kept[::2], 2: kept[i] & kept[k] & (det >= SCREEN_FLOOR * a * c)}
         return {degree: np.where(trusted[degree] & np.isfinite(g), g, np.inf)
                 for degree, g in ((1, fp1), (2, fp2))}
 
@@ -589,7 +580,7 @@ def mfp_select(dataset: Dataset, alpha: float = 0.05, interactions: int = 0,
 
 def _final_fit(columns, forms, included_inters, alpha) -> MfpFit:
     dataset = columns.dataset
-    fit = _fit(columns, forms, included_inters)
+    fit, _ = _fit(columns, forms, included_inters)
     coefs = fit.coefficients
     pos = 1
     terms = []

@@ -15,7 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Dataset, LinearFit, check_response_scale, solve_least_squares
+from .core import (DEGENERATE_RTOL, SCREEN_FLOOR, Dataset, LinearFit, check_response_scale,
+                   orthogonal_part, solve_least_squares)
 from .errors import (
     DimensionMismatchError,
     EmptyLeafError,
@@ -25,10 +26,6 @@ from .errors import (
 )
 from .model import CoefficientTree, ModelPath, SplitRule, TsvcModel
 
-# Candidates whose added design direction has squared norm below this
-# fraction of the column norm are treated as rank deficient and skipped.
-_DEGENERATE_RTOL = 1e-10
-
 # After a split the carried scores of the other segments are downdated,
 # not rescored, and downdated gains only screen: when more than one
 # candidate lies within this relative margin of the best gain, their
@@ -37,10 +34,6 @@ _DEGENERATE_RTOL = 1e-10
 # checks it on random, tied and mixed-scale paths; about 1e-12 is
 # typical), so the margin keeps every candidate that could win or tie.
 _SCREEN_RTOL = 1e-6
-
-# A downdated denominator at or below this fraction of ||u||^2 has lost
-# too many digits to cancellation to screen by; its segment is rescored.
-_DOWNDATE_FLOOR = 1e-6
 
 # Cap on the array entries (segments x row positions x values per
 # position) that one block of the batched split search holds.  It bounds
@@ -187,7 +180,8 @@ class _StepState(NamedTuple):
     and ``Q`` its least-squares fit and orthonormal basis.  The sort and
     the carried scores belong to the lockstep group (see
     ``_grow_splits``).  A snapshot is never modified: a step makes a new
-    one for the next step, and its arrays are read-only.
+    one for the next step, and its arrays are read-only, the fit's and Q
+    as ``solve_least_squares`` hands them out.
     """
 
     trees: tuple
@@ -464,7 +458,7 @@ class _Screen:
                                   carry.rq[segs.rep[seg], None], None if kept.all() else kept)
                 good = self._keep(block, exact=False)
                 carried[block.seg] = True
-                # too close to the degeneracy floor to screen by
+                # too close to SCREEN_FLOOR to screen by
                 near_floor[block.seg] = ((block.uu > 0.0) & ~good).any(axis=1)
         fresh = np.flatnonzero(~carried[:n_segs // copies])
         for block in _score_candidates(segs, min_leaf, resid, Q, fresh, copies):
@@ -473,7 +467,7 @@ class _Screen:
             self.rescore(np.flatnonzero(near_floor))
 
     def _keep(self, block: _Block, exact: bool):
-        gains, good = _gains(block, _DEGENERATE_RTOL if exact else _DOWNDATE_FLOOR)
+        gains, good = _gains(block, DEGENERATE_RTOL if exact else SCREEN_FLOOR)
         self.home[block.seg] = len(self.blocks)
         self.home_row[block.seg] = np.arange(block.seg.size)
         self.blocks.append(block)
@@ -547,11 +541,8 @@ class _Screen:
         for seg, pos in picks:
             left = segs.rows[segs.start[seg]:segs.start[seg] + pos + 1]
             U[left] = segs.values(segs.target[seg], left)
-        U = U.reshape(-1, n, 1)
-        Q = self.Q.reshape(U.shape[0], n, -1)
-        for _ in range(2):  # the second pass restores what cancellation lost
-            U -= Q @ (Q.transpose(0, 2, 1) @ U)
-        U = U.reshape(-1, n)
+        width = U.size // n
+        U = orthogonal_part(self.Q.reshape(width, n, -1), U.reshape(width, n, 1)).reshape(width, n)
         split = segs.rep[[seg for seg, _ in picks]]
         U[split] /= np.sqrt(np.einsum("wn,wn->w", U[split], U[split]))[:, None]
         rq = np.einsum("wn,wn->w", U, self.resid.reshape(U.shape))
@@ -661,7 +652,7 @@ def _grow_splits(dataset: Dataset, Y, order, states, carry: _Carry | None, min_l
             grouped[i] = _regroup(grouped[i], order, state.leaf_of[i], leaf_of[i],
                                   rule.parent_leaf, left)
             grown[j] = (rule, trees, fit, _StepState(trees, _frozen(leaf_of), tuple(grouped),
-                                                     _frozen(design), fit, _frozen(Q)))
+                                                     _frozen(design), fit, Q))
             break
     return grown, None if last else screen.carry(picks, n)
 
@@ -675,7 +666,7 @@ def _start_states(dataset: Dataset, trees, Y):
     fits, Q = solve_least_squares(design, Y, return_basis=True)
     order = _frozen(np.argsort(dataset.X, axis=0, kind="stable"))
     grouped = _grouped_orders(order, leaf_of, trees)
-    return order, [_StepState(trees, leaf_of, grouped, design, fit, _frozen(Q)) for fit in fits]
+    return order, [_StepState(trees, leaf_of, grouped, design, fit, Q) for fit in fits]
 
 
 def grow_one_split(dataset: Dataset, trees, min_leaf: int = 10):

@@ -749,8 +749,20 @@ def test_threads_env_parsing(monkeypatch, capsys):
     assert main(argv) == 0
     assert capsys.readouterr().out == baseline
 
-    monkeypatch.setenv("TSVC_THREADS", "not-a-number")
+    monkeypatch.setenv("TSVC_THREADS", "")
     assert main(argv) == 0
+    assert capsys.readouterr().out == baseline
+
+    # a bad value is refused as --threads is, naming the variable
+    for value in ("not-a-number", "0", "-3"):
+        monkeypatch.setenv("TSVC_THREADS", value)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"TSVC_THREADS must be >= 1, got {value}" in captured.err
+
+    # the flag, when given, wins over the variable
+    assert main(argv + ["--threads", "1"]) == 0
     assert capsys.readouterr().out == baseline
 
 

@@ -15,6 +15,7 @@ from tsvc.core import (
     Dataset,
     _pivoted_qr,
     gaussian_log_lik,
+    orthogonal_part,
     solve_least_squares,
 )
 from tsvc.errors import (
@@ -246,6 +247,61 @@ def test_return_basis_spans_design():
     # projecting the design onto Q changes nothing
     np.testing.assert_allclose(Q @ (Q.T @ design), design, atol=1e-10)
     np.testing.assert_allclose(Q @ (Q.T @ y), fit.fitted, atol=1e-10)
+
+
+def _refuses_writes(array):
+    with pytest.raises(ValueError, match="read-only"):
+        array[...] = 0.0
+
+
+def test_solve_hands_out_read_only_fits():
+    # a fit is kept and shared (a path's fits, a model's, the FP memo's),
+    # so the solve freezes its arrays once for every caller
+    rng = np.random.default_rng(5)
+    design = rng.standard_normal((20, 4))
+    for y in (rng.standard_normal(20), rng.standard_normal((3, 20))):
+        fit, Q = solve_least_squares(design, y, return_basis=True)
+        plain = solve_least_squares(design, y)
+        fits = fit + plain if y.ndim == 2 else [fit, plain]
+        for array in [Q] + [a for f in fits for a in (f.coefficients, f.fitted)]:
+            _refuses_writes(array)
+
+
+def _basis(rng, n, q):
+    return solve_least_squares(rng.standard_normal((n, q)), np.ones(n), return_basis=True)[1]
+
+
+def test_orthogonal_part_is_the_two_pass_projection_bit_for_bit():
+    # the FP screen's shape, a 16-column block off a 2-d basis, and the
+    # carry's, one column per replicate off a stack of bases
+    rng = np.random.default_rng(17)
+    Q, C = _basis(rng, 40, 6), rng.standard_normal((40, 16))
+    expected = C
+    for _ in range(2):
+        expected = expected - Q @ (Q.T @ expected)
+    assert orthogonal_part(Q, C).tobytes() == expected.tobytes()
+    w, n = 3, 50
+    Qs = np.concatenate([_basis(rng, n, 4) for _ in range(w)]).reshape(w, n, -1)
+    U = rng.standard_normal((w, n, 1))
+    expected = U.copy()
+    for _ in range(2):
+        expected -= Qs @ (Qs.transpose(0, 2, 1) @ expected)
+    got = orthogonal_part(Qs, U)
+    assert got.shape == (w, n, 1) and got.tobytes() == expected.tobytes()
+
+
+def test_orthogonal_part_needs_its_second_pass_near_the_span():
+    # a column 1e-8 off span(Q): one pass leaves about eps / 1e-8 of the
+    # remainder in the span, the second takes it out to round-off
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        Q = _basis(rng, 60, 5)
+        b = Q @ rng.standard_normal((5, 1))
+        b = b / np.linalg.norm(b) + 1e-8 * rng.standard_normal((60, 1)) / np.sqrt(60)
+        one = b - Q @ (Q.T @ b)
+        two = orthogonal_part(Q, b)
+        assert np.linalg.norm(Q.T @ two) < 1e-15 * np.linalg.norm(two)
+        assert np.linalg.norm(Q.T @ one) > 1e-10 * np.linalg.norm(one)
 
 
 def test_responses_share_one_factorisation_bit_for_bit():

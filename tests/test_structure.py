@@ -5,9 +5,11 @@ and its JSON) rests on ``core`` and ``errors`` alone; scipy's LAPACK
 comes only through ``core``'s loader; the CLI's exit code is set by the
 error types alone; the package exports names, not its modules; the
 split search's block budget is a constant that only the block maker
-reads; and the FP search's screen margin and floor are constants that
-only the FP search reads; and only the FP column table and a fitted
-surface's prediction build FP columns."""
+reads; the FP search's screen margin is a constant that only the FP
+search reads; every tolerance on a direction's part off a basis is a
+``core`` constant, and ``core`` alone projects off a basis and freezes
+a solve's outputs; and only the FP column table and a fitted surface's
+prediction build FP columns."""
 
 import ast
 import inspect
@@ -118,12 +120,29 @@ def test_package_exports_no_module():
     assert [name for name in tsvc.__all__ if inspect.ismodule(getattr(tsvc, name))] == []
 
 
-def _constant_readers(module, name):
+def _constant_readers(module, name, importers=()):
     """The functions of ``module`` (top-level names) that read the module
-    constant ``name``, after checking that no other module names it and
-    that ``module`` assigns it once, at top level, from literals alone."""
-    assert [path.name for path in SRC.glob("*.py")
-            if path.name != module and name in path.read_text(encoding="utf-8")] == []
+    constant ``name``, after checking that ``module`` assigns it once, at
+    top level, from literals alone, and that no other module names it
+    but ``importers``, which import it from ``module`` and bind it nowhere."""
+    assert [path.name for path in SRC.glob("*.py") if path.name != module
+            and path.name not in importers and name in path.read_text(encoding="utf-8")] == []
+    for importer in importers:
+        assert ("." + module.removesuffix(".py"), name) in {
+            (source, imported) for source, names in _imports(importer) for imported in names}
+        assert _bindings(importer, name)[0] == []
+    stores, loads = _bindings(module, name)
+    assert stores == [None]
+    (value,) = [top.value for top in _tree(module).body if isinstance(top, ast.Assign)
+                and [ast.unparse(target) for target in top.targets] == [name]]
+    assert all(isinstance(node, (ast.Constant, ast.BinOp, ast.operator))
+               for node in ast.walk(value)), ast.unparse(value)
+    return set(loads)
+
+
+def _bindings(module, name):
+    """(stores, loads): the owner (top-level name) of every place that
+    binds ``name`` in ``module``, and of every place that reads it."""
     stores, loads = [], []
     for top in _tree(module).body:
         owner = getattr(top, "name", None)
@@ -134,12 +153,7 @@ def _constant_readers(module, name):
                 stores.append((owner, "attribute"))
             elif isinstance(node, ast.Name) and node.id == name:
                 (loads if isinstance(node.ctx, ast.Load) else stores).append(owner)
-    assert stores == [None]
-    (value,) = [top.value for top in _tree(module).body if isinstance(top, ast.Assign)
-                and [ast.unparse(target) for target in top.targets] == [name]]
-    assert all(isinstance(node, (ast.Constant, ast.BinOp, ast.operator))
-               for node in ast.walk(value)), ast.unparse(value)
-    return set(loads)
+    return stores, loads
 
 
 def test_block_budget_is_a_constant_read_by_the_block_maker_alone():
@@ -151,27 +165,87 @@ def test_block_budget_is_a_constant_read_by_the_block_maker_alone():
 
 
 def test_fp_screen_margin_and_floor_are_constants_read_by_the_fp_search_alone():
-    # the FP search's screen margin and its trust floor are constants in
-    # the same way: mfp.py (which imports no os) assigns each once from
-    # literals, and only the search reads them, the margin where it stops
-    # refitting and the floor where it screens
+    # the FP search's screen margin is a constant in the same way: mfp.py
+    # (which imports no os) assigns it once from literals, and only the
+    # search reads it, where it stops refitting
     assert _constant_readers("mfp.py", "_FP_SCREEN_RTOL") == {"_FpSearch"}
-    assert _constant_readers("mfp.py", "_FP_SCREEN_FLOOR") == {"_screened_gains"}
+    # its trust floor is core's SCREEN_FLOOR, one of the three rules on a
+    # direction's part off a basis: core.py assigns each once from
+    # literals, and tree.py and mfp.py import those they read and bind
+    # them nowhere
+    assert _constant_readers("core.py", "RANK_RTOL") == {"solve_least_squares"}
+    assert _constant_readers("core.py", "DEGENERATE_RTOL", importers=("tree.py",)) == set()
+    assert _constant_readers("core.py", "SCREEN_FLOOR", importers=("tree.py", "mfp.py")) == set()
+    assert _readers("tree.py", "DEGENERATE_RTOL") == {"_Screen._keep"}
+    assert _readers("tree.py", "SCREEN_FLOOR") == {"_Screen._keep"}
+    assert _readers("mfp.py", "SCREEN_FLOOR") == {"_screened_gains"}
+    # and they set no floor of their own: their only small literals are
+    # the search margins and the likelihood-ratio test's zero-rss floor
+    small = {(name, _owner_of_line(name, node.lineno)) for name in ("tree.py", "mfp.py")
+             for node in ast.walk(_tree(name)) if isinstance(node, ast.Constant)
+             and isinstance(node.value, float) and 0.0 < abs(node.value) < 1e-3}
+    assert small == {("tree.py", "_SCREEN_RTOL"), ("mfp.py", "_RSS_FLOOR_RTOL"),
+                     ("mfp.py", "_FP_SCREEN_RTOL")}
 
 
-def _readers(module, name):
-    """The functions and methods (``Class.method``) of ``module`` that
-    read the name ``name``, as a variable or an attribute."""
+def _owner_of_line(module, lineno):
+    """The name that the top-level statement of ``module`` holding line
+    ``lineno`` defines or assigns."""
+    (top,) = [top for top in _tree(module).body if top.lineno <= lineno <= top.end_lineno]
+    return top.name if hasattr(top, "name") else ast.unparse(top.targets[0])
+
+
+def _subtracts_a_projection(node):
+    """``B - Q @ (Q' @ B)`` or ``B -= Q @ (Q' @ B)``, whatever the names."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub):
+        right = node.right
+    elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Sub):
+        right = node.value
+    else:
+        return False
+    return (isinstance(right, ast.BinOp) and isinstance(right.op, ast.MatMult)
+            and isinstance(right.right, ast.BinOp) and isinstance(right.right.op, ast.MatMult))
+
+
+def test_one_projection_off_a_basis_in_core():
+    # the two-pass projection is written once, in core.orthogonal_part,
+    # and read by the split search's carry and the FP screen alone
+    assert {(path.name, owner) for path in SRC.glob("*.py")
+            for owner in _owners(path.name, _subtracts_a_projection)} == {
+        ("core.py", "orthogonal_part")}
+    assert {(path.name, owner) for path in SRC.glob("*.py")
+            for owner in _readers(path.name, "orthogonal_part")} == {
+        ("tree.py", "_Screen._directions"), ("mfp.py", "_screened_gains")}
+
+
+def test_solve_outputs_are_frozen_in_core_alone():
+    # solve_least_squares hands out read-only fits and bases, so no
+    # caller freezes them: tree.py freezes its own arrays through
+    # _frozen, and mfp.py only its power-pair table
+    assert {(path.name, owner) for path in SRC.glob("*.py")
+            for owner in _readers(path.name, "setflags")} == {
+        ("core.py", "solve_least_squares"), ("core.py", "_fit_factored"),
+        ("tree.py", "_frozen"), ("mfp.py", None)}
+
+
+def _owners(module, matches):
+    """The functions and methods (``Class.method``) of ``module``, None
+    for top-level statements, that hold a node ``matches`` accepts."""
     found = set()
     for top in _tree(module).body:
         scopes = ([(f"{top.name}.{getattr(node, 'name', None)}", node) for node in top.body]
                   if isinstance(top, ast.ClassDef) else [(getattr(top, "name", None), top)])
         for owner, scope in scopes:
-            if any(isinstance(node, ast.Name) and node.id == name
-                   or isinstance(node, ast.Attribute) and node.attr == name
-                   for node in ast.walk(scope)):
+            if any(matches(node) for node in ast.walk(scope)):
                 found.add(owner)
     return found
+
+
+def _readers(module, name):
+    """The functions and methods (``Class.method``) of ``module`` that
+    read the name ``name``, as a variable or an attribute."""
+    return _owners(module, lambda node: isinstance(node, ast.Name) and node.id == name
+                   or isinstance(node, ast.Attribute) and node.attr == name)
 
 
 def test_fp_columns_are_built_by_the_column_table_and_predict_alone():

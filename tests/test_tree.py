@@ -595,6 +595,34 @@ def test_carried_grouped_orders_equal_a_fresh_sort():
                     assert np.array_equal(carried, sorted_)
 
 
+def test_step_states_and_path_fits_are_read_only():
+    # a step's snapshot and a path's fits are shared, never copied: the
+    # solve hands out fits and bases read-only, and a step freezes the rest
+    from tsvc.tree import _grow_splits, _start_states
+
+    ds = _dataset(n=80, p=3, seed=10)
+    Y = ds.y + np.random.default_rng(3).standard_normal((3, ds.n))
+    order, states = _start_states(ds, tuple(CoefficientTree.stump(j) for j in range(ds.p)), Y)
+    seen, carry = list(states), None
+    for _ in range(3):
+        grown, carry = _grow_splits(ds, Y, order, states, carry, min_leaf=5)
+        states = [None if out is None else out[-1] for out in grown]
+        seen += [state for state in states if state is not None]
+    assert len(seen) == 12
+    for state in seen:
+        for array in [order, state.leaf_of, state.design, state.fit.coefficients,
+                      state.fit.fitted, state.Q] + [g for g in state.grouped if g is not None]:
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+    for path in [fit_path(ds, s_max=4, min_leaf=5)] + fit_paths(ds.X, Y, s_max=4, min_leaf=5):
+        assert len(path.fits) == 5
+        for s, fit in enumerate(path.fits):
+            assert path.model_at(s).fit is fit
+            for array in (fit.coefficients, fit.fitted):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[...] = 0
+
+
 # ---------------------------------------------------------------------------
 
 def test_fit_path_smax_zero():
