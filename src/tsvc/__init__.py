@@ -10,8 +10,6 @@ from .core import Dataset, LinearFit, gaussian_log_lik, solve_least_squares
 from .dof import (
     DofSpec,
     McDofConfig,
-    McDofEntry,
-    McDofResult,
     McDofTable,
     TsvcPathFitter,
     dof_mfp,
@@ -66,8 +64,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Dataset", "LinearFit", "gaussian_log_lik", "solve_least_squares",
-    "DofSpec", "McDofConfig", "McDofEntry", "McDofResult", "McDofTable",
-    "TsvcPathFitter", "dof_mfp", "dof_naive", "mc_dof", "reference_table",
+    "DofSpec", "McDofConfig", "McDofTable", "TsvcPathFitter", "dof_mfp",
+    "dof_naive", "mc_dof", "reference_table",
     "DegenerateFitError", "DimensionMismatchError", "DomainError", "EmptyLeafError",
     "MissingDofError", "NoAdmissibleSplitError", "NoConvergenceError",
     "NonPositiveValuesError", "OffGridError", "RankDeficientError", "TsvcError",

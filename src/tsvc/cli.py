@@ -88,13 +88,13 @@ def cmd_mc_dof(args) -> int:
     check_writable(args.out)
     config = McDofConfig(m=args.m, runs=args.runs, s_max=args.smax,
                          min_leaf=args.min_leaf, seed=args.seed)
-    result = mc_dof(args.n, args.p, config, threads=_threads(args))
-    text = result.to_csv(args.out)
+    grid = mc_dof(args.n, args.p, config, threads=_threads(args))
+    text = grid.to_csv(args.out)
     if not args.out:
         sys.stdout.write(text)
     else:
-        for entry in result.entries:
-            print(f"s = {entry.s}: dof = {entry.dof:.4f} (se {entry.se:.4f})")
+        for _, _, s, dof, se in grid.rows:
+            print(f"s = {s}: dof = {dof:.4f} (se {se:.4f})")
     return 0
 
 
@@ -118,15 +118,20 @@ def cmd_simulate(args) -> int:
         replications=args.reps, seed=args.seed, s_max=args.smax,
         min_leaf=args.min_leaf, allow_nonstandard=args.allow_custom,
     )
-    # Every name is checked before any Monte Carlo runs, and a --table
-    # grid is read once for all the table sources.
+    # Every name is checked before a --table grid is read or any Monte
+    # Carlo runs, and the grid is read once for all the table sources.
+    sources = DofSpec.SOURCES + tuple(MC_DOF_SOURCES)
+    for name in names:
+        if name not in sources:
+            raise ValidationError(f"unknown DoF source {name!r}; "
+                                  f"choose from {', '.join(sources)}")
+    if len(set(names)) != len(names):
+        raise ValidationError(f"DoF source names must be unique, got {args.dof!r}")
     cheap = {name: DofSpec(name) for name in names if name not in MC_DOF_SOURCES}
     if args.table and any(spec.reads_table for spec in cheap.values()):
         table = McDofTable.load(args.table)
         cheap = {name: replace(spec, table=table) if spec.reads_table else spec
                  for name, spec in cheap.items()}
-    if len(set(names)) != len(names):
-        raise ValidationError(f"DoF source names must be unique, got {args.dof!r}")
     specs = tuple(
         cheap[name] if name in cheap else
         MC_DOF_SOURCES[name](config, m=args.mc_m, runs=args.mc_runs, threads=threads)

@@ -102,9 +102,9 @@ class Dataset:
     Attributes
     ----------
     y : ndarray, shape (n,)
-        Response values.
+        Response values, a read-only copy of those passed in.
     X : ndarray, shape (n, p)
-        Covariate matrix, one column per covariate.
+        Covariate matrix, one column per covariate, a read-only copy.
     names : tuple of str
         Unique column labels, used in reports and serialised models.
     """
@@ -114,7 +114,12 @@ class Dataset:
     names: tuple[str, ...]
 
     def __post_init__(self):
-        y, X = self.y, self.X
+        # The checks below must hold for as long as the dataset lives, so
+        # it keeps copies of the arrays that no caller can write to.
+        y, X = (np.array(a, dtype=float) for a in (self.y, self.X))
+        for name, a in (("y", y), ("X", X)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
         if y.ndim != 1 or X.ndim != 2:
             raise ValidationError("y must be 1-d and X 2-d")
         n, p = X.shape
@@ -148,6 +153,10 @@ class Dataset:
             twin = seen.setdefault(column.tobytes(), name)
             if twin != name:
                 raise ValidationError(f"column {name!r} duplicates column {twin!r}")
+
+    def __reduce__(self):
+        # an unpickled dataset is checked and copied like a new one
+        return Dataset, (self.y, self.X, self.names)
 
     @property
     def n(self) -> int:

@@ -5,10 +5,11 @@ it has coefficients.  Following the generalized definition
 ``df = (1/sigma^2) * sum_i Cov(muhat_i, y_i)``, this module provides
 
 * ``dof_naive``      -- the raw coefficient count ``p + s + 1``,
-* ``mc_dof``         -- a Monte-Carlo estimate of the generalized DoF,
+* ``mc_dof``         -- a Monte-Carlo grid of the generalized DoF,
 * ``dof_mfp``        -- a closed-form surface fitted to a simulated
                         grid of Monte-Carlo estimates,
-* the shipped reference grid itself with exact / nearest lookup,
+* ``McDofTable``     -- such a grid, the one reader and writer of the
+                        grid CSV, and the shipped reference grid,
 * ``DofSpec``        -- the DoF source a BIC charges a model with.
 
 The Monte-Carlo estimator holds the mean vector fixed (zero by
@@ -106,46 +107,6 @@ class McDofConfig:
 
 
 @dataclass(frozen=True)
-class McDofEntry:
-    s: int
-    dof: float
-    se: float
-    runs_used: int
-    short_paths: int
-
-
-@dataclass(frozen=True)
-class McDofResult:
-    """Per-split-count DoF estimates with run-to-run standard errors.
-
-    ``short_paths`` counts replicate fits that stopped before reaching
-    the given split count and therefore did not contribute to it.
-    """
-
-    n: int
-    p: int
-    m: int
-    runs: int
-    seed: int
-    entries: tuple[McDofEntry, ...]
-
-    def dof_for(self, s: int) -> float:
-        return self.table().lookup(self.p, self.n, s)
-
-    def table(self) -> McDofTable:
-        """The entries as the grid rows (p, n, s, dof, se) of their own
-        (p, n) cell: what ``to_csv`` writes and ``McDofTable`` reads."""
-        return McDofTable(rows=tuple((self.p, self.n, e.s, e.dof, e.se)
-                                     for e in self.entries))
-
-    def to_csv(self, path=None) -> str:
-        """Write rows (p, n, s, dof, se); returns the text."""
-        return write_csv(["p", "n", "s", "dof", "se"],
-                         ([self.p, self.n, e.s, repr(e.dof), repr(e.se)]
-                          for e in self.entries), path)
-
-
-@dataclass(frozen=True)
 class TsvcPathFitter:
     """Default fitter for ``mc_dof``: per response, one fitted-value vector
     per split count 1 .. s_max its greedy path reached, all grown in lockstep."""
@@ -159,7 +120,8 @@ class TsvcPathFitter:
 
 
 def _mc_dof_run(args):
-    """One independent run: fresh design, m responses, m path fits."""
+    """One independent run: fresh design, m responses, m path fits; the
+    covariance DoF of each split count that two replicates reached."""
     n, p, seed, run_index, m, mu, X, fitter = args
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(run_index,)))
     Xr = rng.standard_normal((n, p)) if X is None else X
@@ -173,21 +135,18 @@ def _mc_dof_run(args):
     out = {}
     for s in keys:
         have = [j for j in range(m) if s in fits[j]]
-        short = m - len(have)
         if len(have) < 2:
-            out[s] = (None, short)
             continue
         M = np.stack([fits[j][s] for j in have])
         Ys = Y[have]
         Mc = M - M.mean(axis=0)
         Yc = Ys - Ys.mean(axis=0)
-        dof = float((Mc * Yc).sum() / (len(have) - 1))
-        out[s] = (dof, short)
+        out[s] = float((Mc * Yc).sum() / (len(have) - 1))
     return out
 
 
 def mc_dof(n: int, p: int, config: McDofConfig, fitter=None, X=None,
-           mu=None, threads: int = 1) -> McDofResult:
+           mu=None, threads: int = 1) -> McDofTable:
     """Monte-Carlo estimate of the generalized degrees of freedom.
 
     Parameters
@@ -210,7 +169,9 @@ def mc_dof(n: int, p: int, config: McDofConfig, fitter=None, X=None,
 
     Returns
     -------
-    McDofResult
+    McDofTable
+        The (p, n) cell's rows (p, n, s, dof, se) in ascending s, one per
+        split count with an estimate; se is 0.0 from a single run.
 
     Raises
     ------
@@ -237,27 +198,19 @@ def mc_dof(n: int, p: int, config: McDofConfig, fitter=None, X=None,
     per_run = map_jobs(_mc_dof_run, jobs, threads)
 
     keys = sorted({s for run in per_run for s in run})
-    entries = []
+    rows = []
     for s in keys:
-        values = [run[s][0] for run in per_run if s in run and run[s][0] is not None]
-        short = sum(run[s][1] for run in per_run if s in run)
-        if not values:
-            continue
+        values = [run[s] for run in per_run if s in run]
         mean = float(np.mean(values))
         se = float(np.std(values, ddof=1) / np.sqrt(len(values))) if len(values) > 1 else 0.0
-        entries.append(
-            McDofEntry(s=s, dof=mean, se=se, runs_used=len(values), short_paths=short)
-        )
-    if not entries:
+        rows.append((p, n, s, mean, se))
+    if not rows:
         raise ValidationError(
             f"no estimate: no two replicates of a run reached s = 1 at n = {n}, "
             f"p = {p}, min_leaf = {config.min_leaf} (a split needs p >= 2 and "
             f"a leaf of 2 * min_leaf rows)"
         )
-    return McDofResult(
-        n=n, p=p, m=config.m, runs=config.runs, seed=config.seed,
-        entries=tuple(entries),
-    )
+    return McDofTable(rows=tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +259,16 @@ class McDofTable:
     def load(cls, path) -> "McDofTable":
         return read_file(path, cls.from_csv_text)
 
+    def to_csv(self, path=None) -> str:
+        """Write rows (p, n, s, dof, se), dof and se by ``repr``, so that
+        ``from_csv_text`` reads back the same table; a table with a row
+        that lacks se writes no se column.  Returns the text."""
+        with_se = all(row[4] is not None for row in self.rows)
+        header = ["p", "n", "s", "dof"] + (["se"] if with_se else [])
+        return write_csv(header, ([int(p), int(n), int(s), repr(float(dof))]
+                                  + ([repr(float(se))] if with_se else [])
+                                  for p, n, s, dof, se in self.rows), path)
+
     def lookup(self, p: int, n: int, s: int, nearest: bool = False) -> float:
         """DoF for the cell (p, n, s), which must be present.
 
@@ -348,10 +311,10 @@ class DofSpec:
     ``source`` is one of ``SOURCES``: ``naive`` (p + s + 1), ``mfp``
     (closed-form surface), ``table`` (exact grid cell) or
     ``table-nearest`` (nearest grid cell).  ``table`` is the grid the
-    table sources read, the packaged one when None; a Monte-Carlo result
-    prices as ``DofSpec("table", result.table(), label)``, its own
-    ``(p, n)`` cell only.  Every source charges a split-free model
-    exactly p + 1, and ``name`` is ``label`` or else ``source``.
+    table sources read, the packaged one when None; a Monte-Carlo grid
+    prices as ``DofSpec("table", grid, label)``, its own ``(p, n)`` cell
+    only.  Every source charges a split-free model exactly p + 1, and
+    ``name`` is ``label`` or else ``source``.
     """
 
     source: str

@@ -312,8 +312,8 @@ def make_null_dof_spec(config: ScenarioConfig, m: int = 100, runs: int = 10,
     """Fresh Monte-Carlo DoF under a zero mean for this setting's (n, p)."""
     mc_config = McDofConfig(m=m, runs=runs, s_max=config.effective_s_max,
                             min_leaf=config.min_leaf, seed=config.seed + 1)
-    result = mc_dof(config.n, config.p, mc_config, threads=threads)
-    return DofSpec("table", result.table(), "mc-null")
+    grid = mc_dof(config.n, config.p, mc_config, threads=threads)
+    return DofSpec("table", grid, "mc-null")
 
 
 def make_dgp_dof_spec(config: ScenarioConfig, m: int = 100, runs: int = 10,
@@ -326,8 +326,8 @@ def make_dgp_dof_spec(config: ScenarioConfig, m: int = 100, runs: int = 10,
     train, _, mu_train, _ = generate_scenario(config, 0)
     mc_config = McDofConfig(m=m, runs=runs, s_max=config.effective_s_max,
                             min_leaf=config.min_leaf, seed=config.seed + 2)
-    result = mc_dof(config.n, config.p, mc_config, X=train.X, mu=mu_train, threads=threads)
-    return DofSpec("table", result.table(), "mc-dgp")
+    grid = mc_dof(config.n, config.p, mc_config, X=train.X, mu=mu_train, threads=threads)
+    return DofSpec("table", grid, "mc-dgp")
 
 
 # The DoF sources a setting estimates for itself, by the name they carry.

@@ -50,7 +50,7 @@ def test_criterion_01_closed_form_anchors():
 def test_criterion_02_covariance_dof_matches_projection_rank():
     config = McDofConfig(m=500, runs=1, s_max=1, seed=6)
     result = mc_dof(100, 2, config, fitter=OlsFitter())
-    dof = result.dof_for(1)
+    dof = result.lookup(2, 100, 1)
     ok = abs(dof - 3.0) <= 0.3
     _check(2, ok, f"OLS fitter dof = {dof:.3f}, target 3.0 +/- 0.3")
 
@@ -61,7 +61,7 @@ def test_criterion_03_reference_grid_cell_p2_n100():
     # and sits above these bands.
     config = McDofConfig(m=100, runs=10, s_max=5, min_leaf=14, seed=20260814)
     result = mc_dof(100, 2, config, threads=1)
-    d1, d5 = result.dof_for(1), result.dof_for(5)
+    d1, d5 = result.lookup(2, 100, 1), result.lookup(2, 100, 5)
     ok = 6.99 <= d1 <= 7.83 and 18.70 <= d5 <= 19.84
     _check(3, ok, f"s=1 dof = {d1:.3f} in [6.99, 7.83]; "
                   f"s=5 dof = {d5:.3f} in [18.70, 19.84]")

@@ -394,10 +394,15 @@ def test_simulate_checks_every_name_before_monte_carlo(tmp_path, monkeypatch, ca
     monkeypatch.setattr(tsvc.cli, "mc_dof", no_monte_carlo)
     base = ["simulate", "--scenario", "1", "--s-dgp", "1", "--n", "100", "--reps", "1"]
     missing = ["--table", str(tmp_path / "missing.csv")]
+    every = "choose from naive, mfp, table, table-nearest, mc-null, mc-dgp"
     for dof, message in ((["mc-null,mc-null"], "must be unique"),
                          (["mc-dgp,naive,mfp,naive"], "must be unique"),
                          (["mc-null,bogus"], "unknown DoF source 'bogus'"),
-                         (["mc-dgp,table"] + missing, "cannot read")):
+                         (["foo"], f"unknown DoF source 'foo'; {every}"),
+                         (["mc-dgp,table"] + missing, "cannot read"),
+                         # names are checked before the grid file is read
+                         (["table,naive,naive"] + missing, "must be unique"),
+                         (["table,foo"] + missing, "unknown DoF source 'foo'")):
         assert main(base + ["--dof"] + dof) == 2
         assert message in capsys.readouterr().err
 

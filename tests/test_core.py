@@ -1,6 +1,7 @@
 """Unit tests for the least-squares core."""
 
 import math
+import pickle
 import sys
 from types import SimpleNamespace
 
@@ -42,6 +43,25 @@ def test_dataset_from_arrays_basics():
 def test_dataset_accepts_one_dimensional_covariates():
     ds = Dataset.from_arrays([1.0, 2, 3, 4, 5], [0.0, 1, 2, 3, 4])
     assert ds.p == 1 and ds.X.shape == (5, 1)
+
+
+def test_dataset_keeps_read_only_arrays_of_its_own():
+    # a dataset is checked once, so a caller's later write cannot reach it
+    rng = np.random.default_rng(4)
+    y, X = rng.standard_normal(40), rng.standard_normal((40, 2))
+    for ds in (Dataset.from_arrays(y, X), Dataset(y=y, X=X, names=("x1", "x2"))):
+        X_before, y_before = X.copy(), y.copy()
+        X[:, 1] = X[:, 0]
+        y[:] = 0.0
+        assert np.array_equal(ds.X, X_before) and np.array_equal(ds.y, y_before)
+        with pytest.raises(ValueError, match="read-only"):
+            ds.X[0, 1] = ds.X[0, 0]
+        with pytest.raises(ValueError, match="read-only"):
+            ds.y[0] = 0.0
+        clone = pickle.loads(pickle.dumps(ds))
+        assert np.array_equal(clone.X, ds.X) and np.array_equal(clone.y, ds.y)
+        assert not (clone.X.flags.writeable or clone.y.flags.writeable)
+        X[:], y[:] = X_before, y_before
 
 
 def test_dataset_rejects_bad_shapes():

@@ -10,8 +10,6 @@ from tsvc.core import Dataset, solve_least_squares
 from tsvc.dof import (
     DofSpec,
     McDofConfig,
-    McDofEntry,
-    McDofResult,
     McDofTable,
     TsvcPathFitter,
     _mc_dof_run,
@@ -115,9 +113,9 @@ def test_mc_dof_config_compares_by_value():
 def test_mc_dof_of_fixed_projection_is_parameter_count():
     config = McDofConfig(m=300, runs=2, s_max=1, seed=1)
     result = mc_dof(n=60, p=2, config=config, fitter=OlsFitter())
-    entry = result.entries[0]
-    assert entry.s == 1
-    assert entry.dof == pytest.approx(3.0, abs=max(3 * entry.se, 0.45))
+    _, _, s, dof, se = result.rows[0]
+    assert s == 1
+    assert dof == pytest.approx(3.0, abs=max(3 * se, 0.45))
 
 
 def test_mc_dof_deterministic_and_thread_independent():
@@ -125,7 +123,7 @@ def test_mc_dof_deterministic_and_thread_independent():
     a = mc_dof(n=40, p=2, config=config, threads=1)
     b = mc_dof(n=40, p=2, config=config, threads=2)
     c = mc_dof(n=40, p=2, config=config, threads=1)
-    assert a.entries == b.entries == c.entries
+    assert a.rows == b.rows == c.rows
     assert a.to_csv() == b.to_csv()
 
 
@@ -139,8 +137,8 @@ def test_mc_dof_rejects_thread_counts_below_one():
 def test_mc_dof_exceeds_naive_for_searching_fitter():
     config = McDofConfig(m=40, runs=2, s_max=2, min_leaf=10, seed=3)
     result = mc_dof(n=60, p=2, config=config)
-    for entry in result.entries:
-        assert entry.dof > dof_naive(2, entry.s)
+    for _, _, s, dof, _ in result.rows:
+        assert dof > dof_naive(2, s)
 
 
 def test_mc_dof_records_short_paths():
@@ -148,16 +146,16 @@ def test_mc_dof_records_short_paths():
     # reached and the result only carries s = 1
     config = McDofConfig(m=10, runs=1, s_max=3, min_leaf=18, seed=4)
     result = mc_dof(n=40, p=2, config=config)
-    reached = {e.s for e in result.entries}
+    reached = {s for _, _, s, _, _ in result.rows}
     assert 1 in reached and 3 not in reached
     with pytest.raises(MissingDofError):
-        result.dof_for(3)
+        result.lookup(2, 40, 3)
 
 
 def test_mc_dof_single_run_has_zero_se():
     config = McDofConfig(m=15, runs=1, s_max=1, min_leaf=10, seed=5)
     result = mc_dof(n=40, p=2, config=config)
-    assert result.entries[0].se == 0.0
+    assert result.rows[0][4] == 0.0
 
 
 def test_mc_dof_without_any_split_is_an_error():
@@ -208,13 +206,16 @@ def test_only_the_selected_models_are_built(monkeypatch, tmp_path, capsys):
 
 class PathLoopFitter:
     """The default fitter's reference: one ``fit_path`` per response,
-    not the paths of a run grown in lockstep."""
+    not the paths of a run grown in lockstep.  ``short`` counts the paths
+    that stopped before s_max."""
 
     def __init__(self, s_max, min_leaf):
         self.s_max, self.min_leaf = s_max, min_leaf
+        self.short = 0
 
     def __call__(self, Y, X):
-        paths = (fit_path(Dataset.from_arrays(y, X), self.s_max, self.min_leaf) for y in Y)
+        paths = [fit_path(Dataset.from_arrays(y, X), self.s_max, self.min_leaf) for y in Y]
+        self.short += sum(len(path.fits) < self.s_max + 1 for path in paths)
         return [{s: fit.fitted for s, fit in enumerate(path.fits) if s >= 1} for path in paths]
 
 
@@ -233,18 +234,17 @@ def test_mc_dof_lockstep_runs_equal_the_replicate_loop(n, p, s_max, min_leaf, ti
     config = McDofConfig(m=6, runs=3, s_max=s_max, min_leaf=min_leaf, seed=n + p)
     X = _tied_design(n, p, seed=p) if tied else None
     mu = np.zeros(n)
-    short = 0
+    loop_fitter = PathLoopFitter(s_max, min_leaf)
     for run in range(config.runs):
         args = (n, p, config.seed, run, config.m, mu, X)
         lockstep = _mc_dof_run(args + (TsvcPathFitter(s_max, min_leaf),))
-        loop = _mc_dof_run(args + (PathLoopFitter(s_max, min_leaf),))
+        loop = _mc_dof_run(args + (loop_fitter,))
         assert lockstep == loop
-        short += sum(count for _, count in loop.values())
     a = mc_dof(n, p, config, X=X)
     b = mc_dof(n, p, config, fitter=PathLoopFitter(s_max, min_leaf), X=X)
-    assert a.entries == b.entries
+    assert a.rows == b.rows
     if (n, p) == (31, 2):
-        assert short > 0
+        assert loop_fitter.short > 0
 
 
 def test_mc_dof_fixed_truth_is_checked_and_shared_by_every_fitter():
@@ -255,8 +255,8 @@ def test_mc_dof_fixed_truth_is_checked_and_shared_by_every_fitter():
         mc_dof(40, 3, config, X=X, mu=mu[:-1])
     shifted = mc_dof(40, 3, config, X=X, mu=mu)
     loop = mc_dof(40, 3, config, fitter=PathLoopFitter(3, 6), X=X, mu=mu)
-    assert shifted.entries == loop.entries
-    assert shifted.entries != mc_dof(40, 3, config, X=X).entries
+    assert shifted.rows == loop.rows
+    assert shifted.rows != mc_dof(40, 3, config, X=X).rows
 
 
 def test_mc_dof_lockstep_is_thread_independent():
@@ -265,18 +265,20 @@ def test_mc_dof_lockstep_is_thread_independent():
     one = mc_dof(48, 3, config, X=X, threads=1)
     two = mc_dof(48, 3, config, X=X, threads=2)
     loop = mc_dof(48, 3, config, fitter=PathLoopFitter(4, 5), X=X, threads=2)
-    assert one.entries == two.entries == loop.entries
+    assert one.rows == two.rows == loop.rows
     assert one.to_csv() == two.to_csv()
 
 
 def test_mc_dof_csv_round_trips_into_table():
+    # the grid mc_dof builds is the one its CSV reads back, bit for bit
     config = McDofConfig(m=15, runs=2, s_max=2, min_leaf=8, seed=6)
-    result = mc_dof(n=40, p=2, config=config)
-    table = McDofTable.from_csv_text(result.to_csv())
-    for entry in result.entries:
-        assert table.lookup(2, 40, entry.s) == entry.dof
-    assert [tuple(map(repr, row)) for row in result.table().rows] \
+    grid = mc_dof(n=40, p=2, config=config)
+    table = McDofTable.from_csv_text(grid.to_csv())
+    assert table == grid
+    assert [tuple(map(repr, row)) for row in grid.rows] \
         == [tuple(map(repr, row)) for row in table.rows]
+    for _, _, s, dof, _ in grid.rows:
+        assert table.lookup(2, 40, s) == dof
 
 
 def test_path_fitter_is_picklable():
@@ -396,16 +398,28 @@ def test_csv_reader_types_other_columns_in_header_order():
 
 
 def test_table_reads_back_reordered_columns():
-    result = McDofResult(n=100, p=2, m=5, runs=2, seed=0,
-                         entries=(McDofEntry(1, 7.25, 0.1, 2, 0),
-                                  McDofEntry(2, 11.0 / 3.0, 1e-17, 2, 1)))
-    text = result.to_csv()
+    grid = McDofTable(rows=((2, 100, 1, 7.25, 0.1), (2, 100, 2, 11.0 / 3.0, 1e-17)))
+    text = grid.to_csv()
     reordered = "".join(",".join(reversed(line.split(","))) + "\n"
                         for line in text.splitlines())
     assert reordered.startswith("se,dof,s,n,p\n")
     assert McDofTable.from_csv_text(reordered) == McDofTable.from_csv_text(text)
     assert McDofTable.from_csv_text(text).rows[1] == (2, 100, 2, 11.0 / 3.0, 1e-17)
-    assert result.table() == McDofTable.from_csv_text(text)
+    assert grid == McDofTable.from_csv_text(text)
+
+
+def test_table_without_se_round_trips_without_an_se_column():
+    text = "p,n,s,dof\n3,50,1,9.5\n3,50,2,12.25\n"
+    table = McDofTable.from_csv_text(text)
+    assert [row[4] for row in table.rows] == [None, None]
+    assert table.to_csv() == text
+    assert McDofTable.from_csv_text(table.to_csv()) == table
+
+
+def test_reference_table_round_trips_through_its_csv():
+    table = reference_table()
+    assert table.to_csv().startswith("p,n,s,dof,se\n2,100,1,7.41,0.14\n")
+    assert McDofTable.from_csv_text(table.to_csv()) == table
 
 
 def test_table_lookup_refuses_impossible_cells():
@@ -459,7 +473,7 @@ def test_dof_spec_names():
 
 def test_dof_spec_zero_splits_always_p_plus_one():
     config = McDofConfig(m=10, runs=1, s_max=1, min_leaf=10, seed=7)
-    custom = DofSpec("table", mc_dof(n=40, p=2, config=config).table())
+    custom = DofSpec("table", mc_dof(n=40, p=2, config=config))
     for spec in (DofSpec("naive"), DofSpec("mfp"), DofSpec("table"), custom):
         assert spec.dof_for(0, 4, 1000) == 5.0
 
@@ -474,7 +488,7 @@ def test_dof_spec_wraps_lookup_misses():
     with pytest.raises(MissingDofError):
         DofSpec("table").dof_for(1, 3, 100)
     config = McDofConfig(m=10, runs=1, s_max=1, min_leaf=10, seed=8)
-    custom = DofSpec("table", mc_dof(n=40, p=2, config=config).table())
+    custom = DofSpec("table", mc_dof(n=40, p=2, config=config))
     with pytest.raises(MissingDofError, match=r"cell \(p=2, n=40, s=5\) not in the table"):
         custom.dof_for(5, 2, 40)
     for p, n in ((3, 40), (2, 41)):  # a Monte-Carlo spec prices only its own cell

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tsvc.core import Dataset, LinearFit
-from tsvc.dof import DofSpec, McDofConfig, McDofEntry, McDofResult, mc_dof
+from tsvc.dof import DofSpec, McDofConfig, McDofTable, mc_dof
 from tsvc.errors import DegenerateFitError, MissingDofError, ValidationError
 from tsvc.model import CoefficientTree, ModelPath, SplitRule
 from tsvc.selection import PruneReport, bic, prune_path
@@ -60,10 +60,7 @@ def _stub_path(log_liks, n=100, p=2):
 
 
 def _custom_spec(dofs, n=100, p=2):
-    entries = tuple(McDofEntry(s=s, dof=d, se=0.0, runs_used=1, short_paths=0)
-                    for s, d in dofs.items())
-    result = McDofResult(n=n, p=p, m=2, runs=1, seed=0, entries=entries)
-    return DofSpec("table", result.table())
+    return DofSpec("table", McDofTable(rows=tuple((p, n, s, d, 0.0) for s, d in dofs.items())))
 
 
 def test_prune_selects_argmin():
@@ -138,7 +135,7 @@ def test_prune_with_custom_mc_spec():
     y = rng.standard_normal(50)
     path = fit_path(Dataset.from_arrays(y, X), s_max=2, min_leaf=10)
     config = McDofConfig(m=20, runs=1, s_max=2, min_leaf=10, seed=9)
-    spec = DofSpec("table", mc_dof(n=50, p=2, config=config).table(), "mc")
+    spec = DofSpec("table", mc_dof(n=50, p=2, config=config), "mc")
     report = prune_path(path, spec)
     assert report.dof_name == "mc"
     assert report.entries[0].dof == 3.0

@@ -8,8 +8,9 @@ split search's block budget is a constant that only the block maker
 reads; the FP search's screen margin is a constant that only the FP
 search reads; every tolerance on a direction's part off a basis is a
 ``core`` constant, and ``core`` alone projects off a basis and freezes
-a solve's outputs; and only the FP column table and a fitted surface's
-prediction build FP columns."""
+a solve's outputs; only the FP column table and a fitted surface's
+prediction build FP columns; and the grid CSV has one writer,
+``McDofTable.to_csv``."""
 
 import ast
 import inspect
@@ -221,24 +222,29 @@ def test_one_projection_off_a_basis_in_core():
 def test_solve_outputs_are_frozen_in_core_alone():
     # solve_least_squares hands out read-only fits and bases, so no
     # caller freezes them: tree.py freezes its own arrays through
-    # _frozen, and mfp.py only its power-pair table
+    # _frozen, and mfp.py only its power-pair table; a Dataset freezes
+    # the copies it keeps of its arrays
     assert {(path.name, owner) for path in SRC.glob("*.py")
             for owner in _readers(path.name, "setflags")} == {
         ("core.py", "solve_least_squares"), ("core.py", "_fit_factored"),
-        ("tree.py", "_frozen"), ("mfp.py", None)}
+        ("core.py", "Dataset.__post_init__"), ("tree.py", "_frozen"), ("mfp.py", None)}
+
+
+def _scopes(module):
+    """(owner, node) of every function and method (``Class.method``) of
+    ``module``, owner None for top-level statements."""
+    for top in _tree(module).body:
+        if isinstance(top, ast.ClassDef):
+            yield from ((f"{top.name}.{getattr(node, 'name', None)}", node) for node in top.body)
+        else:
+            yield getattr(top, "name", None), top
 
 
 def _owners(module, matches):
     """The functions and methods (``Class.method``) of ``module``, None
     for top-level statements, that hold a node ``matches`` accepts."""
-    found = set()
-    for top in _tree(module).body:
-        scopes = ([(f"{top.name}.{getattr(node, 'name', None)}", node) for node in top.body]
-                  if isinstance(top, ast.ClassDef) else [(getattr(top, "name", None), top)])
-        for owner, scope in scopes:
-            if any(matches(node) for node in ast.walk(scope)):
-                found.add(owner)
-    return found
+    return {owner for owner, scope in _scopes(module)
+            if any(matches(node) for node in ast.walk(scope))}
 
 
 def _readers(module, name):
@@ -263,3 +269,20 @@ def test_every_mfp_solve_goes_through_the_fit_memo():
     # (which _Columns.__init__ makes), so no solve path can skip the memo
     assert _readers("mfp.py", "solve_least_squares") == {"_fit"}
     assert _readers("mfp.py", "_fits") == {"_Columns.__init__", "_fit"}
+
+
+def test_the_grid_csv_has_one_type_and_one_writer():
+    # a Monte-Carlo result is a McDofTable, and McDofTable.to_csv is the
+    # only write_csv call whose header names the grid's columns
+    grid_columns = {"p", "n", "s", "dof"}
+    writers = set()
+    for path in SRC.glob("*.py"):
+        for owner, scope in _scopes(path.name):
+            nodes = list(ast.walk(scope))
+            if (any(isinstance(node, ast.Name) and node.id == "write_csv" for node in nodes)
+                    and grid_columns <= {node.value for node in nodes
+                                         if isinstance(node, ast.Constant)}):
+                writers.add((path.name, owner))
+    assert writers == {("dof.py", "McDofTable.to_csv")}
+    assert [name for name in tsvc.__all__ if name.startswith("McDof")] \
+        == ["McDofConfig", "McDofTable"]
