@@ -27,7 +27,7 @@ from .errors import MissingDofError, TsvcError, ValidationError
 from .mfp import derive_dof_formula
 from .model import model_to_json
 from .selection import prune_path
-from .simulate import MC_DOF_SOURCES, ScenarioConfig, run_simulation
+from .simulate import DOF_SOURCES, ScenarioConfig, dof_specs, run_simulation
 from .tree import fit_path
 
 THREADS_ENV = "TSVC_THREADS"
@@ -111,31 +111,14 @@ def cmd_derive_formula(args) -> int:
 
 def cmd_simulate(args) -> int:
     check_writable(args.out, args.raw)
-    names = [token.strip() for token in args.dof.split(",") if token.strip()]
     threads = _threads(args)
     config = ScenarioConfig(
         scenario=args.scenario, s_dgp=args.s_dgp, n=args.n,
         replications=args.reps, seed=args.seed, s_max=args.smax,
         min_leaf=args.min_leaf, allow_nonstandard=args.allow_custom,
     )
-    # Every name is checked before a --table grid is read or any Monte
-    # Carlo runs, and the grid is read once for all the table sources.
-    sources = DofSpec.SOURCES + tuple(MC_DOF_SOURCES)
-    for name in names:
-        if name not in sources:
-            raise ValidationError(f"unknown DoF source {name!r}; "
-                                  f"choose from {', '.join(sources)}")
-    if len(set(names)) != len(names):
-        raise ValidationError(f"DoF source names must be unique, got {args.dof!r}")
-    cheap = {name: DofSpec(name) for name in names if name not in MC_DOF_SOURCES}
-    if args.table and any(spec.reads_table for spec in cheap.values()):
-        table = McDofTable.load(args.table)
-        cheap = {name: replace(spec, table=table) if spec.reads_table else spec
-                 for name, spec in cheap.items()}
-    specs = tuple(
-        cheap[name] if name in cheap else
-        MC_DOF_SOURCES[name](config, m=args.mc_m, runs=args.mc_runs, threads=threads)
-        for name in names)
+    specs = dof_specs(config, args.dof, args.table, m=args.mc_m, runs=args.mc_runs,
+                      threads=threads)
     summary = run_simulation(replace(config, dof_specs=specs), threads=threads)
     text = summary.to_csv(args.out)
     if not args.out:
@@ -208,8 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--reps", type=int, default=25)
     q.add_argument("--dof", default="naive,mfp",
-                   help="comma list: "
-                        + ", ".join(DofSpec.SOURCES + tuple(MC_DOF_SOURCES)))
+                   help="comma list: " + ", ".join(DOF_SOURCES))
     q.add_argument("--table", default=None, help="custom DoF grid CSV")
     q.add_argument("--smax", type=int, default=None)
     q.add_argument("--min-leaf", type=int, default=10)

@@ -226,13 +226,9 @@ _PICKS = {(q,): [2 * i] for i, q in enumerate(FP_POWERS)}
 _PICKS.update({(q, r): [2 * i, 2 * k if k > i else 2 * i + 1] for (i, q), (k, r)
                in itertools.combinations_with_replacement(enumerate(FP_POWERS), 2)})
 _POWER_SETS = {d: [powers for powers in _PICKS if len(powers) == d] for d in (1, 2)}
-# the two table columns of each FP2 block, in _fp_power_sets(2) order
+# the two table columns of each FP2 block, in _POWER_SETS[2] order
 _FP2_COLUMNS = np.array([_PICKS[powers] for powers in _POWER_SETS[2]]).T
 _FP2_COLUMNS.setflags(write=False)
-
-
-def _fp_power_sets(degree: int):
-    return _POWER_SETS[degree]
 
 
 # ---------------------------------------------------------------------------
@@ -441,14 +437,14 @@ class _FpSearch:
             null, Q = _fit(columns, self.others, interactions)
         except RankDeficientError:
             self.rss_null, self.margin = None, 0.0
-            self.screened = {d: np.full(len(_fp_power_sets(d)), -np.inf) for d in (1, 2)}
+            self.screened = {d: np.full(len(_POWER_SETS[d]), -np.inf) for d in (1, 2)}
         else:
             self.rss_null, self.margin = null.rss, _FP_SCREEN_RTOL * null.rss + floor
             gains = _screened_gains(columns.table(j, delta), Q, columns.dataset.y - null.fitted)
             self.screened = {d: null.rss - g for d, g in gains.items()}
 
     def best(self, degree: int):
-        power_sets, screened = _fp_power_sets(degree), self.screened[degree]
+        power_sets, screened = _POWER_SETS[degree], self.screened[degree]
         best, best_rss, best_k = None, math.inf, len(power_sets)
         for k in np.argsort(screened, kind="stable"):
             if screened[k] > best_rss + self.margin:
@@ -464,7 +460,7 @@ class _FpSearch:
 def _screened_gains(C, Q, r) -> dict[int, np.ndarray]:
     """Per degree, the fall in rss from adding each power tuple's block,
     picked from the table C, to the model with orthonormal basis Q and
-    residual r, in ``_fp_power_sets`` order: with B the block projected
+    residual r, in ``_POWER_SETS`` order: with B the block projected
     off Q (``orthogonal_part``), ``t' G^-1 t`` for G = B'B and t = B'r, in
     closed form.  inf where the arithmetic is not finite or too little is
     left to screen by: a column keeps less than ``SCREEN_FLOOR`` of its

@@ -17,19 +17,21 @@ coefficient functions:
 Each replicate fits one greedy path on a training set, prunes it under
 every requested degrees-of-freedom source, and scores the selected
 model by its predictive log-likelihood on an independent test set of
-the same size (using the training variance estimate).
+the same size (using the training variance estimate).  ``dof_specs``
+turns a setting's DoF source names (``DOF_SOURCES``) into the
+``DofSpec``s it prunes by, estimating ``mc-null`` and ``mc-dgp`` itself.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ._io import map_jobs, read_csv, write_csv
 from .core import Dataset
-from .dof import DofSpec, McDofConfig, mc_dof
+from .dof import DofSpec, McDofConfig, McDofTable, mc_dof
 from .errors import DegenerateFitError, ValidationError
 from .model import TsvcModel, predict
 from .selection import prune_path
@@ -47,9 +49,10 @@ class ScenarioConfig:
     """One simulation setting.
 
     ``n`` and ``s_max`` outside the scenario's standard menu require
-    ``allow_nonstandard=True``; ``s_dgp`` must always be one of the
-    values the scenario defines, since it selects the coefficient
-    functions themselves.
+    ``allow_nonstandard=True``, and ``s_max=None`` becomes the
+    scenario's own; ``s_dgp`` must always be one of the values the
+    scenario defines, since it selects the coefficient functions
+    themselves.
     """
 
     scenario: int
@@ -77,8 +80,9 @@ class ScenarioConfig:
                 f"scenario {self.scenario} uses n in {SCENARIO_N[self.scenario]}; "
                 f"pass allow_nonstandard=True for n = {self.n}"
             )
-        if (self.s_max is not None and self.s_max != SCENARIO_S_MAX[self.scenario]
-                and not self.allow_nonstandard):
+        if self.s_max is None:
+            object.__setattr__(self, "s_max", SCENARIO_S_MAX[self.scenario])
+        elif self.s_max != SCENARIO_S_MAX[self.scenario] and not self.allow_nonstandard:
             raise ValidationError(
                 f"scenario {self.scenario} uses s_max = "
                 f"{SCENARIO_S_MAX[self.scenario]}; pass allow_nonstandard=True"
@@ -98,10 +102,6 @@ class ScenarioConfig:
     @property
     def p(self) -> int:
         return SCENARIO_P[self.scenario]
-
-    @property
-    def effective_s_max(self) -> int:
-        return self.s_max if self.s_max is not None else SCENARIO_S_MAX[self.scenario]
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +250,7 @@ def read_summary_csv(text: str) -> list[dict]:
 def _run_replicate(args):
     config, replicate = args
     train, test, _, _ = generate_scenario(config, replicate)
-    path = fit_path(train, config.effective_s_max, config.min_leaf)
+    path = fit_path(train, config.s_max, config.min_leaf)
     selected = [prune_path(path, spec).selected_s for spec in config.dof_specs]
     # sources that select the same s share one model and its score
     log_lik = {s: predictive_log_lik(path.model_at(s), test) for s in set(selected)}
@@ -304,31 +304,48 @@ def _sd(values) -> float:
 
 
 # ---------------------------------------------------------------------------
-# compute-heavy DoF sources for a setting
+# a setting's DoF sources by name
 # ---------------------------------------------------------------------------
 
-def make_null_dof_spec(config: ScenarioConfig, m: int = 100, runs: int = 10,
-                       threads: int = 1) -> DofSpec:
-    """Fresh Monte-Carlo DoF under a zero mean for this setting's (n, p)."""
-    mc_config = McDofConfig(m=m, runs=runs, s_max=config.effective_s_max,
-                            min_leaf=config.min_leaf, seed=config.seed + 1)
-    grid = mc_dof(config.n, config.p, mc_config, threads=threads)
-    return DofSpec("table", grid, "mc-null")
+# The names a setting prices by: the fixed sources and its own Monte-Carlo grids.
+DOF_SOURCES = DofSpec.SOURCES + ("mc-null", "mc-dgp")
 
 
-def make_dgp_dof_spec(config: ScenarioConfig, m: int = 100, runs: int = 10,
-                      threads: int = 1) -> DofSpec:
-    """Monte-Carlo DoF at the scenario's true mean.
+def dof_specs(config: ScenarioConfig, names: str, table_path=None, m: int = 100,
+              runs: int = 10, threads: int = 1) -> tuple[DofSpec, ...]:
+    """The DoF sources in ``names``, a comma list of ``DOF_SOURCES``, in order.
 
-    Uses the design and expectation vector of replicate 0, held fixed
-    across runs, as the setting's representative truth.
-    """
-    train, _, mu_train, _ = generate_scenario(config, 0)
-    mc_config = McDofConfig(m=m, runs=runs, s_max=config.effective_s_max,
-                            min_leaf=config.min_leaf, seed=config.seed + 2)
-    grid = mc_dof(config.n, config.p, mc_config, X=train.X, mu=mu_train, threads=threads)
-    return DofSpec("table", grid, "mc-dgp")
+    Every name is checked, and a repeat refused, before ``table_path``, a
+    grid CSV that replaces the packaged grid, is read (once, and only if a
+    table source is named) or any Monte Carlo runs (``m`` replicates by
+    ``runs`` runs for each of ``mc-null`` and ``mc-dgp``)."""
+    listed = [token.strip() for token in names.split(",") if token.strip()]
+    for name in listed:
+        if name not in DOF_SOURCES:
+            raise ValidationError(f"unknown DoF source {name!r}; "
+                                  f"choose from {', '.join(DOF_SOURCES)}")
+    if len(set(listed)) != len(listed):
+        raise ValidationError(f"DoF source names must be unique, got {names!r}")
+    fixed = {name: DofSpec(name) for name in listed if name in DofSpec.SOURCES}
+    if table_path and any(spec.reads_table for spec in fixed.values()):
+        table = McDofTable.load(table_path)
+        fixed = {name: replace(spec, table=table) if spec.reads_table else spec
+                 for name, spec in fixed.items()}
+    return tuple(fixed[name] if name in fixed else
+                 _mc_dof_spec(config, name, m, runs, threads) for name in listed)
 
 
-# The DoF sources a setting estimates for itself, by the name they carry.
-MC_DOF_SOURCES = {"mc-null": make_null_dof_spec, "mc-dgp": make_dgp_dof_spec}
+def _mc_dof_spec(config: ScenarioConfig, name: str, m: int, runs: int, threads: int) -> DofSpec:
+    """The setting's Monte-Carlo grid priced as a table labelled ``name``:
+    ``mc-null`` under a zero mean and a fresh design per run, seed + 1;
+    ``mc-dgp`` at replicate 0's design and true mean, held fixed across
+    runs as the setting's representative truth, seed + 2."""
+    X = mu = None
+    seed = config.seed + 1
+    if name == "mc-dgp":
+        train, _, mu, _ = generate_scenario(config, 0)
+        X, seed = train.X, config.seed + 2
+    mc_config = McDofConfig(m=m, runs=runs, s_max=config.s_max, min_leaf=config.min_leaf,
+                            seed=seed)
+    grid = mc_dof(config.n, config.p, mc_config, X=X, mu=mu, threads=threads)
+    return DofSpec("table", grid, name)

@@ -14,7 +14,7 @@ import tsvc.simulate
 from tsvc.cli import main
 from tsvc.dof import MFP_SURFACE, McDofTable, dof_mfp, reference_table
 from tsvc.model import model_from_json, predict
-from tsvc.simulate import make_dgp_dof_spec, make_null_dof_spec
+from tsvc.simulate import dof_specs
 from tsvc.selection import PruneReport
 
 
@@ -382,8 +382,8 @@ def test_simulate_keeps_dof_source_order(tmp_path, monkeypatch, capsys):
     (config,) = configs
     specs = dict(zip(order, config.dof_specs))
     assert [spec.name for spec in config.dof_specs] == order
-    assert specs["mc-dgp"].table == make_dgp_dof_spec(config, m=4, runs=2).table
-    assert specs["mc-null"].table == make_null_dof_spec(config, m=4, runs=2).table
+    assert specs["mc-dgp"].table == dof_specs(config, "mc-dgp", m=4, runs=2)[0].table
+    assert specs["mc-null"].table == dof_specs(config, "mc-null", m=4, runs=2)[0].table
 
 
 def test_simulate_checks_every_name_before_monte_carlo(tmp_path, monkeypatch, capsys):

@@ -27,9 +27,9 @@ from tsvc.errors import (
 from tsvc.mfp import (
     FP_POWERS,
     LINEAR,
+    _POWER_SETS,
     FpTerm,
     _chi2_critical_values,
-    _fp_power_sets,
     best_fp,
     derive_dof_formula,
     fp_columns,
@@ -115,8 +115,8 @@ def test_fp_columns_requires_positive_values():
 
 
 def test_power_set_sizes_and_order():
-    singles = _fp_power_sets(1)
-    pairs = _fp_power_sets(2)
+    singles = _POWER_SETS[1]
+    pairs = _POWER_SETS[2]
     assert len(singles) == 8
     assert len(pairs) == 36
     assert singles == [(q,) for q in FP_POWERS]
@@ -153,7 +153,7 @@ def test_best_fp_degree_two_beats_all_alternatives():
     assert term.powers == (-1.0, 0.5)
     # independent exhaustive check over the full candidate set
     best = None
-    for powers in _fp_power_sets(2):
+    for powers in _POWER_SETS[2]:
         design = np.column_stack([np.ones(len(x)), fp_columns(x, powers)])
         coef, *_ = np.linalg.lstsq(design, y, rcond=None)
         rss = float(np.sum((y - design @ coef) ** 2))
@@ -544,7 +544,7 @@ def _exhaustive_best_fp(columns, j, degree, current_forms, interactions, delta):
     least rss winning and ties going to the first tuple."""
     others = {k: v for k, v in current_forms.items() if k != j}
     best, best_rss = None, math.inf
-    for powers in _fp_power_sets(degree):
+    for powers in _POWER_SETS[degree]:
         forms = dict(others)
         forms[j] = FpTerm(j, powers, delta)
         rss = mfp._rss(columns, forms, interactions)

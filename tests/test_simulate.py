@@ -1,12 +1,15 @@
 """Scenario generators, predictive scoring, and the replication harness."""
 
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import tsvc.simulate
 from tsvc.core import Dataset, LinearFit
-from tsvc.dof import DofSpec
+from tsvc.dof import DofSpec, McDofConfig, McDofTable, mc_dof
 from tsvc.errors import DegenerateFitError, ValidationError
 from tsvc.model import CoefficientTree, TsvcModel
 from tsvc.simulate import (
@@ -14,9 +17,8 @@ from tsvc.simulate import (
     ApproachSummary,
     ScenarioConfig,
     SimSummary,
+    dof_specs,
     generate_scenario,
-    make_dgp_dof_spec,
-    make_null_dof_spec,
     predictive_log_lik,
     read_summary_csv,
     run_simulation,
@@ -32,10 +34,10 @@ from tsvc.tree import fit_path
 def test_config_standard_menus():
     cfg = ScenarioConfig(scenario=1, s_dgp=2, n=400)
     assert cfg.p == 2
-    assert cfg.effective_s_max == 5
+    assert cfg.s_max == 5
     cfg4 = ScenarioConfig(scenario=4, s_dgp=6, n=2985)
     assert cfg4.p == 4
-    assert cfg4.effective_s_max == 10
+    assert cfg4.s_max == 10
 
 
 def test_config_rejects_bad_settings():
@@ -65,7 +67,7 @@ def test_config_refuses_a_negative_seed_and_n_below_one():
 def test_config_nonstandard_needs_flag():
     cfg = ScenarioConfig(scenario=1, s_dgp=0, n=64, s_max=3,
                          allow_nonstandard=True)
-    assert cfg.n == 64 and cfg.effective_s_max == 3
+    assert cfg.n == 64 and cfg.s_max == 3
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +278,7 @@ def test_summary_reader_takes_columns_by_name_and_refuses_bad_cells():
 def test_monte_carlo_dof_sources():
     cfg = ScenarioConfig(scenario=1, s_dgp=1, n=64, replications=2, seed=7,
                          s_max=2, allow_nonstandard=True)
-    null_spec = make_null_dof_spec(cfg, m=10, runs=1)
-    dgp_spec = make_dgp_dof_spec(cfg, m=10, runs=1)
+    null_spec, dgp_spec = dof_specs(cfg, "mc-null,mc-dgp", m=10, runs=1)
     assert null_spec.name == "mc-null"
     assert dgp_spec.name == "mc-dgp"
     assert null_spec.dof_for(1, cfg.p, cfg.n) > 0
@@ -287,3 +288,41 @@ def test_monte_carlo_dof_sources():
     summary = run_simulation(cfg_run)
     assert {row.dof_name for row in summary.approaches} \
         == {"naive", "mc-null", "mc-dgp"}
+
+
+def test_dof_specs_estimates_each_monte_carlo_grid_by_its_recipe():
+    # the recipe written out: mc-null prices a zero mean with seed + 1,
+    # mc-dgp replicate 0's design and true mean with seed + 2
+    cfg = ScenarioConfig(scenario=1, s_dgp=2, n=64, replications=1, seed=5,
+                         s_max=2, allow_nonstandard=True)
+    specs = dof_specs(cfg, "naive, mc-null,table,mc-dgp", m=6, runs=2)
+    assert [spec.name for spec in specs] == ["naive", "mc-null", "table", "mc-dgp"]
+    assert specs[0] == DofSpec("naive") and specs[2] == DofSpec("table")
+    mc_config = McDofConfig(m=6, runs=2, s_max=2, min_leaf=cfg.min_leaf, seed=cfg.seed + 1)
+    train, _, mu_train, _ = generate_scenario(cfg, 0)
+    null = mc_dof(cfg.n, cfg.p, mc_config)
+    dgp = mc_dof(cfg.n, cfg.p, replace(mc_config, seed=cfg.seed + 2), X=train.X, mu=mu_train)
+    assert null.rows != dgp.rows
+    for spec, grid in ((specs[1], null), (specs[3], dgp)):
+        assert (spec.source, spec.label) == ("table", spec.name)
+        assert [repr(row) for row in spec.table.rows] == [repr(row) for row in grid.rows]
+
+
+def test_dof_specs_checks_every_name_before_reading_or_estimating(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a grid was read or estimated before the names were checked")
+
+    monkeypatch.setattr(tsvc.simulate, "mc_dof", refuse)
+    monkeypatch.setattr(McDofTable, "load", staticmethod(refuse))
+    cfg = ScenarioConfig(scenario=1, s_dgp=1, n=100, replications=1)
+    missing = tmp_path / "missing.csv"
+    every = "choose from naive, mfp, table, table-nearest, mc-null, mc-dgp"
+    for names, table, message in (
+            ("mc-null,bogus", None, f"unknown DoF source 'bogus'; {every}"),
+            ("mc-dgp,naive,mfp,naive", None,
+             "DoF source names must be unique, got 'mc-dgp,naive,mfp,naive'"),
+            ("table,foo", missing, f"unknown DoF source 'foo'; {every}")):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            dof_specs(cfg, names, table)
+    # a grid file is read only for a table source
+    assert dof_specs(cfg, "naive,mfp", missing) == (DofSpec("naive"), DofSpec("mfp"))

@@ -9,8 +9,9 @@ reads; the FP search's screen margin is a constant that only the FP
 search reads; every tolerance on a direction's part off a basis is a
 ``core`` constant, and ``core`` alone projects off a basis and freezes
 a solve's outputs; only the FP column table and a fitted surface's
-prediction build FP columns; and the grid CSV has one writer,
-``McDofTable.to_csv``."""
+prediction build FP columns; the grid CSV has one writer,
+``McDofTable.to_csv``; and DoF source names become prices in ``dof``
+and ``simulate`` alone."""
 
 import ast
 import inspect
@@ -286,3 +287,19 @@ def test_the_grid_csv_has_one_type_and_one_writer():
     assert writers == {("dof.py", "McDofTable.to_csv")}
     assert [name for name in tsvc.__all__ if name.startswith("McDof")] \
         == ["McDofConfig", "McDofTable"]
+
+
+def test_dof_sources_resolve_in_dof_and_simulate_alone():
+    # DofSpec.parse (fit, dof) and simulate.dof_specs (simulate) turn
+    # source names into prices: the CLI builds no DofSpec itself, only
+    # simulate.py names the Monte-Carlo sources, and one factory there
+    # estimates both of their grids
+    def calls(module, name):
+        return [node for node in ast.walk(_tree(module)) if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name) and node.func.id == name]
+
+    assert calls("cli.py", "DofSpec") == []
+    assert sorted(path.name for path in SRC.glob("*.py")
+                  if any(isinstance(node, ast.Constant) and node.value in ("mc-null", "mc-dgp")
+                         for node in ast.walk(_tree(path.name)))) == ["simulate.py"]
+    assert len(calls("simulate.py", "mc_dof")) == 1
