@@ -45,6 +45,15 @@ _SCREEN_RTOL = 1e-6
 # its peak memory higher.
 _BLOCK_ELEMENTS = 1 << 18
 
+# Row width (chains x entries per position) from which ``_prefix_sums``
+# adds one position's row into the next across all chains at once, one
+# numpy call per position, instead of pairing chains in one
+# ``np.cumsum``.  Below it the per-call cost of the sweep outweighs the
+# two chains per add of the pairs; a sweep of 256..2048 on the 2-core
+# host chose 512 (README).  It moves no byte: both ways add the same
+# terms in the same order.
+_SWEEP_LANES = 512
+
 # Cap on the candidate positions (about p^2 * n per replicate) that the
 # replicates of one lockstep group of ``fit_paths`` carry from step to
 # step, at about 40 bytes each; it bounds a group's memory.
@@ -337,6 +346,29 @@ def enumerate_candidates(dataset: Dataset, trees, min_leaf: int) -> list[SplitRu
     return [segs.rule(s, t) for s, t in zip(seg[order].tolist(), pos[order].tolist())]
 
 
+def _prefix_sums(a: np.ndarray) -> np.ndarray:
+    """Cumulative sums of a C-contiguous float64 array along its first
+    axis (positions), in place, with an even last axis.
+
+    Every chain is summed term by term from its start, as ``np.cumsum``
+    sums it, so the bits are its bits (only the sign of a nan may differ,
+    where a chain holds nans of both signs; sums of finite inputs make
+    nans of one sign).  ``np.cumsum`` adds one chain at a time, each add
+    waiting on the one before.  So a position's row of at least
+    ``_SWEEP_LANES`` entries is added into the next row, all chains in
+    one call per position, and narrower rows are summed as complex
+    pairs, two chains per add."""
+    if a[0].size >= _SWEEP_LANES:
+        before = a[0]
+        for row in a[1:]:
+            np.add(before, row, out=row)
+            before = row
+    else:
+        pairs = a.view(np.complex128)
+        np.cumsum(pairs, axis=0, out=pairs)
+    return a
+
+
 def _score_candidates(segs: _Segments, min_leaf: int, resid, Q, which, copies: int = 1):
     """Exact scores of every cut of the segments ``which``, from one
     batched pass.
@@ -349,31 +381,43 @@ def _score_candidates(segs: _Segments, min_leaf: int, resid, Q, which, copies: i
     indexes the first copy, and ``resid`` stacks one residual per copy:
     ``v``, ``den`` and ``uu`` are summed once and ``num`` once per copy,
     and the blocks hold every copy's segments.
+
+    Each row of one gathered table holds a slot for ``v``, the row's
+    residual in every copy, its row of Q and a zero that makes the width
+    even.  A block gathers it position-major, puts ``v`` in the slot and
+    multiplies by ``v``, which gives ``v^2``, ``r v`` and ``Q v``, and
+    ``_prefix_sums`` sums them all in one pass.
     """
     q = Q.shape[1]
+    n_rows = resid.size // copies
+    lanes = 1 + copies + q
+    table = np.zeros((n_rows, lanes + lanes % 2))
+    table[:, 1:1 + copies] = resid.reshape(copies, n_rows).T
+    table[:, 1 + copies:lanes] = Q[:n_rows]
     # copy c's segments and rows follow copy 0's by c times these
     seg_shift = segs.size.size // copies * np.arange(copies)[:, None]
-    row_shift = resid.size // copies * np.arange(copies)[:, None, None]
-    # per row position: q cumulative sums plus about eight scalars
+    row_shift = n_rows * np.arange(copies)[:, None, None]
+    # per row position: a table row of q + copies + 1 or 2 entries and
+    # about six scalars; the cap counts q + 8, one copy's share
     for seg, rows, admissible in _candidate_blocks(segs, min_leaf, q + 8, which):
         v = segs.values(segs.target[seg, None], rows)
-        copy_rows = rows if copies == 1 else rows + row_shift
-        num = np.take(resid, copy_rows)
-        num *= v
-        np.cumsum(num, axis=-1, out=num)
-        uu = v * v
-        np.cumsum(uu, axis=1, out=uu)
-        cum_vQ = np.take(Q, rows, axis=0)
-        np.multiply(v[:, :, None], cum_vQ, out=cum_vQ)
-        np.cumsum(cum_vQ, axis=1, out=cum_vQ)
-        flat_vQ = cum_vQ.reshape(-1, q)
-        den = np.einsum("ij,ij->i", flat_vQ, flat_vQ).reshape(uu.shape)
+        sums = np.take(table, rows.T, axis=0)  # (positions, segments, lanes)
+        sums[:, :, 0] = v.T
+        sums *= v.T[:, :, None]
+        _prefix_sums(sums)
+        vQ, uu = sums[:, :, 1 + copies:lanes], sums[:, :, 0]
+        # each (t, b) is one run of q along contiguous k, summed as a
+        # contiguous (rows x q) array sums its rows
+        den = np.einsum("tbk,tbk->tb", vQ, vQ)
         np.subtract(uu, den, out=den)
+        uu, den = uu.T.copy(), den.T.copy()
         uu[~admissible] = 0.0
+        num = np.ascontiguousarray(sums[:, :, 1:1 + copies].transpose(2, 1, 0))
+        num = num.reshape(-1, rows.shape[1])
+        del sums, vQ  # free the table block before the tiles and gains
         if copies > 1:
             seg = (seg + seg_shift).ravel()
-            rows = copy_rows.reshape(-1, rows.shape[1])
-            num = num.reshape(rows.shape)
+            rows = (rows + row_shift).reshape(-1, rows.shape[1])
             v, den, uu = (np.tile(a, (copies, 1)) for a in (v, den, uu))
         yield _Block(seg, rows, v, num, den, uu)
 

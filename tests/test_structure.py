@@ -5,11 +5,12 @@ and its JSON) rests on ``core`` and ``errors`` alone; scipy's LAPACK
 comes only through ``core``'s loader; the CLI's exit code is set by the
 error types alone; the package exports names, not its modules; the
 split search's block budget is a constant that only the block maker
-reads; the FP search's screen margin is a constant that only the FP
-search reads; every tolerance on a direction's part off a basis is a
-``core`` constant, and ``core`` alone projects off a basis and freezes
-a solve's outputs; only the FP column table and a fitted surface's
-prediction build FP columns; the grid CSV has one writer,
+reads, and its sweep width one that only the prefix pass reads; the
+FP search's screen margin is a constant that only the FP search reads;
+every tolerance on a direction's part off a basis is a ``core``
+constant, and ``core`` alone projects off a basis and freezes a solve's
+outputs; only the FP column table and a fitted surface's prediction
+build FP columns; the grid CSV has one writer,
 ``McDofTable.to_csv``; and DoF source names become prices in ``dof``
 and ``simulate`` alone."""
 
@@ -164,6 +165,19 @@ def test_block_budget_is_a_constant_read_by_the_block_maker_alone():
     # no other module names it, so no CLI option or environment variable
     # (tree.py imports no os, see above) can reach it
     assert _constant_readers("tree.py", "_BLOCK_ELEMENTS") == {"_candidate_blocks"}
+
+
+def test_sweep_width_is_a_constant_read_by_the_prefix_pass_alone():
+    # the width from which the prefix pass sweeps is a constant in the
+    # same way: tree.py assigns it once from literals and only
+    # _prefix_sums reads it; tree.py imports no os, so no environment
+    # variable reaches it.  Fresh scores get their sums from that pass
+    # alone: _score_candidates calls no cumsum of its own.
+    assert _constant_readers("tree.py", "_SWEEP_LANES") == {"_prefix_sums"}
+    assert "os" not in {module for module, _ in _imports("tree.py")}
+    readers = _readers("tree.py", "cumsum")
+    assert "_prefix_sums" in readers and "_score_candidates" not in readers
+    assert "_score_candidates" in _readers("tree.py", "_prefix_sums")
 
 
 def test_fp_screen_margin_and_floor_are_constants_read_by_the_fp_search_alone():

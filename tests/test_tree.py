@@ -509,6 +509,79 @@ def test_candidate_blocks_hold_at_most_the_cap(cap, monkeypatch):
     assert max(sizes) > 1 or cap == 1
 
 
+def test_prefix_sums_are_cumsum_bit_for_bit(monkeypatch):
+    # both branches of the prefix pass give np.cumsum's bits along the
+    # positions, on the position-major (positions x segments x even
+    # width) arrays that a fresh block hands it: the sweep (rows of at
+    # least _SWEEP_LANES entries, here every row) and the complex pairs
+    # (here no row).  The entries hold signed zeros, infinities,
+    # subnormals, values near 1e308 whose sums overflow, and the nan that
+    # arithmetic makes.  That is the only nan the search can meet, as
+    # its inputs are finite; a chain holding nans of both signs may keep
+    # either sign, in np.cumsum as in a sweep.
+    import tsvc.tree as tree_module
+    from tsvc.tree import _prefix_sums
+
+    with np.errstate(invalid="ignore"):
+        made_nan = np.subtract(np.inf, np.inf)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, made_nan, 5e-324, -5e-324, 2.2e-308,
+                        1.7e308, -1.7e308, 9e307])
+    rng = np.random.default_rng(131)
+    for lanes in (1, 1 << 62):
+        monkeypatch.setattr(tree_module, "_SWEEP_LANES", lanes)
+        for width in range(2, 41, 2):
+            for positions in (1, 2, 3, 91, 3000):
+                a = rng.standard_normal((positions, int(rng.integers(1, 4)), width))
+                a *= 10.0 ** rng.integers(-320, 308, a.shape)
+                odd = rng.random(a.shape) < 0.1
+                a[odd] = rng.choice(special, odd.sum())
+                # opposite infinities make nans: invalid is off as well
+                with np.errstate(over="ignore", invalid="ignore"):
+                    want = np.cumsum(a.transpose(1, 0, 2), axis=1)
+                    got = _prefix_sums(a.copy()).transpose(1, 0, 2)
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), \
+                    (lanes, width, positions)
+
+
+def test_sweep_width_moves_no_byte(monkeypatch):
+    # always sweeping (1), the default, and never sweeping (above any
+    # row) give the same scores and paths bit for bit: on a lockstep
+    # path group, whose first step sums five copies at once, and on a
+    # path of n = 1000, whose rows run to 991 positions.  At the default
+    # both branches run.
+    import tsvc.tree as tree_module
+
+    rng = np.random.default_rng(137)
+    X8 = rng.standard_normal((100, 8))
+    Y = rng.standard_normal((5, 100))
+    Y[0] += X8[:, 0] * (X8[:, 1] > 0.0)
+    long_path = _random_path_dataset(rng, "tied", 1000, 3)
+    widths = []
+    real_prefix = tree_module._prefix_sums
+
+    def prefix(a):
+        widths.append(a[0].size)
+        return real_prefix(a)
+
+    monkeypatch.setattr(tree_module, "_prefix_sums", prefix)
+    scores = _record_scores(monkeypatch)
+    runs, default = [], tree_module._SWEEP_LANES
+    for lanes in (1, default, 1 << 62):
+        monkeypatch.setattr(tree_module, "_SWEEP_LANES", lanes)
+        scores.clear()
+        widths.clear()
+        paths = fit_paths(X8, Y, s_max=5, min_leaf=10) + [fit_path(long_path, 5, 10)]
+        runs.append((paths, [sorted(step) for step in scores]))
+        if lanes == default:
+            assert min(widths) < lanes <= max(widths)
+    (base, base_scores), *others = runs
+    for paths, step_scores in others:
+        assert step_scores == base_scores
+        for j, (a, b) in enumerate(zip(paths, base)):
+            _assert_same_path(a, b, f"path {j}")
+    assert [len(path.rules) for path in base] == [5] * 6
+
+
 def test_fit_paths_ban_one_replicate_refit_and_not_the_others(monkeypatch):
     # on mixed-scale columns some winning refits are singular: replicates
     # 0 and 2 ban candidates, 1 and 3 never do, and each still follows
