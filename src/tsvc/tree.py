@@ -369,31 +369,38 @@ def _prefix_sums(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _score_candidates(segs: _Segments, min_leaf: int, resid, Q, which, copies: int = 1):
+def _score_table(resid, Q, copies: int = 1) -> np.ndarray:
+    """The table that ``_score_candidates`` gathers its blocks from: row
+    i holds a slot for ``v``, row i's residual in every copy, its row of
+    Q and a zero that makes the width even.  With ``copies`` > 1,
+    ``resid`` stacks one residual per copy and Q's first copy is read."""
+    n_rows = resid.size // copies
+    lanes = 1 + copies + Q.shape[1]
+    table = np.zeros((n_rows, lanes + lanes % 2))
+    table[:, 1:1 + copies] = resid.reshape(copies, n_rows).T
+    table[:, 1 + copies:lanes] = Q[:n_rows]
+    return table
+
+
+def _score_candidates(segs: _Segments, min_leaf: int, table, q: int, which, copies: int = 1):
     """Exact scores of every cut of the segments ``which``, from one
-    batched pass.
+    batched pass, against the residuals and basis (of width ``q``) that
+    ``table`` holds (see ``_score_table``).
 
     Yields one ``_Block`` per block of segments.  A segment's scores do
     not depend on the other segments of its block: per candidate the
     arithmetic is the per-leaf scan's, the same products and the same
     sequential cumulative sums.  With ``copies`` > 1 the table is that
     many copies of one table whose rows share the basis, ``which``
-    indexes the first copy, and ``resid`` stacks one residual per copy:
+    indexes the first copy, and ``table`` holds one residual per copy:
     ``v``, ``den`` and ``uu`` are summed once and ``num`` once per copy,
     and the blocks hold every copy's segments.
 
-    Each row of one gathered table holds a slot for ``v``, the row's
-    residual in every copy, its row of Q and a zero that makes the width
-    even.  A block gathers it position-major, puts ``v`` in the slot and
-    multiplies by ``v``, which gives ``v^2``, ``r v`` and ``Q v``, and
-    ``_prefix_sums`` sums them all in one pass.
+    A block gathers its rows of ``table`` position-major, puts ``v`` in
+    the slot and multiplies by ``v``, which gives ``v^2``, ``r v`` and
+    ``Q v``, and ``_prefix_sums`` sums them all in one pass.
     """
-    q = Q.shape[1]
-    n_rows = resid.size // copies
-    lanes = 1 + copies + q
-    table = np.zeros((n_rows, lanes + lanes % 2))
-    table[:, 1:1 + copies] = resid.reshape(copies, n_rows).T
-    table[:, 1 + copies:lanes] = Q[:n_rows]
+    n_rows, lanes = table.shape[0], 1 + copies + q
     # copy c's segments and rows follow copy 0's by c times these
     seg_shift = segs.size.size // copies * np.arange(copies)[:, None]
     row_shift = n_rows * np.arange(copies)[:, None, None]
@@ -488,6 +495,8 @@ class _Screen:
         self.blocks, self.gains = [], []
         self.home = np.zeros(n_segs, dtype=np.int64)
         self.home_row = np.zeros(n_segs, dtype=np.int64)
+        # the one-copy table that rescores gather from, built at the first
+        self.table = None
         carried = np.zeros(n_segs, dtype=bool)
         near_floor = np.zeros(n_segs, dtype=bool)
         if carry is not None and n_segs:
@@ -505,8 +514,10 @@ class _Screen:
                 # too close to SCREEN_FLOOR to screen by
                 near_floor[block.seg] = ((block.uu > 0.0) & ~good).any(axis=1)
         fresh = np.flatnonzero(~carried[:n_segs // copies])
-        for block in _score_candidates(segs, min_leaf, resid, Q, fresh, copies):
-            self._keep(block, exact=True)
+        if fresh.size:
+            table = _score_table(resid, Q, copies)
+            for block in _score_candidates(segs, min_leaf, table, Q.shape[1], fresh, copies):
+                self._keep(block, exact=True)
         if near_floor.any():
             self.rescore(np.flatnonzero(near_floor))
 
@@ -527,7 +538,10 @@ class _Screen:
     def rescore(self, which):
         """Score the screened segments ``which`` exactly: their exact
         rows become their home, in place of the downdated ones."""
-        for block in _score_candidates(self.segs, self.min_leaf, self.resid, self.Q, which):
+        if self.table is None:
+            self.table = _score_table(self.resid, self.Q)
+        for block in _score_candidates(self.segs, self.min_leaf, self.table, self.Q.shape[1],
+                                       which):
             self._keep(block, exact=True)
 
     def pick(self, lo: int = 0, hi: int | None = None):

@@ -923,7 +923,7 @@ def test_carry_holds_each_segment_once_with_its_rescored_scores(monkeypatch):
     # a rescore's exact row replaces the screened one: the carry holds
     # every segment in one row, a rescored segment's being its exact scores
     import tsvc.tree as tree_module
-    from tsvc.tree import _grow_splits, _score_candidates, _start_states
+    from tsvc.tree import _grow_splits, _score_candidates, _score_table, _start_states
 
     rescores = []
     real_rescore = tree_module._Screen.rescore
@@ -948,7 +948,8 @@ def test_carry_holds_each_segment_once_with_its_rescored_scores(monkeypatch):
             assert np.array_equal(np.sort(carry.keys[carried]), carry.keys)
             for screen, which in rescores:
                 for seg in which:
-                    (exact,) = _score_candidates(screen.segs, min_leaf, screen.resid, screen.Q,
+                    table = _score_table(screen.resid, screen.Q)
+                    (exact,) = _score_candidates(screen.segs, min_leaf, table, screen.Q.shape[1],
                                                  np.array([seg]))
                     (block,) = [b for b in carry.blocks if seg in b.seg]
                     row = np.flatnonzero(block.seg == seg)[0]
@@ -995,6 +996,45 @@ def test_few_segments_are_rescored(monkeypatch):
         per_step.clear()
     assert np.median(rescored) <= 0.1 * np.median(segments)
     assert np.mean(rescored) <= 0.2 * np.mean(segments)
+
+
+def test_a_screen_builds_each_score_table_at_most_once(monkeypatch):
+    # a screen's rescores all gather from one one-copy table, built at
+    # the first of them, however many follow
+    import tsvc.tree as tree_module
+
+    events = []
+    real_init, real_rescore = tree_module._Screen.__init__, tree_module._Screen.rescore
+    real_table = tree_module._score_table
+
+    def init(self, *args, **kwargs):
+        events.append(["screen"])
+        real_init(self, *args, **kwargs)
+
+    def rescore(self, which):
+        events[-1].append("rescore")
+        return real_rescore(self, which)
+
+    def table(resid, Q, copies=1):
+        events[-1].append(f"table x{copies}")
+        return real_table(resid, Q, copies)
+
+    monkeypatch.setattr(tree_module._Screen, "__init__", init)
+    monkeypatch.setattr(tree_module._Screen, "rescore", rescore)
+    monkeypatch.setattr(tree_module, "_score_table", table)
+    # x3 and x4 order the rows as x0 and x1 do: their cuts tie exactly
+    rng = np.random.default_rng(23)
+    X = rng.standard_normal((120, 5))
+    X[:, 3], X[:, 4] = X[:, 0] ** 3, np.exp(X[:, 1])
+    fit_paths(X, rng.standard_normal((6, 120)), s_max=4, min_leaf=5)
+    # every step scores the leaves of its splits afresh, the first all six copies
+    assert [screen[:2] for screen in events] == [["screen", "table x6"]] + [
+        ["screen", "table x1"]] * 3
+    for screen in events:
+        rescores = screen.count("rescore")
+        assert screen[2:] == (["rescore", "table x1"] + ["rescore"] * (rescores - 1)
+                              if rescores else [])
+    assert sum(screen.count("rescore") for screen in events) >= 8
 
 
 def test_exact_tie_after_a_first_split_goes_to_the_lower_modifier(monkeypatch):
