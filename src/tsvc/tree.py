@@ -496,6 +496,7 @@ class _Screen:
         self.home = np.zeros(n_segs, dtype=np.int64)
         self.home_row = np.zeros(n_segs, dtype=np.int64)
         # the one-copy table that rescores gather from, built at the first
+        # rescore
         self.table = None
         carried = np.zeros(n_segs, dtype=bool)
         near_floor = np.zeros(n_segs, dtype=bool)
