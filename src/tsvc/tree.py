@@ -104,20 +104,22 @@ def build_design(dataset: Dataset, trees, *, _leaf_of=None) -> np.ndarray:
 class _Segments(NamedTuple):
     """The admissible (replicate, target, modifier, leaf) quadruples, in
     enumeration order (replicate, then target, then modifier, then leaf
-    id), of leaves holding at least ``2 * min_leaf`` rows.  Segment s's
-    rows, in modifier order, are ``rows[start[s]:start[s] + size[s]]``;
-    ``tree[s]`` indexes its tree in its replicate's trees tuple.  The
-    rows of replicate j are numbered ``j * n .. j * n + n - 1``, and
-    ``columns`` holds X.T once per replicate, contiguous."""
+    id), of leaves holding at least ``2 * min_leaf`` rows.  ``tree[s]``
+    indexes segment s's tree in its replicate's trees tuple and
+    ``size[s]`` counts its rows, which ``rows_of`` lists.  ``order[k]``
+    lists all rows in modifier k's order, and ``leaf_of[j * p + i]``
+    holds every row's leaf id in replicate j's tree i.  The rows of
+    replicate j are numbered ``j * n .. j * n + n - 1``, and ``columns``
+    holds X.T once per replicate, contiguous."""
 
     rep: np.ndarray
     tree: np.ndarray
     target: np.ndarray
     modifier: np.ndarray
     leaf: np.ndarray
-    start: np.ndarray
     size: np.ndarray
-    rows: np.ndarray
+    order: np.ndarray
+    leaf_of: np.ndarray
     columns: np.ndarray
 
     def values(self, covariate, rows) -> np.ndarray:
@@ -131,14 +133,37 @@ class _Segments(NamedTuple):
         # leaf ids stay below 2n: a split needs a leaf of two rows or more
         return ((self.rep * p + self.tree) * p + self.modifier) * (2 * width) + self.leaf
 
-    def rule(self, seg: int, pos: int) -> SplitRule:
-        """Cut between the rows at ``pos`` and ``pos + 1`` of segment ``seg``:
-        their midpoint, or the lower value where the midpoint of two
-        adjacent floats rounds up to the upper one, so that ``x <= cut``
-        always splits the rows where they were scored."""
-        at = self.start[seg] + pos
+    def rows_of(self, which):
+        """The rows of the segments ``which``, end to end, as (rows,
+        start): segment ``which[s]``'s rows, in its modifier's order, are
+        ``rows[start[s]:start[s] + size[which[s]]]``.  Each leaf asked
+        for is filtered from the sort once: its positions in the leaf ids
+        read along every modifier's order give its rows in all of them,
+        one modifier after another."""
+        p, n = self.order.shape
+        owner = self.rep[which] * p + self.tree[which]  # its row of leaf_of
+        _, first, inverse = np.unique(owner * (2 * n) + self.leaf[which],
+                                      return_index=True, return_inverse=True)
+        length = p * self.size[which[first]]
+        offset = np.cumsum(length) - length
+        rows = np.empty(length.sum(), dtype=np.int64)
+        ids, read = None, -1
+        for s, at, stop in zip(first.tolist(), offset.tolist(), (offset + length).tolist()):
+            if owner[s] != read:  # leaves come by tree: read its ids once
+                read = owner[s]
+                ids = np.take(self.leaf_of[read], self.order)
+            kept = np.flatnonzero(ids == self.leaf[which[s]])
+            np.add(np.take(self.order, kept), self.rep[which[s]] * n, out=rows[at:stop])
+        return rows, offset[inverse] + self.modifier[which] * self.size[which]
+
+    def rule(self, seg: int, rows, pos: int) -> SplitRule:
+        """Cut between ``rows[pos]`` and ``rows[pos + 1]``, rows of segment
+        ``seg`` in modifier order: their midpoint, or the lower value
+        where the midpoint of two adjacent floats rounds up to the upper
+        one, so that ``x <= cut`` always splits the rows where they were
+        scored."""
         modifier = int(self.modifier[seg])
-        lower, upper = self.values(modifier, self.rows[at:at + 2]).tolist()
+        lower, upper = self.values(modifier, rows[pos:pos + 2]).tolist()
         mid = 0.5 * (lower + upper)
         return SplitRule(target=int(self.target[seg]), modifier=modifier,
                          threshold=mid if mid < upper else lower,
@@ -183,9 +208,7 @@ class _StepState(NamedTuple):
     """What one replicate's greedy step takes over from the step before.
 
     ``trees`` are the current trees; ``leaf_of[i]`` holds every row's
-    leaf id in tree i, and ``grouped[i]`` each modifier's rows in the
-    group's sort order grouped by leaf id, a (p x n) array, or None while
-    tree i is one leaf; ``design`` is the design of the trees, ``fit``
+    leaf id in tree i; ``design`` is the design of the trees, ``fit``
     and ``Q`` its least-squares fit and orthonormal basis.  The sort and
     the carried scores belong to the lockstep group (see
     ``_grow_splits``).  A snapshot is never modified: a step makes a new
@@ -195,7 +218,6 @@ class _StepState(NamedTuple):
 
     trees: tuple
     leaf_of: np.ndarray
-    grouped: tuple
     design: np.ndarray
     fit: LinearFit
     Q: np.ndarray
@@ -206,86 +228,35 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _grouped_orders(order: np.ndarray, leaf_of: np.ndarray, trees) -> tuple:
-    """``_StepState.grouped`` of the trees, sorted afresh."""
-    split = [len(tree.leaves) > 1 for tree in trees]
-    if not any(split):
-        return (None,) * len(trees)
+def _stacked_segments(columns: np.ndarray, min_leaf: int, order: np.ndarray, trees,
+                      leaf_of: np.ndarray) -> _Segments:
+    """The segment tables of the replicates, replicate j's trees being
+    ``trees[j]`` (None when it is inactive) and its rows' leaf ids
+    ``leaf_of[j * p:(j + 1) * p]``, stacked in one table over ``columns``
+    with the group's sort ``order``."""
     n, p = order.shape
-    rank = np.empty((p, n), dtype=np.int64)
-    rank[np.arange(p)[:, None], order.T] = np.arange(n)
-    return tuple(_frozen(np.argsort(leaf_of[i] * n + rank, axis=-1)) if is_split else None
-                 for i, is_split in enumerate(split))
-
-
-def _regroup(grouped, order, old_leaf, new_leaf, parent: int, left: int) -> np.ndarray:
-    """A tree's grouped order after its leaf ``parent`` split into the
-    leaves ``left`` and ``left + 1``, the highest ids of the tree: the
-    parent's rows leave their place and follow the other leaves' rows,
-    the left child's then the right child's, each in modifier order.
-    ``grouped`` is the order before (None for a one-leaf tree) and
-    ``old_leaf``, ``new_leaf`` the rows' leaf ids before and after."""
-    before = order.T if grouped is None else grouped
-    first = np.count_nonzero(old_leaf < parent)
-    stop = first + np.count_nonzero(old_leaf == parent)
-    moved = before[:, first:stop]
-    to_left = new_leaf[moved] == left
-    p = before.shape[0]
-    return _frozen(np.concatenate([before[:, :first], before[:, stop:],
-                                   moved[to_left].reshape(p, -1),
-                                   moved[~to_left].reshape(p, -1)], axis=1))
-
-
-def _stacked_segments(columns: np.ndarray, min_leaf: int, order: np.ndarray,
-                      replicates) -> _Segments:
-    """The segment tables of ``replicates``, (j, trees, leaf_of, grouped)
-    for replicate j, stacked in one table over ``columns``: each
-    modifier's rows come in ``order``, and a split tree's leaves take
-    theirs from its grouped order."""
-    n, p = order.shape
-    leaf_of = np.stack([leaf_of for _, _, leaf_of, _ in replicates])
-    count, n_trees = leaf_of.shape[:2]
-    n_ids = max(tree.n_created for _, trees, _, _ in replicates for tree in trees)
+    active = np.array([j for j, own in enumerate(trees) if own is not None])
+    read = (active[:, None] * p + np.arange(p)).ravel()
+    n_ids = max(tree.n_created for own in trees if own is not None for tree in own)
     counts = np.bincount(
-        (np.arange(count * n_trees)[:, None] * n_ids + leaf_of.reshape(-1, n)).ravel(),
-        minlength=count * n_trees * n_ids,
-    ).reshape(count, n_trees, n_ids)
-    first = np.cumsum(counts, axis=2) - counts
-    # A replicate's first slot holds each modifier's order in row k.  A
-    # split tree gets its own slot, whose row k holds the same rows
-    # grouped by leaf id.
-    slots, owner = [], []
-    slot = np.zeros((count, n_trees), dtype=np.int64)
-    for r, (j, trees, _, grouped) in enumerate(replicates):
-        split = [i for i, tree in enumerate(trees) if len(tree.leaves) > 1]
-        slot[r] = len(slots)
-        slot[r, split] += np.arange(1, len(split) + 1)
-        slots += [order.T] + [grouped[i] for i in split]
-        owner += [j] * (1 + len(split))
-    rows = np.stack(slots)
-    if any(owner):
-        rows += (n * np.array(owner))[:, None, None]
-    targets = np.array([[tree.target for tree in trees] for _, trees, _, _ in replicates])
+        (np.arange(read.size)[:, None] * n_ids + leaf_of[read]).ravel(),
+        minlength=read.size * n_ids,
+    ).reshape(active.size, p, n_ids)
+    targets = np.array([[tree.target for tree in trees[j]] for j in active.tolist()])
     r, tree_of, modifier, leaf = np.nonzero(
         (counts >= 2 * min_leaf)[:, :, None, :]
         & (np.arange(p) != targets[:, :, None])[:, :, :, None]
     )
-    return _Segments(
-        rep=np.array([j for j, _, _, _ in replicates])[r],
-        tree=tree_of, target=targets[r, tree_of], modifier=modifier, leaf=leaf,
-        start=(slot[r, tree_of] * p + modifier) * n + first[r, tree_of, leaf],
-        size=counts[r, tree_of, leaf],
-        rows=rows.ravel(),
-        columns=columns,
-    )
+    return _Segments(rep=active[r], tree=tree_of, target=targets[r, tree_of],
+                     modifier=modifier, leaf=leaf, size=counts[r, tree_of, leaf],
+                     order=np.ascontiguousarray(order.T), leaf_of=leaf_of, columns=columns)
 
 
 def _segments(dataset: Dataset, trees, min_leaf: int, order: np.ndarray,
               leaf_of: np.ndarray) -> _Segments:
-    """One fit's segment table (see ``_stacked_segments``), each split
-    tree's rows sorted by leaf id afresh."""
-    return _stacked_segments(np.ascontiguousarray(dataset.X.T), min_leaf, order,
-                             [(0, trees, leaf_of, _grouped_orders(order, leaf_of, trees))])
+    """One fit's segment table (see ``_stacked_segments``)."""
+    return _stacked_segments(np.ascontiguousarray(dataset.X.T), min_leaf, order, [trees],
+                             leaf_of)
 
 
 def _candidate_blocks(segs: _Segments, min_leaf: int, width: int, which=None):
@@ -293,27 +264,30 @@ def _candidate_blocks(segs: _Segments, min_leaf: int, width: int, which=None):
     (seg, rows, admissible).
 
     ``seg`` lists a block's segments; row b of ``rows`` starts with
-    segment ``seg[b]``'s rows and runs on into rows of other segments,
-    which only positions that are never admissible read.  Position t of
-    a row is admissible when a cut there (left child: positions 0..t)
-    falls between distinct modifier values and leaves both children
-    ``min_leaf`` rows.  Blocks take segments from the longest down,
-    which keeps the unread tails short, and hold at most
+    segment ``seg[b]``'s rows (``_Segments.rows_of``) and runs on into
+    other rows, which only positions that are never admissible read.
+    Position t of a row is admissible when a cut there (left child:
+    positions 0..t) falls between distinct modifier values and leaves
+    both children ``min_leaf`` rows.  Blocks take segments from the
+    longest down, which keeps the unread tails short, and hold at most
     ``_BLOCK_ELEMENTS`` entries of a (segments x positions x width)
     array.
     """
     if which is None:
         which = np.arange(segs.size.size)
-    longest_first = which[np.argsort(-segs.size[which], kind="stable")]
+    segment_rows, start = segs.rows_of(which)
+    sizes = segs.size[which]
+    longest_first = np.argsort(-sizes, kind="stable")
     pos = 0
     while pos < longest_first.size:
-        length = int(segs.size[longest_first[pos]])
-        seg = longest_first[pos:pos + max(1, _BLOCK_ELEMENTS // (length * width))]
-        pos += seg.size
-        size = segs.size[seg, None]
+        length = int(sizes[longest_first[pos]])
+        local = longest_first[pos:pos + max(1, _BLOCK_ELEMENTS // (length * width))]
+        pos += local.size
+        seg = which[local]
+        size = sizes[local, None]
         # the right child keeps min_leaf rows: no cut reads further
         span = np.arange(length - min_leaf + 1)
-        rows = np.take(segs.rows, segs.start[seg, None] + span, mode="clip")
+        rows = np.take(segment_rows, start[local, None] + span, mode="clip")
         xs = segs.values(segs.modifier[seg, None], rows)
         admissible = np.zeros(xs.shape, dtype=bool)
         admissible[:, :-1] = xs[:, 1:] > xs[:, :-1]
@@ -336,14 +310,12 @@ def enumerate_candidates(dataset: Dataset, trees, min_leaf: int) -> list[SplitRu
     _check_min_leaf(min_leaf)
     order = np.argsort(dataset.X, axis=0, kind="stable")
     segs = _segments(dataset, trees, min_leaf, order, _leaf_ids(dataset, trees))
-    seg, pos = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-    for block_seg, _, admissible in _candidate_blocks(segs, min_leaf, width=3):
-        b, t = np.nonzero(admissible)
-        seg.append(block_seg[b])
-        pos.append(t)
-    seg, pos = np.concatenate(seg), np.concatenate(pos)
-    order = np.lexsort((pos, seg))
-    return [segs.rule(s, t) for s, t in zip(seg[order].tolist(), pos[order].tolist())]
+    found = []
+    for seg, rows, admissible in _candidate_blocks(segs, min_leaf, width=3):
+        for b, pos in zip(*np.nonzero(admissible)):
+            s, pos = int(seg[b]), int(pos)
+            found.append((s, pos, segs.rule(s, rows[b], pos)))
+    return [rule for _, _, rule in sorted(found, key=lambda candidate: candidate[:2])]
 
 
 def _prefix_sums(a: np.ndarray) -> np.ndarray:
@@ -535,6 +507,11 @@ class _Screen:
     def _row(self, seg) -> np.ndarray:
         return self.gains[self.home[seg]][self.home_row[seg]]
 
+    def rows(self, seg) -> np.ndarray:
+        """Segment ``seg``'s rows as its home block holds them: every row
+        a cut of it can send left, and one more."""
+        return self.blocks[self.home[seg]].rows[self.home_row[seg]]
+
     @np.errstate(over="ignore")
     def rescore(self, which):
         """Score the screened segments ``which`` exactly: their exact
@@ -598,7 +575,7 @@ class _Screen:
         segs = self.segs
         U = np.zeros(self.resid.size)
         for seg, pos in picks:
-            left = segs.rows[segs.start[seg]:segs.start[seg] + pos + 1]
+            left = self.rows(seg)[:pos + 1]
             U[left] = segs.values(segs.target[seg], left)
         width = U.size // n
         U = orthogonal_part(self.Q.reshape(width, n, -1), U.reshape(width, n, 1)).reshape(width, n)
@@ -672,8 +649,9 @@ def _grow_splits(dataset: Dataset, Y, order, states, carry: _Carry | None, min_l
     resid = _stack([None if state is None else Y[j] - state.fit.fitted
                     for j, state in enumerate(states)])
     segs = _stacked_segments(np.tile(dataset.X.T, (1, width)), min_leaf, order,
-                             [(j, states[j].trees, states[j].leaf_of, states[j].grouped)
-                              for j in active])
+                             [None if state is None else state.trees for state in states],
+                             _stack([None if state is None else state.leaf_of
+                                     for state in states]))
     copies = width if width > 1 and carry is None else 1
     screen = _Screen(segs, min_leaf, resid,
                      _stack([None if state is None else state.Q for state in states]),
@@ -684,7 +662,7 @@ def _grow_splits(dataset: Dataset, Y, order, states, carry: _Carry | None, min_l
         state = states[j]
         while (picked := screen.pick(bounds[j], bounds[j + 1])) is not None:
             seg, pos = picked
-            rule = segs.rule(seg, pos)
+            rule = segs.rule(seg, screen.rows(seg), pos)
             i = int(segs.tree[seg])
             split = state.trees[i].split(rule)
             trees = state.trees[:i] + (split,) + state.trees[i + 1:]
@@ -707,11 +685,8 @@ def _grow_splits(dataset: Dataset, Y, order, states, carry: _Carry | None, min_l
                 grown[j] = (rule, trees, fit, None)
                 break
             picks.append(picked)
-            grouped = list(state.grouped)
-            grouped[i] = _regroup(grouped[i], order, state.leaf_of[i], leaf_of[i],
-                                  rule.parent_leaf, left)
-            grown[j] = (rule, trees, fit, _StepState(trees, _frozen(leaf_of), tuple(grouped),
-                                                     _frozen(design), fit, Q))
+            grown[j] = (rule, trees, fit, _StepState(trees, _frozen(leaf_of), _frozen(design),
+                                                     fit, Q))
             break
     return grown, None if last else screen.carry(picks, n)
 
@@ -724,8 +699,7 @@ def _start_states(dataset: Dataset, trees, Y):
     design = _frozen(build_design(dataset, trees, _leaf_of=leaf_of))
     fits, Q = solve_least_squares(design, Y, return_basis=True)
     order = _frozen(np.argsort(dataset.X, axis=0, kind="stable"))
-    grouped = _grouped_orders(order, leaf_of, trees)
-    return order, [_StepState(trees, leaf_of, grouped, design, fit, Q) for fit in fits]
+    return order, [_StepState(trees, leaf_of, design, fit, Q) for fit in fits]
 
 
 def grow_one_split(dataset: Dataset, trees, min_leaf: int = 10):

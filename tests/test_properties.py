@@ -6,14 +6,14 @@ import io
 from pathlib import Path
 
 import numpy as np
-from hypothesis import example, given, reject, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import tsvc
 from tsvc._io import read_csv
 from tsvc.cli import main
 from tsvc.core import Dataset
-from tsvc.dof import DofSpec, McDofTable
+from tsvc.dof import DofSpec, McDofConfig, McDofTable, mc_dof
 from tsvc.errors import TsvcError, ValidationError
 from tsvc.model import model_from_json, model_to_json, predict
 from tsvc.tree import fit_path, fit_paths
@@ -97,6 +97,30 @@ def test_a_truncated_path_is_a_prefix_of_a_longer_one(group):
         for short, long_ in zip(fit_paths(X, Y, k, min_leaf), longer):
             assert len(short.rules) == min(k, len(long_.rules))
             _assert_same_steps(short, long_, k)
+
+
+@st.composite
+def small_cells(draw):
+    """``mc_dof`` keyword arguments of a small Monte-Carlo cell: n 30-80,
+    p 2-4, m 2-4, runs 2-3 and s_max 2-3."""
+    config = McDofConfig(m=draw(st.integers(2, 4)), runs=draw(st.integers(2, 3)),
+                         s_max=draw(st.integers(2, 3)), seed=draw(st.integers(0, 2 ** 16)))
+    return {"n": draw(st.integers(30, 80)), "p": draw(st.integers(2, 4)), "config": config}
+
+
+# each example starts a pool of two worker processes
+@settings(max_examples=24)
+@given(small_cells())
+def test_mc_dof_does_not_depend_on_threads(cell):
+    # one worker process or two give the same rows, compared by repr, or
+    # the same error
+    outcomes = []
+    for threads in (1, 2):
+        try:
+            outcomes.append([repr(row) for row in mc_dof(**cell, threads=threads).rows])
+        except TsvcError as error:
+            outcomes.append(f"{type(error).__name__}: {error}")
+    assert outcomes[0] == outcomes[1]
 
 
 @given(small_fits())

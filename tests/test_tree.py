@@ -180,12 +180,13 @@ def test_rule_threshold_equals_the_batched_threshold_of_every_cut():
         order = np.argsort(X, axis=0, kind="stable")
         segs = _segments(ds, trees, 2, order, np.stack([tree.assign(X) for tree in trees]))
         between = 0  # cuts between lo and hi
-        for seg, _, admissible in _candidate_blocks(segs, 2, width=3):
+        for seg, block_rows, admissible in _candidate_blocks(segs, 2, width=3):
             for b, pos in zip(*np.nonzero(admissible)):
                 s = int(seg[b])
-                rule = segs.rule(s, int(pos))
+                rule = segs.rule(s, block_rows[b], int(pos))
                 # x <= threshold sends exactly the positions 0..pos left
-                rows = segs.rows[segs.start[s]:segs.start[s] + segs.size[s]]
+                rows, (start,) = segs.rows_of(np.array([s]))
+                rows = rows[start:start + segs.size[s]]
                 left = X[rows, rule.modifier] <= rule.threshold
                 assert left.sum() == pos + 1 and left[:pos + 1].all()
                 between += rule.modifier == 1 and rule.threshold == lo
@@ -646,26 +647,41 @@ def test_fit_path_keeps_its_rules_from_a_tiny_to_a_huge_response():
         fit_path(Dataset.from_arrays(y * 1e153, X), 5, 5)
 
 
-def test_carried_grouped_orders_equal_a_fresh_sort():
-    # a split tree's rows grouped by leaf are regrouped after each split,
-    # not sorted again; they equal the sort at every step
-    from tsvc.tree import _grouped_orders, _grow_splits, _start_states
+def test_segment_rows_are_each_leaf_filtered_from_the_sort():
+    # rows_of gives every segment its leaf's rows in its modifier's
+    # order, numbered from j * n in replicate j: on stumps and on trees of
+    # up to 8 splits, with tied modifier values and min_leaf 1, for
+    # several stacked replicates (one inactive), asked for all at once or
+    # a shuffled half of them
+    from tsvc.tree import _stack, _stacked_segments
 
-    for ds, min_leaf in _short_paths(seed=71, count=12):
-        trees = tuple(CoefficientTree.stump(j) for j in range(ds.p))
-        order, (state,) = _start_states(ds, trees, ds.y[None])
-        carry = None
-        for _ in range(6):
-            (grown,), carry = _grow_splits(ds, ds.y[None], order, [state], carry, min_leaf)
-            if grown is None:
-                break
-            *_, state = grown
-            trees = state.trees
-            fresh = _grouped_orders(order, state.leaf_of, trees)
-            for carried, sorted_ in zip(state.grouped, fresh):
-                assert (carried is None) == (sorted_ is None)
-                if carried is not None:
-                    assert np.array_equal(carried, sorted_)
+    rng = np.random.default_rng(113)
+    checked = deepest = 0
+    for case in range(24):
+        n, p, min_leaf = int(rng.integers(12, 61)), int(rng.integers(2, 5)), case % 3 + 1
+        X = rng.standard_normal((n, p))
+        X[:, -1] = rng.integers(0, 4, n)  # tied modifier values
+        order = np.argsort(X, axis=0, kind="stable")
+        trees = [fit_path(Dataset.from_arrays(rng.standard_normal(n), X), s_max=s_max,
+                          min_leaf=min_leaf).trees[-1]
+                 for s_max in (0, 8, 0, int(rng.integers(1, 9)))]
+        trees[2] = None  # an inactive replicate
+        deepest = max(deepest, sum(len(tree.leaves) - 1 for tree in trees[1]))
+        leaf_of = _stack([None if own is None else np.stack([tree.assign(X) for tree in own])
+                          for own in trees])
+        segs = _stacked_segments(np.tile(X.T, (1, len(trees))), min_leaf, order, trees, leaf_of)
+        assert set(segs.rep.tolist()) == {0, 1, 3}
+        for which in (np.arange(segs.size.size),
+                      rng.permutation(segs.size.size)[:segs.size.size // 2]):
+            rows, start = segs.rows_of(which)
+            for s, at in zip(which.tolist(), start.tolist()):
+                j, i, k = segs.rep[s], segs.tree[s], segs.modifier[s]
+                ids = leaf_of[j * p + i]
+                want = order[:, k][ids[order[:, k]] == segs.leaf[s]] + j * n
+                assert segs.size[s] == want.size >= 2 * min_leaf
+                assert np.array_equal(rows[at:at + segs.size[s]], want)
+                checked += 1
+    assert checked >= 1000 and deepest == 8
 
 
 def test_step_states_and_path_fits_are_read_only():
@@ -684,7 +700,7 @@ def test_step_states_and_path_fits_are_read_only():
     assert len(seen) == 12
     for state in seen:
         for array in [order, state.leaf_of, state.design, state.fit.coefficients,
-                      state.fit.fitted, state.Q] + [g for g in state.grouped if g is not None]:
+                      state.fit.fitted, state.Q]:
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0
     for path in [fit_path(ds, s_max=4, min_leaf=5)] + fit_paths(ds.X, Y, s_max=4, min_leaf=5):
