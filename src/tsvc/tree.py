@@ -177,7 +177,8 @@ class _Block(NamedTuple):
     position t, the scores of the cut after it, whose left-child column
     u has ``num = u.r`` and ``den = ||u||^2 - ||Q^T u||^2`` against a
     residual r and basis Q, and ``uu = ||u||^2`` if the cut is
-    admissible, else 0."""
+    admissible, else 0.  A block that ``_Screen.carry`` hands on names
+    each row's segment by its ``_Segments.keys`` key in ``seg``."""
 
     seg: np.ndarray
     rows: np.ndarray
@@ -185,23 +186,6 @@ class _Block(NamedTuple):
     num: np.ndarray
     den: np.ndarray
     uu: np.ndarray
-
-
-class _Carry(NamedTuple):
-    """The previous step's candidate scores and the splits that ended it.
-
-    ``blocks`` hold the scores of every segment of that step, each in
-    one row, against its residuals and bases, with ``seg`` indexing its
-    segment table, whose ``keys`` are ``keys``.  Replicate j's split
-    added the unit direction ``direction[j * n:(j + 1) * n]`` to its
-    basis and took ``rq[j]`` (its product with the residual) out of its
-    residual.
-    """
-
-    keys: np.ndarray
-    blocks: tuple[_Block, ...]
-    direction: np.ndarray
-    rq: np.ndarray
 
 
 class _StepState(NamedTuple):
@@ -406,17 +390,17 @@ def _gains(block: _Block, floor: float):
     whose ``den`` exceeds ``floor * uu``, -inf elsewhere; and that mask.
     A drop past the float range reads inf (see ``_Screen``)."""
     good = (block.uu > 0.0) & (block.den > floor * block.uu)
-    gains = np.full(block.num.shape, -np.inf)
-    np.divide(np.square(block.num), block.den, out=gains, where=good)
-    return gains, good
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gains = np.divide(np.square(block.num), block.den)
+    return np.where(good, gains, -np.inf), good
 
 
 def _downdate(block: _Block, direction: np.ndarray, rq: np.ndarray, kept=None) -> _Block:
-    """A block's scores after the last split: that split added the unit
-    direction d to the basis and took ``rq = d.r`` (one per block row)
-    out of the residual, so ``num`` drops by ``rq * (u.d)`` and ``den``
-    by ``(u.d)^2``.  A row mask ``kept`` keeps only those rows; their
-    ``num`` and ``den`` are downdated as they are gathered."""
+    """A block's scores after its step's split: that split added the
+    unit direction d to the basis and took ``rq = d.r`` (one per block
+    row) out of the residual, so ``num`` drops by ``rq * (u.d)`` and
+    ``den`` by ``(u.d)^2``.  A row mask ``kept`` keeps only those rows;
+    their ``num`` and ``den`` are downdated as they are gathered."""
     seg, rows, v, num, den, uu = block
     if kept is not None:
         seg, rows, v, uu, rq = (a[kept] for a in (seg, rows, v, uu, rq))
@@ -437,27 +421,27 @@ def _downdate(block: _Block, direction: np.ndarray, rq: np.ndarray, kept=None) -
 class _Screen:
     """One greedy step's split search over the segment table ``segs``.
 
-    Without carried scores every segment is scored exactly.  With them
-    only the segments of the leaves the last split made are; the others
-    downdate their carried scores by the direction that split added to
-    the basis, which costs one cumulative sum per position instead of
-    q + 2.  Downdated gains only screen: before ``pick`` settles a
+    Without carried scores every segment is scored exactly.  With them,
+    the blocks that the last step's ``carry`` handed on, only the
+    segments of the leaves the last split made are; the others screen by
+    their carried scores, which that step downdated by the direction its
+    split added to the basis, at one cumulative sum per position instead
+    of q + 2.  Downdated gains only screen: before ``pick`` settles a
     near-tie it rescores exactly every segment that holds a candidate
     within ``_SCREEN_RTOL`` of the best, so the rule is the one a fresh
     search picks.  ``blocks`` collect this step's scores, downdated or
-    exact, for the next step; a segment's scores sit in one home row,
-    and a rescore gives it a new one.  ``resid`` and ``Q`` stack the
-    residual and basis of every replicate in the table, and ``copies`` >
-    1 says that the table is that many copies of one (see
-    ``_score_candidates``).
+    exact; a segment's scores sit in one home row, and a rescore gives
+    it a new one.  ``resid`` and ``Q`` stack the residual and basis of
+    every replicate in the table, and ``copies`` > 1 says that the table
+    is that many copies of one (see ``_score_candidates``).
     """
 
     # Gains past the float range read inf, which ``pick`` refuses; the
     # overflow warning is off while the screen scores, set once per call
     # rather than once per block of ``_gains``.
     @np.errstate(over="ignore")
-    def __init__(self, segs: _Segments, min_leaf: int, resid, Q, carry: _Carry | None,
-                 copies: int = 1):
+    def __init__(self, segs: _Segments, min_leaf: int, resid, Q,
+                 carry: tuple[_Block, ...] | None, copies: int = 1):
         self.segs, self.min_leaf, self.resid, self.Q = segs, min_leaf, resid, Q
         n_segs = segs.size.size
         self.best = np.full(n_segs, -np.inf)  # per segment
@@ -472,16 +456,10 @@ class _Screen:
         self.table = None
         carried = np.zeros(n_segs, dtype=bool)
         near_floor = np.zeros(n_segs, dtype=bool)
-        if carry is not None and n_segs:
+        if carry is not None:
             keys = segs.keys()
-            for block in carry.blocks:
-                old = carry.keys[block.seg]
-                seg = np.minimum(np.searchsorted(keys, old), n_segs - 1)
-                kept = keys[seg] == old  # a split leaf's segments are gone
-                if not kept.any():
-                    continue
-                block = _downdate(block._replace(seg=seg), carry.direction,
-                                  carry.rq[segs.rep[seg], None], None if kept.all() else kept)
+            for block in carry:
+                block = block._replace(seg=np.searchsorted(keys, block.seg))
                 good = self._keep(block, exact=False)
                 carried[block.seg] = True
                 # too close to SCREEN_FLOOR to screen by
@@ -551,21 +529,31 @@ class _Screen:
         row[pos] = -np.inf
         self.best[seg] = row.max()
 
-    def carry(self, picks, n: int) -> _Carry:
-        """What the next step needs: this step's scores, from each
-        segment's home row only, and the unit directions that the
-        replicates' splits added to their bases, with their products with
-        the residuals (see ``_Carry``).  ``picks`` holds the (seg, pos)
-        of each split; every replicate has n rows."""
-        blocks = []
-        for b, block in enumerate(self.blocks):
-            home = self.home[block.seg] == b
-            if home.all():
-                blocks.append(_Block(*map(_frozen, block)))
-            elif home.any():
-                blocks.append(_Block(*(_frozen(a[home]) for a in block)))
+    def carry(self, picks, n: int) -> tuple[_Block, ...]:
+        """End the step: hand on the scores of the segments that the next
+        step keeps, each from its home row, downdated by the unit
+        direction that its replicate's split added to its basis and named
+        by its ``_Segments.keys`` key.  ``picks`` holds the (seg, pos) of
+        each split; every replicate has n rows.  A split leaf's segments
+        and a replicate without a split are dropped, and each block and
+        its gains are released as they are carried."""
+        segs = self.segs
         direction, rq = self._directions(picks, n)
-        return _Carry(_frozen(self.segs.keys()), tuple(blocks), direction, rq)
+        split = np.zeros(rq.size, dtype=bool)  # per replicate
+        split_leaf = np.full((rq.size, segs.order.shape[0]), -1)  # per replicate and tree
+        for seg, _ in picks:
+            split[segs.rep[seg]] = True
+            split_leaf[segs.rep[seg], segs.tree[seg]] = segs.leaf[seg]
+        survives = split[segs.rep] & (split_leaf[segs.rep, segs.tree] != segs.leaf)
+        keys, blocks = segs.keys(), []
+        for b, block in enumerate(self.blocks):
+            self.blocks[b] = self.gains[b] = None
+            kept = survives[block.seg] & (self.home[block.seg] == b)
+            if kept.any():
+                block = _downdate(block, direction, rq[segs.rep[block.seg], None],
+                                  None if kept.all() else kept)
+                blocks.append(_Block(*map(_frozen, block._replace(seg=keys[block.seg]))))
+        return tuple(blocks)
 
     def _directions(self, picks, n: int):
         """Per replicate, the unit part of its picked cut's left-child
@@ -620,12 +608,13 @@ def _stack(parts) -> np.ndarray:
     return np.concatenate([blank if part is None else part for part in parts])
 
 
-def _grow_splits(dataset: Dataset, Y, order, states, carry: _Carry | None, min_leaf: int,
-                 last: bool = False):
+def _grow_splits(dataset: Dataset, Y, order, states, carry: tuple[_Block, ...] | None,
+                 min_leaf: int, last: bool = False):
     """One greedy step of every replicate j whose ``states[j]`` is not
     None, with response ``Y[j]``, all in lockstep on the covariates of
     ``dataset``.  The group owns ``order``, the stable argsort of X's
-    columns, and ``carry``, its last step's scores (None on its first).
+    columns, and ``carry``, the scores its last step handed on (see
+    ``_Screen.carry``; None on its first).
 
     The replicates' segment tables are stacked into one table, with
     replicate j's rows numbered from ``j * n`` in the stacked residuals,

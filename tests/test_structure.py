@@ -5,8 +5,9 @@ and its JSON) rests on ``core`` and ``errors`` alone; scipy's LAPACK
 comes only through ``core``'s loader; the CLI's exit code is set by the
 error types alone; the package exports names, not its modules; the
 split search's block budget is a constant that only the block maker
-reads, and its sweep width one that only the prefix pass reads; the
-FP search's screen margin is a constant that only the FP search reads;
+reads, and its sweep width one that only the prefix pass reads; a
+greedy step's carry alone downdates the scores it hands on; the FP
+search's screen margin is a constant that only the FP search reads;
 every tolerance on a direction's part off a basis is a ``core``
 constant, and ``core`` alone projects off a basis and freezes a solve's
 outputs; only the FP column table and a fitted surface's prediction
@@ -178,6 +179,19 @@ def test_sweep_width_is_a_constant_read_by_the_prefix_pass_alone():
     readers = _readers("tree.py", "cumsum")
     assert "_prefix_sums" in readers and "_score_candidates" not in readers
     assert "_score_candidates" in _readers("tree.py", "_prefix_sums")
+
+
+def test_carried_scores_are_downdated_by_the_carry_alone():
+    # a step hands on its surviving scores already downdated: _downdate
+    # is called once, by _Screen.carry, and tree.py defines no carry
+    # type for the next step to downdate from
+    calls = [owner for owner, scope in _scopes("tree.py") for node in ast.walk(scope)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "_downdate"]
+    assert calls == ["_Screen.carry"]
+    assert _readers("tree.py", "_downdate") == {"_Screen.carry"}
+    assert "_Carry" not in {node.name for node in ast.walk(_tree("tree.py"))
+                            if isinstance(node, ast.ClassDef)}
 
 
 def test_fp_screen_margin_and_floor_are_constants_read_by_the_fp_search_alone():

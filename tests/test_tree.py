@@ -935,45 +935,83 @@ def test_downdated_gains_stay_within_the_bound_of_fresh_gains():
     assert worst <= _DOWNDATE_BOUND
 
 
-def test_carry_holds_each_segment_once_with_its_rescored_scores(monkeypatch):
-    # a rescore's exact row replaces the screened one: the carry holds
-    # every segment in one row, a rescored segment's being its exact scores
+def _check_carries(monkeypatch, grow, *args, **kwargs):
+    """Run ``grow(*args, **kwargs)`` and check every step's hand-over:
+    the carry holds, once each, the rows of the segments that the next
+    step keeps (its replicate split, its leaf did not), every key among
+    the next step's segments once, and a rescored segment's row is its
+    exact row, downdated by ``_downdate`` with the step's direction, bit
+    for bit.
+    Returns what ``grow`` returned, the rescored rows compared and the
+    replicates that were scored but made no split."""
     import tsvc.tree as tree_module
-    from tsvc.tree import _grow_splits, _score_candidates, _score_table, _start_states
+    from tsvc.tree import _downdate, _score_candidates, _score_table
 
-    rescores = []
-    real_rescore = tree_module._Screen.rescore
+    steps = []
+    real_init, real_rescore = tree_module._Screen.__init__, tree_module._Screen.rescore
+    real_carry = tree_module._Screen.carry
+
+    def init(self, *args, **kwargs):
+        steps.append({"screen": self, "rescored": set()})
+        real_init(self, *args, **kwargs)
 
     def rescore(self, which):
-        rescores.append((self, np.array(which)))
+        steps[-1]["rescored"].update(np.asarray(which).tolist())
         return real_rescore(self, which)
 
+    def carry(self, picks, n):
+        direction, rq = self._directions(picks, n)
+        blocks = real_carry(self, picks, n)
+        steps[-1].update(picks=list(picks), direction=direction, rq=rq, blocks=blocks)
+        return blocks
+
+    monkeypatch.setattr(tree_module._Screen, "__init__", init)
     monkeypatch.setattr(tree_module._Screen, "rescore", rescore)
+    monkeypatch.setattr(tree_module._Screen, "carry", carry)
+    grown = grow(*args, **kwargs)
+    monkeypatch.undo()
+    compared = idle = 0
+    for step, following in zip(steps, steps[1:]):
+        screen, blocks = step["screen"], step["blocks"]
+        segs, q = screen.segs, screen.Q.shape[1]
+        split = {(segs.rep[seg], segs.tree[seg], segs.leaf[seg]) for seg, _ in step["picks"]}
+        reps = {rep for rep, _, _ in split}
+        idle += len(set(segs.rep.tolist()) - reps)
+        kept = np.array([rep in reps and (rep, tree, leaf) not in split
+                         for rep, tree, leaf in zip(segs.rep, segs.tree, segs.leaf)], dtype=bool)
+        now = segs.keys()
+        keys = np.concatenate([now[:0]] + [block.seg for block in blocks])
+        assert np.array_equal(np.sort(keys), now[kept])
+        assert ((following["screen"].segs.keys()[:, None] == keys).sum(axis=0) == 1).all()
+        for seg in sorted(step["rescored"] & set(np.flatnonzero(kept).tolist())):
+            table = _score_table(screen.resid, screen.Q)
+            (exact,) = _score_candidates(segs, screen.min_leaf, table, q, np.array([seg]))
+            want = _downdate(exact, step["direction"], step["rq"][segs.rep[[seg]], None])
+            (block,) = [block for block in blocks if now[seg] in block.seg]
+            row = np.flatnonzero(block.seg == now[seg])[0]
+            width = want.num.shape[1]
+            assert block.num[row, :width].tobytes() == want.num[0].tobytes()
+            assert block.den[row, :width].tobytes() == want.den[0].tobytes()
+            compared += 1
+    return grown, compared, idle
+
+
+def test_carry_holds_each_segment_once_with_its_rescored_scores(monkeypatch):
+    # a step hands on each surviving segment's scores, downdated, in one
+    # row: a rescore's exact row replaces the screened one
     compared = 0
     for ds, min_leaf in _short_paths(seed=64, count=400, kinds=("tied",)):
-        trees = tuple(CoefficientTree.stump(j) for j in range(ds.p))
-        order, (state,) = _start_states(ds, trees, ds.y[None])
-        carry = None
-        for _ in range(6):
-            rescores.clear()
-            (grown,), carry = _grow_splits(ds, ds.y[None], order, [state], carry, min_leaf)
-            if grown is None:
-                break
-            state = grown[3]
-            carried = np.concatenate([block.seg for block in carry.blocks])
-            assert np.array_equal(np.sort(carry.keys[carried]), carry.keys)
-            for screen, which in rescores:
-                for seg in which:
-                    table = _score_table(screen.resid, screen.Q)
-                    (exact,) = _score_candidates(screen.segs, min_leaf, table, screen.Q.shape[1],
-                                                 np.array([seg]))
-                    (block,) = [b for b in carry.blocks if seg in b.seg]
-                    row = np.flatnonzero(block.seg == seg)[0]
-                    width = exact.num.shape[1]
-                    assert block.num[row, :width].tobytes() == exact.num[0].tobytes()
-                    assert block.den[row, :width].tobytes() == exact.den[0].tobytes()
-                    compared += 1
+        compared += _check_carries(monkeypatch, fit_path, ds, s_max=7, min_leaf=min_leaf)[1]
     assert compared >= 10
+    # a lockstep group of tied columns in which a replicate scores its
+    # segments but finds no admissible split while the others go on: its
+    # segments are not carried
+    rng = np.random.default_rng(16)
+    X = rng.integers(0, 4, size=(24, 3)).astype(float)
+    Y = rng.standard_normal((3, 24))
+    paths, _, idle = _check_carries(monkeypatch, fit_paths, X, Y, s_max=6, min_leaf=6)
+    assert [len(path.rules) for path in paths] == [6, 4, 5]
+    assert idle >= 1
 
 
 def _count_rescored(monkeypatch):
