@@ -22,7 +22,7 @@ from dataclasses import replace
 
 from ._io import check_writable, read_csv, read_file, write_file
 from .core import Dataset
-from .dof import DofSpec, McDofConfig, McDofTable, mc_dof
+from .dof import DofSpec, McDofConfig, McDofTable, TsvcPathFitter, mc_dof
 from .errors import MissingDofError, TsvcError, ValidationError
 from .mfp import derive_dof_formula
 from .model import model_to_json
@@ -86,9 +86,9 @@ def cmd_fit(args) -> int:
 
 def cmd_mc_dof(args) -> int:
     check_writable(args.out)
-    config = McDofConfig(m=args.m, runs=args.runs, s_max=args.smax,
-                         min_leaf=args.min_leaf, seed=args.seed)
-    grid = mc_dof(args.n, args.p, config, threads=_threads(args))
+    config = McDofConfig(m=args.m, runs=args.runs, seed=args.seed)
+    fitter = TsvcPathFitter(s_max=args.smax, min_leaf=args.min_leaf)
+    grid = mc_dof(args.n, args.p, config, fitter, threads=_threads(args))
     text = grid.to_csv(args.out)
     if not args.out:
         sys.stdout.write(text)

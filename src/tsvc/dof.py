@@ -12,12 +12,19 @@ it has coefficients.  Following the generalized definition
                         grid CSV, and the shipped reference grid,
 * ``DofSpec``        -- the DoF source a BIC charges a model with.
 
-The Monte-Carlo estimator holds the mean vector fixed (zero by
-default), simulates ``m`` unit-variance Gaussian response vectors,
-fits the full model path to each, and sums the unbiased sample
-covariances between fitted values and responses.  That is repeated
-over ``runs`` independent runs; the reported value is the mean across
-runs and the standard error is the spread across runs.
+A Monte-Carlo estimate has three parts, each with one owner:
+
+* the estimator, ``McDofConfig(m, runs, seed)``: each of ``runs``
+  independent runs simulates ``m`` unit-variance Gaussian response
+  vectors and sums the unbiased sample covariances between fitted
+  values and responses; the reported value is the mean across runs and
+  the standard error is the spread across runs;
+* the procedure priced, ``mc_dof``'s fitter: by default
+  ``TsvcPathFitter(s_max=5, min_leaf=10)``, the greedy path search,
+  which alone holds its search settings;
+* the truth, ``mc_dof``'s ``X`` and ``mu``: a fixed design (a fresh
+  standard-normal one per run by default) and mean vector (zero by
+  default).
 
 Grid CSVs are read and written, and runs spread over worker processes,
 through ``_io``; this module holds only the DoF.
@@ -81,16 +88,15 @@ def dof_mfp(s: int, p: int, n: int) -> float:
 
 @dataclass(frozen=True)
 class McDofConfig:
-    """Settings for the Monte-Carlo DoF estimator.
+    """The Monte-Carlo estimator's own settings: ``m`` response vectors
+    in each of ``runs`` independent runs, drawn from ``seed``.
 
-    Each of the ``runs`` runs draws a fresh standard-normal design
-    (unless one is supplied to ``mc_dof``) and ``m`` response vectors.
+    The procedure it prices is ``mc_dof``'s fitter, and the truth it
+    prices it under is ``mc_dof``'s ``X`` and ``mu``.
     """
 
     m: int = 100
     runs: int = 10
-    s_max: int = 5
-    min_leaf: int = 10
     seed: int = 0
 
     def __post_init__(self):
@@ -98,21 +104,24 @@ class McDofConfig:
             raise ValidationError(f"m must be >= 2, got {self.m}")
         if self.runs < 1:
             raise ValidationError(f"runs must be >= 1, got {self.runs}")
-        if self.s_max < 1:
-            raise ValidationError(f"s_max must be >= 1, got {self.s_max}")
-        if self.min_leaf < 1:
-            raise ValidationError(f"min_leaf must be >= 1, got {self.min_leaf}")
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
 class TsvcPathFitter:
-    """Default fitter for ``mc_dof``: per response, one fitted-value vector
-    per split count 1 .. s_max its greedy path reached, all grown in lockstep."""
+    """The greedy search that ``mc_dof`` prices by default: per response,
+    one fitted-value vector per split count 1 .. s_max its path reached
+    with leaves of at least ``min_leaf`` rows, all grown in lockstep."""
 
     s_max: int = 5
     min_leaf: int = 10
+
+    def __post_init__(self):
+        if self.s_max < 1:
+            raise ValidationError(f"s_max must be >= 1, got {self.s_max}")
+        if self.min_leaf < 1:
+            raise ValidationError(f"min_leaf must be >= 1, got {self.min_leaf}")
 
     def __call__(self, Y: np.ndarray, X: np.ndarray) -> list[dict[int, np.ndarray]]:
         return [{s: fit.fitted for s, fit in enumerate(path.fits) if s >= 1}
@@ -154,11 +163,12 @@ def mc_dof(n: int, p: int, config: McDofConfig, fitter=None, X=None,
     n, p : int
         Dataset dimensions.
     config : McDofConfig
-        Replicates per run, run count, seed and the search settings.
+        The estimator: replicates per run, run count and seed.
     fitter : callable, optional
-        ``fitter(Y, X) -> [{s: fitted values} for each row of Y]``, called
-        once per run on its (m, n) responses; ``TsvcPathFitter(config.s_max,
-        config.min_leaf)`` when None.  Must be picklable when ``threads > 1``.
+        The procedure priced, ``fitter(Y, X) -> [{s: fitted values} for
+        each row of Y]``, called once per run on its (m, n) responses;
+        ``TsvcPathFitter()`` (s_max 5, min_leaf 10) when None.  Must be
+        picklable when ``threads > 1``.
     X, mu : array_like, optional
         The fixed truth: the (n, p) design of every run (each run draws a
         fresh standard-normal one when None) and the length-n expectation
@@ -189,7 +199,7 @@ def mc_dof(n: int, p: int, config: McDofConfig, fitter=None, X=None,
         if X.shape != (n, p):
             raise ValidationError(f"X must have shape ({n}, {p}), got {X.shape}")
     if fitter is None:
-        fitter = TsvcPathFitter(s_max=config.s_max, min_leaf=config.min_leaf)
+        fitter = TsvcPathFitter()
 
     jobs = [
         (n, p, config.seed, r, config.m, mu, X, fitter)
@@ -207,8 +217,8 @@ def mc_dof(n: int, p: int, config: McDofConfig, fitter=None, X=None,
     if not rows:
         raise ValidationError(
             f"no estimate: no two replicates of a run reached s = 1 at n = {n}, "
-            f"p = {p}, min_leaf = {config.min_leaf} (a split needs p >= 2 and "
-            f"a leaf of 2 * min_leaf rows)"
+            f"p = {p} under {fitter!r} (a split needs p >= 2 and a leaf of "
+            f"2 * min_leaf rows)"
         )
     return McDofTable(rows=tuple(rows))
 

@@ -356,17 +356,12 @@ class _LrTester:
 # public operations
 # ---------------------------------------------------------------------------
 
-def order_covariates(dataset: Dataset) -> list[int]:
+def _order_covariates(columns: _Columns, shifts) -> list[int]:
     """Covariate indices by decreasing contribution to a full linear model.
 
     Contribution is the likelihood-ratio statistic from dropping the
     covariate out of the all-linear model; ties keep index order.
     """
-    shifts = [positivity_shift(dataset.X[:, j]) for j in range(dataset.p)]
-    return _order_covariates(_Columns(dataset), shifts)
-
-
-def _order_covariates(columns: _Columns, shifts) -> list[int]:
     dataset = columns.dataset
     tester = _LrTester(dataset)
     forms = {j: FpTerm(j, LINEAR, shifts[j]) for j in range(dataset.p)}

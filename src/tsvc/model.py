@@ -127,14 +127,6 @@ class CoefficientTree:
             stack.append((node.right, idx[~mask]))
         return out
 
-    def with_coefficients(self, values) -> "CoefficientTree":
-        values = tuple(float(v) for v in values)
-        if len(values) != len(self.leaves):
-            raise DimensionMismatchError(
-                f"expected {len(self.leaves)} coefficients, got {len(values)}"
-            )
-        return replace(self, coefficients=values)
-
     def coefficient_map(self) -> np.ndarray:
         """Dense lookup array: leaf id -> coefficient."""
         if self.coefficients is None:
@@ -168,9 +160,6 @@ class TsvcModel:
     @property
     def n_params(self) -> int:
         return self.p + self.s + 1
-
-    def predict(self, X_new) -> np.ndarray:
-        return predict(self, X_new)
 
     @classmethod
     def from_fit(cls, trees, fit: LinearFit, names) -> "TsvcModel":

@@ -31,7 +31,7 @@ import numpy as np
 
 from ._io import map_jobs, read_csv, write_csv
 from .core import Dataset
-from .dof import DofSpec, McDofConfig, McDofTable, mc_dof
+from .dof import DofSpec, McDofConfig, McDofTable, TsvcPathFitter, mc_dof
 from .errors import DegenerateFitError, ValidationError
 from .model import TsvcModel, predict
 from .selection import prune_path
@@ -345,7 +345,7 @@ def _mc_dof_spec(config: ScenarioConfig, name: str, m: int, runs: int, threads: 
     if name == "mc-dgp":
         train, _, mu, _ = generate_scenario(config, 0)
         X, seed = train.X, config.seed + 2
-    mc_config = McDofConfig(m=m, runs=runs, s_max=config.s_max, min_leaf=config.min_leaf,
-                            seed=seed)
-    grid = mc_dof(config.n, config.p, mc_config, X=X, mu=mu, threads=threads)
+    grid = mc_dof(config.n, config.p, McDofConfig(m=m, runs=runs, seed=seed),
+                  TsvcPathFitter(s_max=config.s_max, min_leaf=config.min_leaf),
+                  X=X, mu=mu, threads=threads)
     return DofSpec("table", grid, name)

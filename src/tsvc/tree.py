@@ -236,13 +236,6 @@ def _stacked_segments(columns: np.ndarray, min_leaf: int, order: np.ndarray, tre
                      order=np.ascontiguousarray(order.T), leaf_of=leaf_of, columns=columns)
 
 
-def _segments(dataset: Dataset, trees, min_leaf: int, order: np.ndarray,
-              leaf_of: np.ndarray) -> _Segments:
-    """One fit's segment table (see ``_stacked_segments``)."""
-    return _stacked_segments(np.ascontiguousarray(dataset.X.T), min_leaf, order, [trees],
-                             leaf_of)
-
-
 def _candidate_blocks(segs: _Segments, min_leaf: int, width: int, which=None):
     """Yield the segments ``which`` (default: all) in blocks, as
     (seg, rows, admissible).
@@ -293,7 +286,8 @@ def enumerate_candidates(dataset: Dataset, trees, min_leaf: int) -> list[SplitRu
     """
     _check_min_leaf(min_leaf)
     order = np.argsort(dataset.X, axis=0, kind="stable")
-    segs = _segments(dataset, trees, min_leaf, order, _leaf_ids(dataset, trees))
+    segs = _stacked_segments(np.ascontiguousarray(dataset.X.T), min_leaf, order, [trees],
+                             _leaf_ids(dataset, trees))
     found = []
     for seg, rows, admissible in _candidate_blocks(segs, min_leaf, width=3):
         for b, pos in zip(*np.nonzero(admissible)):

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.stats import chi2
 
 from tsvc.core import Dataset, solve_least_squares
-from tsvc.dof import DofSpec, McDofConfig, dof_mfp, mc_dof, reference_table
+from tsvc.dof import DofSpec, McDofConfig, TsvcPathFitter, dof_mfp, mc_dof, reference_table
 from tsvc.mfp import best_fp, derive_dof_formula
 from tsvc.selection import prune_path
 from tsvc.simulate import ScenarioConfig, run_simulation
@@ -48,7 +48,7 @@ def test_criterion_01_closed_form_anchors():
 
 
 def test_criterion_02_covariance_dof_matches_projection_rank():
-    config = McDofConfig(m=500, runs=1, s_max=1, seed=6)
+    config = McDofConfig(m=500, runs=1, seed=6)
     result = mc_dof(100, 2, config, fitter=OlsFitter())
     dof = result.lookup(2, 100, 1)
     ok = abs(dof - 3.0) <= 0.3
@@ -59,8 +59,8 @@ def test_criterion_03_reference_grid_cell_p2_n100():
     # min_leaf 14 is the effective minimum node size behind the shipped
     # grid's n=100 column; the library default (10) admits finer splits
     # and sits above these bands.
-    config = McDofConfig(m=100, runs=10, s_max=5, min_leaf=14, seed=20260814)
-    result = mc_dof(100, 2, config, threads=1)
+    config = McDofConfig(m=100, runs=10, seed=20260814)
+    result = mc_dof(100, 2, config, TsvcPathFitter(s_max=5, min_leaf=14), threads=1)
     d1, d5 = result.lookup(2, 100, 1), result.lookup(2, 100, 5)
     ok = 6.99 <= d1 <= 7.83 and 18.70 <= d5 <= 19.84
     _check(3, ok, f"s=1 dof = {d1:.3f} in [6.99, 7.83]; "

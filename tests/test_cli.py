@@ -213,7 +213,7 @@ def test_mc_dof_without_any_split_exits_2(tmp_path, capsys):
         assert main(["mc-dof", "--n", n, "--p", p, "--smax", "3", "--m", "3",
                      "--runs", "2", "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert f"n = {n}, p = {p}, min_leaf = 10" in err
+        assert f"n = {n}, p = {p} under TsvcPathFitter(s_max=3, min_leaf=10)" in err
         assert not out.exists()
 
 

@@ -96,8 +96,10 @@ def test_mc_dof_config_validation():
         McDofConfig(m=1)
     with pytest.raises(ValidationError):
         McDofConfig(runs=0)
-    with pytest.raises(ValidationError):
-        McDofConfig(s_max=0)
+    with pytest.raises(ValidationError, match="s_max must be >= 1, got 0"):
+        TsvcPathFitter(s_max=0)
+    with pytest.raises(ValidationError, match="min_leaf must be >= 1, got 0"):
+        TsvcPathFitter(min_leaf=0)
 
 
 def test_mc_dof_config_refuses_a_negative_seed():
@@ -111,7 +113,7 @@ def test_mc_dof_config_compares_by_value():
 
 
 def test_mc_dof_of_fixed_projection_is_parameter_count():
-    config = McDofConfig(m=300, runs=2, s_max=1, seed=1)
+    config = McDofConfig(m=300, runs=2, seed=1)
     result = mc_dof(n=60, p=2, config=config, fitter=OlsFitter())
     _, _, s, dof, se = result.rows[0]
     assert s == 1
@@ -119,24 +121,26 @@ def test_mc_dof_of_fixed_projection_is_parameter_count():
 
 
 def test_mc_dof_deterministic_and_thread_independent():
-    config = McDofConfig(m=20, runs=3, s_max=2, min_leaf=8, seed=42)
-    a = mc_dof(n=40, p=2, config=config, threads=1)
-    b = mc_dof(n=40, p=2, config=config, threads=2)
-    c = mc_dof(n=40, p=2, config=config, threads=1)
+    config = McDofConfig(m=20, runs=3, seed=42)
+    fitter = TsvcPathFitter(s_max=2, min_leaf=8)
+    a = mc_dof(n=40, p=2, config=config, fitter=fitter, threads=1)
+    b = mc_dof(n=40, p=2, config=config, fitter=fitter, threads=2)
+    c = mc_dof(n=40, p=2, config=config, fitter=fitter, threads=1)
     assert a.rows == b.rows == c.rows
     assert a.to_csv() == b.to_csv()
 
 
 def test_mc_dof_rejects_thread_counts_below_one():
-    config = McDofConfig(m=2, runs=1, s_max=1, min_leaf=8, seed=1)
+    config = McDofConfig(m=2, runs=1, seed=1)
+    fitter = TsvcPathFitter(s_max=1, min_leaf=8)
     for threads in (0, -2):
         with pytest.raises(ValidationError, match="threads"):
-            mc_dof(n=40, p=2, config=config, threads=threads)
+            mc_dof(n=40, p=2, config=config, fitter=fitter, threads=threads)
 
 
 def test_mc_dof_exceeds_naive_for_searching_fitter():
-    config = McDofConfig(m=40, runs=2, s_max=2, min_leaf=10, seed=3)
-    result = mc_dof(n=60, p=2, config=config)
+    config = McDofConfig(m=40, runs=2, seed=3)
+    result = mc_dof(n=60, p=2, config=config, fitter=TsvcPathFitter(s_max=2, min_leaf=10))
     for _, _, s, dof, _ in result.rows:
         assert dof > dof_naive(2, s)
 
@@ -144,8 +148,8 @@ def test_mc_dof_exceeds_naive_for_searching_fitter():
 def test_mc_dof_records_short_paths():
     # min_leaf 18 on n = 40 allows one split at most, so s = 2 is never
     # reached and the result only carries s = 1
-    config = McDofConfig(m=10, runs=1, s_max=3, min_leaf=18, seed=4)
-    result = mc_dof(n=40, p=2, config=config)
+    config = McDofConfig(m=10, runs=1, seed=4)
+    result = mc_dof(n=40, p=2, config=config, fitter=TsvcPathFitter(s_max=3, min_leaf=18))
     reached = {s for _, _, s, _, _ in result.rows}
     assert 1 in reached and 3 not in reached
     with pytest.raises(MissingDofError):
@@ -153,8 +157,8 @@ def test_mc_dof_records_short_paths():
 
 
 def test_mc_dof_single_run_has_zero_se():
-    config = McDofConfig(m=15, runs=1, s_max=1, min_leaf=10, seed=5)
-    result = mc_dof(n=40, p=2, config=config)
+    config = McDofConfig(m=15, runs=1, seed=5)
+    result = mc_dof(n=40, p=2, config=config, fitter=TsvcPathFitter(s_max=1, min_leaf=10))
     assert result.rows[0][4] == 0.0
 
 
@@ -162,13 +166,21 @@ def test_mc_dof_without_any_split_is_an_error():
     # n < 2 * min_leaf leaves no leaf to split, and a single covariate
     # has no modifier: no replicate reaches s = 1
     for n, p in ((15, 2), (40, 1)):
-        config = McDofConfig(m=3, runs=2, s_max=3, min_leaf=10, seed=0)
-        with pytest.raises(ValidationError, match=f"n = {n}, p = {p}, min_leaf = 10"):
-            mc_dof(n=n, p=p, config=config)
+        config = McDofConfig(m=3, runs=2, seed=0)
+        fitter = TsvcPathFitter(s_max=3, min_leaf=10)
+        with pytest.raises(ValidationError, match=rf"n = {n}, p = {p} under "
+                                                  rf"TsvcPathFitter\(s_max=3, min_leaf=10\)"):
+            mc_dof(n=n, p=p, config=config, fitter=fitter)
+
+
+def test_mc_dof_no_estimate_error_names_the_fitter_it_priced():
+    # the search that finds no split is the fitter's, min_leaf 30 on n = 50
+    with pytest.raises(ValidationError, match=r"TsvcPathFitter\(s_max=2, min_leaf=30\)"):
+        mc_dof(50, 3, McDofConfig(m=3, runs=1), TsvcPathFitter(s_max=2, min_leaf=30))
 
 
 def test_mc_dof_refuses_a_fitter_that_returns_too_few_fits():
-    config = McDofConfig(m=3, runs=1, s_max=1, seed=0)
+    config = McDofConfig(m=3, runs=1, seed=0)
     with pytest.raises(ValidationError, match="returned 1 fits for 3 responses"):
         mc_dof(n=20, p=2, config=config, fitter=lambda Y, X: [{1: Y[0]}])
 
@@ -185,7 +197,7 @@ def test_only_the_selected_models_are_built(monkeypatch, tmp_path, capsys):
         return from_fit(cls, *args)
 
     monkeypatch.setattr(TsvcModel, "from_fit", classmethod(counted))
-    mc_dof(60, 3, McDofConfig(m=3, runs=2, s_max=2))
+    mc_dof(60, 3, McDofConfig(m=3, runs=2), TsvcPathFitter(s_max=2))
     assert len(built) == 0
 
     rng = np.random.default_rng(5)
@@ -231,7 +243,7 @@ def _tied_design(n, p, seed):
     (50, 3, 4, 4, True),    # a supplied X with tied integer values
 ])
 def test_mc_dof_lockstep_runs_equal_the_replicate_loop(n, p, s_max, min_leaf, tied):
-    config = McDofConfig(m=6, runs=3, s_max=s_max, min_leaf=min_leaf, seed=n + p)
+    config = McDofConfig(m=6, runs=3, seed=n + p)
     X = _tied_design(n, p, seed=p) if tied else None
     mu = np.zeros(n)
     loop_fitter = PathLoopFitter(s_max, min_leaf)
@@ -240,7 +252,7 @@ def test_mc_dof_lockstep_runs_equal_the_replicate_loop(n, p, s_max, min_leaf, ti
         lockstep = _mc_dof_run(args + (TsvcPathFitter(s_max, min_leaf),))
         loop = _mc_dof_run(args + (loop_fitter,))
         assert lockstep == loop
-    a = mc_dof(n, p, config, X=X)
+    a = mc_dof(n, p, config, fitter=TsvcPathFitter(s_max, min_leaf), X=X)
     b = mc_dof(n, p, config, fitter=PathLoopFitter(s_max, min_leaf), X=X)
     assert a.rows == b.rows
     if (n, p) == (31, 2):
@@ -248,22 +260,24 @@ def test_mc_dof_lockstep_runs_equal_the_replicate_loop(n, p, s_max, min_leaf, ti
 
 
 def test_mc_dof_fixed_truth_is_checked_and_shared_by_every_fitter():
-    config = McDofConfig(m=4, runs=2, s_max=3, min_leaf=6, seed=11)
+    config = McDofConfig(m=4, runs=2, seed=11)
+    fitter = TsvcPathFitter(s_max=3, min_leaf=6)
     X = _tied_design(40, 3, seed=12)
     mu = 3.0 * (X[:, 1] > 1.0) * X[:, 0]
     with pytest.raises(ValidationError, match="mu must have shape"):
-        mc_dof(40, 3, config, X=X, mu=mu[:-1])
-    shifted = mc_dof(40, 3, config, X=X, mu=mu)
+        mc_dof(40, 3, config, fitter, X=X, mu=mu[:-1])
+    shifted = mc_dof(40, 3, config, fitter, X=X, mu=mu)
     loop = mc_dof(40, 3, config, fitter=PathLoopFitter(3, 6), X=X, mu=mu)
     assert shifted.rows == loop.rows
-    assert shifted.rows != mc_dof(40, 3, config, X=X).rows
+    assert shifted.rows != mc_dof(40, 3, config, fitter, X=X).rows
 
 
 def test_mc_dof_lockstep_is_thread_independent():
-    config = McDofConfig(m=5, runs=3, s_max=4, min_leaf=5, seed=8)
+    config = McDofConfig(m=5, runs=3, seed=8)
+    fitter = TsvcPathFitter(s_max=4, min_leaf=5)
     X = _tied_design(48, 3, seed=9)
-    one = mc_dof(48, 3, config, X=X, threads=1)
-    two = mc_dof(48, 3, config, X=X, threads=2)
+    one = mc_dof(48, 3, config, fitter, X=X, threads=1)
+    two = mc_dof(48, 3, config, fitter, X=X, threads=2)
     loop = mc_dof(48, 3, config, fitter=PathLoopFitter(4, 5), X=X, threads=2)
     assert one.rows == two.rows == loop.rows
     assert one.to_csv() == two.to_csv()
@@ -271,8 +285,8 @@ def test_mc_dof_lockstep_is_thread_independent():
 
 def test_mc_dof_csv_round_trips_into_table():
     # the grid mc_dof builds is the one its CSV reads back, bit for bit
-    config = McDofConfig(m=15, runs=2, s_max=2, min_leaf=8, seed=6)
-    grid = mc_dof(n=40, p=2, config=config)
+    config = McDofConfig(m=15, runs=2, seed=6)
+    grid = mc_dof(n=40, p=2, config=config, fitter=TsvcPathFitter(s_max=2, min_leaf=8))
     table = McDofTable.from_csv_text(grid.to_csv())
     assert table == grid
     assert [tuple(map(repr, row)) for row in grid.rows] \
@@ -472,8 +486,9 @@ def test_dof_spec_names():
 
 
 def test_dof_spec_zero_splits_always_p_plus_one():
-    config = McDofConfig(m=10, runs=1, s_max=1, min_leaf=10, seed=7)
-    custom = DofSpec("table", mc_dof(n=40, p=2, config=config))
+    config = McDofConfig(m=10, runs=1, seed=7)
+    custom = DofSpec("table", mc_dof(n=40, p=2, config=config,
+                                     fitter=TsvcPathFitter(s_max=1, min_leaf=10)))
     for spec in (DofSpec("naive"), DofSpec("mfp"), DofSpec("table"), custom):
         assert spec.dof_for(0, 4, 1000) == 5.0
 
@@ -487,8 +502,9 @@ def test_dof_spec_values_match_sources():
 def test_dof_spec_wraps_lookup_misses():
     with pytest.raises(MissingDofError):
         DofSpec("table").dof_for(1, 3, 100)
-    config = McDofConfig(m=10, runs=1, s_max=1, min_leaf=10, seed=8)
-    custom = DofSpec("table", mc_dof(n=40, p=2, config=config))
+    config = McDofConfig(m=10, runs=1, seed=8)
+    custom = DofSpec("table", mc_dof(n=40, p=2, config=config,
+                                     fitter=TsvcPathFitter(s_max=1, min_leaf=10)))
     with pytest.raises(MissingDofError, match=r"cell \(p=2, n=40, s=5\) not in the table"):
         custom.dof_for(5, 2, 40)
     for p, n in ((3, 40), (2, 41)):  # a Monte-Carlo spec prices only its own cell

@@ -34,7 +34,6 @@ from tsvc.mfp import (
     derive_dof_formula,
     fp_columns,
     mfp_select,
-    order_covariates,
     positivity_shift,
 )
 
@@ -208,6 +207,12 @@ def test_an_overflowing_fp_power_is_an_unfittable_candidate():
 # ---------------------------------------------------------------------------
 # covariate ordering
 # ---------------------------------------------------------------------------
+
+def order_covariates(dataset):
+    """The FP search's covariate order, from the shifts it uses."""
+    shifts = [positivity_shift(dataset.X[:, j]) for j in range(dataset.p)]
+    return mfp._order_covariates(mfp._Columns(dataset), shifts)
+
 
 def test_order_covariates_puts_strong_effect_first():
     rng = np.random.default_rng(36)

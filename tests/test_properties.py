@@ -13,7 +13,7 @@ import tsvc
 from tsvc._io import read_csv
 from tsvc.cli import main
 from tsvc.core import Dataset
-from tsvc.dof import DofSpec, McDofConfig, McDofTable, mc_dof
+from tsvc.dof import DofSpec, McDofConfig, McDofTable, TsvcPathFitter, mc_dof
 from tsvc.errors import TsvcError, ValidationError
 from tsvc.model import model_from_json, model_to_json, predict
 from tsvc.tree import fit_path, fit_paths
@@ -103,9 +103,11 @@ def test_a_truncated_path_is_a_prefix_of_a_longer_one(group):
 def small_cells(draw):
     """``mc_dof`` keyword arguments of a small Monte-Carlo cell: n 30-80,
     p 2-4, m 2-4, runs 2-3 and s_max 2-3."""
-    config = McDofConfig(m=draw(st.integers(2, 4)), runs=draw(st.integers(2, 3)),
-                         s_max=draw(st.integers(2, 3)), seed=draw(st.integers(0, 2 ** 16)))
-    return {"n": draw(st.integers(30, 80)), "p": draw(st.integers(2, 4)), "config": config}
+    m, runs = draw(st.integers(2, 4)), draw(st.integers(2, 3))
+    fitter = TsvcPathFitter(s_max=draw(st.integers(2, 3)))
+    config = McDofConfig(m=m, runs=runs, seed=draw(st.integers(0, 2 ** 16)))
+    return {"n": draw(st.integers(30, 80)), "p": draw(st.integers(2, 4)), "config": config,
+            "fitter": fitter}
 
 
 # each example starts a pool of two worker processes

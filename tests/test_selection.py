@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tsvc.core import Dataset, LinearFit
-from tsvc.dof import DofSpec, McDofConfig, McDofTable, mc_dof
+from tsvc.dof import DofSpec, McDofConfig, McDofTable, TsvcPathFitter, mc_dof
 from tsvc.errors import DegenerateFitError, MissingDofError, ValidationError
 from tsvc.model import CoefficientTree, ModelPath, SplitRule
 from tsvc.selection import PruneReport, bic, prune_path
@@ -134,8 +134,9 @@ def test_prune_with_custom_mc_spec():
     X = rng.standard_normal((50, 2))
     y = rng.standard_normal(50)
     path = fit_path(Dataset.from_arrays(y, X), s_max=2, min_leaf=10)
-    config = McDofConfig(m=20, runs=1, s_max=2, min_leaf=10, seed=9)
-    spec = DofSpec("table", mc_dof(n=50, p=2, config=config), "mc")
+    config = McDofConfig(m=20, runs=1, seed=9)
+    fitter = TsvcPathFitter(s_max=2, min_leaf=10)
+    spec = DofSpec("table", mc_dof(n=50, p=2, config=config, fitter=fitter), "mc")
     report = prune_path(path, spec)
     assert report.dof_name == "mc"
     assert report.entries[0].dof == 3.0

@@ -9,7 +9,7 @@ import pytest
 
 import tsvc.simulate
 from tsvc.core import Dataset, LinearFit
-from tsvc.dof import DofSpec, McDofConfig, McDofTable, mc_dof
+from tsvc.dof import DofSpec, McDofConfig, McDofTable, TsvcPathFitter, mc_dof
 from tsvc.errors import DegenerateFitError, ValidationError
 from tsvc.model import CoefficientTree, TsvcModel
 from tsvc.simulate import (
@@ -150,7 +150,7 @@ def test_scenario_dimensions():
 # ---------------------------------------------------------------------------
 
 def _stub_model(coefficient, n, rss):
-    tree = CoefficientTree.stump(0).with_coefficients([coefficient])
+    tree = replace(CoefficientTree.stump(0), coefficients=(coefficient,))
     return TsvcModel(intercept=0.0, trees=(tree,), s=0, n=n, p=1,
                      names=("x1",), rss=rss, fit=None)
 
@@ -298,10 +298,12 @@ def test_dof_specs_estimates_each_monte_carlo_grid_by_its_recipe():
     specs = dof_specs(cfg, "naive, mc-null,table,mc-dgp", m=6, runs=2)
     assert [spec.name for spec in specs] == ["naive", "mc-null", "table", "mc-dgp"]
     assert specs[0] == DofSpec("naive") and specs[2] == DofSpec("table")
-    mc_config = McDofConfig(m=6, runs=2, s_max=2, min_leaf=cfg.min_leaf, seed=cfg.seed + 1)
+    mc_config = McDofConfig(m=6, runs=2, seed=cfg.seed + 1)
+    fitter = TsvcPathFitter(s_max=2, min_leaf=cfg.min_leaf)
     train, _, mu_train, _ = generate_scenario(cfg, 0)
-    null = mc_dof(cfg.n, cfg.p, mc_config)
-    dgp = mc_dof(cfg.n, cfg.p, replace(mc_config, seed=cfg.seed + 2), X=train.X, mu=mu_train)
+    null = mc_dof(cfg.n, cfg.p, mc_config, fitter)
+    dgp = mc_dof(cfg.n, cfg.p, replace(mc_config, seed=cfg.seed + 2), fitter,
+                 X=train.X, mu=mu_train)
     assert null.rows != dgp.rows
     for spec, grid in ((specs[1], null), (specs[3], dgp)):
         assert (spec.source, spec.label) == ("table", spec.name)

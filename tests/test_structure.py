@@ -12,10 +12,13 @@ every tolerance on a direction's part off a basis is a ``core``
 constant, and ``core`` alone projects off a basis and freezes a solve's
 outputs; only the FP column table and a fitted surface's prediction
 build FP columns; the grid CSV has one writer,
-``McDofTable.to_csv``; and DoF source names become prices in ``dof``
-and ``simulate`` alone."""
+``McDofTable.to_csv``; DoF source names become prices in ``dof`` and
+``simulate`` alone; and the Monte-Carlo estimator's settings are its
+own (``m``, ``runs``, ``seed``), the search it prices being the
+fitter's."""
 
 import ast
+import dataclasses
 import inspect
 from pathlib import Path
 
@@ -315,6 +318,13 @@ def test_the_grid_csv_has_one_type_and_one_writer():
     assert writers == {("dof.py", "McDofTable.to_csv")}
     assert [name for name in tsvc.__all__ if name.startswith("McDof")] \
         == ["McDofConfig", "McDofTable"]
+
+
+def test_the_monte_carlo_config_holds_only_the_estimator():
+    # s_max and min_leaf belong to the fitter that mc_dof prices, so no
+    # search setting can be validated by the config and then ignored
+    assert tuple(field.name for field in dataclasses.fields(tsvc.McDofConfig)) \
+        == ("m", "runs", "seed")
 
 
 def test_dof_sources_resolve_in_dof_and_simulate_alone():

@@ -1,6 +1,7 @@
 """Tree representation, design expansion, greedy path fitting, JSON."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -37,6 +38,12 @@ def _dataset(n=40, p=2, seed=0, signal=True):
     if signal:
         y = y * 0.05 + (X[:, 1] > 0.0) * X[:, 0]
     return Dataset.from_arrays(y, X)
+
+
+def _segments(ds, trees, min_leaf, order, leaf_of):
+    """One fit's segment table, as ``enumerate_candidates`` builds it."""
+    from tsvc.tree import _stacked_segments
+    return _stacked_segments(np.ascontiguousarray(ds.X.T), min_leaf, order, [trees], leaf_of)
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +172,7 @@ def test_rule_threshold_equals_the_batched_threshold_of_every_cut():
     # candidate list alike, takes the midpoint, or the lower value where
     # the midpoint of adjacent floats rounds up.  Column x2 holds 1+2^-52
     # and 1+2^-51, whose midpoint rounds up.
-    from tsvc.tree import _candidate_blocks, _segments
+    from tsvc.tree import _candidate_blocks
 
     lo, hi = 1.0 + 2.0 ** -52, 1.0 + 2.0 ** -51
     assert 0.5 * (lo + hi) == hi
@@ -480,7 +487,7 @@ def test_candidate_blocks_hold_at_most_the_cap(cap, monkeypatch):
     # it; the blocks cover the segments asked for, each once.  None
     # keeps the default cap, which n = 3000 fills with several segments.
     import tsvc.tree as tree_module
-    from tsvc.tree import _candidate_blocks, _segments
+    from tsvc.tree import _candidate_blocks
 
     if cap is not None:
         monkeypatch.setattr(tree_module, "_BLOCK_ELEMENTS", cap)
@@ -901,7 +908,7 @@ _DOWNDATE_BOUND = 1e-9
 def test_downdated_gains_stay_within_the_bound_of_fresh_gains():
     # after each step of a path, the screen over the carried state holds
     # downdated gains, and one without it scores every segment afresh
-    from tsvc.tree import _Screen, _grow_splits, _segments, _start_states
+    from tsvc.tree import _Screen, _grow_splits, _start_states
 
     steps = compared = 0
     worst = 0.0
@@ -1035,7 +1042,6 @@ def _count_rescored(monkeypatch):
 
 
 def test_few_segments_are_rescored(monkeypatch):
-    from tsvc.tree import _segments
 
     per_step = _count_rescored(monkeypatch)
     rescored, segments = [], []
@@ -1173,8 +1179,8 @@ def test_predict_hand_evaluated_piecewise_coefficient():
     ds = _dataset(n=40, p=2, seed=14)
     t0 = CoefficientTree.stump(0).split(
         SplitRule(target=0, modifier=1, threshold=0.0, parent_leaf=0))
-    t0 = t0.with_coefficients([2.0, 5.0])  # leaf 1: x2 <= 0, leaf 2: x2 > 0
-    t1 = CoefficientTree.stump(1).with_coefficients([0.0])
+    t0 = replace(t0, coefficients=(2.0, 5.0))  # leaf 1: x2 <= 0, leaf 2: x2 > 0
+    t1 = replace(CoefficientTree.stump(1), coefficients=(0.0,))
     model = fit_path(ds, s_max=0, min_leaf=5).model_at(0)
     hand = type(model)(intercept=0.0, trees=(t0, t1), s=1, n=ds.n, p=2,
                        names=ds.names, rss=1.0)
