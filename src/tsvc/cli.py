@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 from ._io import check_writable, read_csv, read_file, write_file
 from .core import Dataset
@@ -119,7 +118,7 @@ def cmd_simulate(args) -> int:
     )
     specs = dof_specs(config, args.dof, args.table, m=args.mc_m, runs=args.mc_runs,
                       threads=threads)
-    summary = run_simulation(replace(config, dof_specs=specs), threads=threads)
+    summary = run_simulation(config, specs, threads=threads)
     text = summary.to_csv(args.out)
     if not args.out:
         sys.stdout.write(text)

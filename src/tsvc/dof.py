@@ -215,10 +215,11 @@ def mc_dof(n: int, p: int, config: McDofConfig, fitter=None, X=None,
         se = float(np.std(values, ddof=1) / np.sqrt(len(values))) if len(values) > 1 else 0.0
         rows.append((p, n, s, mean, se))
     if not rows:
+        hint = (" (a split needs p >= 2 and a leaf of 2 * min_leaf rows)"
+                if isinstance(fitter, TsvcPathFitter) else "")
         raise ValidationError(
             f"no estimate: no two replicates of a run reached s = 1 at n = {n}, "
-            f"p = {p} under {fitter!r} (a split needs p >= 2 and a leaf of "
-            f"2 * min_leaf rows)"
+            f"p = {p} under {fitter!r}{hint}"
         )
     return McDofTable(rows=tuple(rows))
 

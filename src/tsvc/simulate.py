@@ -14,12 +14,16 @@ coefficient functions:
   x2 and x4 symmetrically, with s_dgp in {0, 2, 4, 6} indicator terms
   in total and a deeper search (s_max = 10).
 
-Each replicate fits one greedy path on a training set, prunes it under
-every requested degrees-of-freedom source, and scores the selected
-model by its predictive log-likelihood on an independent test set of
-the same size (using the training variance estimate).  ``dof_specs``
-turns a setting's DoF source names (``DOF_SOURCES``) into the
-``DofSpec``s it prunes by, estimating ``mc-null`` and ``mc-dgp`` itself.
+A study has three parts, each with one owner: the setting
+(``ScenarioConfig``: what is simulated), the DoF sources it is priced
+by (``DofSpec``s, which ``dof_specs`` resolves from the names in
+``DOF_SOURCES``, estimating ``mc-null`` and ``mc-dgp`` from the
+setting), and the result (``SimSummary``: the setting and one summary
+row per source).  ``run_simulation(config, specs)`` joins them: each
+replicate fits one greedy path on a training set, prunes it under
+every source, and scores the selected model by its predictive
+log-likelihood on an independent test set of the same size (using the
+training variance estimate).
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ SCENARIO_S_MAX = {1: 5, 2: 5, 3: 5, 4: 10}
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """One simulation setting.
+    """One simulation setting: what is simulated, not what it is priced by.
 
     ``n`` and ``s_max`` outside the scenario's standard menu require
     ``allow_nonstandard=True``, and ``s_max=None`` becomes the
@@ -62,7 +66,6 @@ class ScenarioConfig:
     seed: int = 0
     s_max: int | None = None
     min_leaf: int = 10
-    dof_specs: tuple[DofSpec, ...] = (DofSpec("naive"), DofSpec("mfp"))
     allow_nonstandard: bool = False
 
     def __post_init__(self):
@@ -93,11 +96,6 @@ class ScenarioConfig:
             raise ValidationError(f"min_leaf must be >= 1, got {self.min_leaf}")
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
-        if not self.dof_specs:
-            raise ValidationError("need at least one DoF source")
-        names = [spec.name for spec in self.dof_specs]
-        if len(set(names)) != len(names):
-            raise ValidationError("DoF source names must be unique")
 
     @property
     def p(self) -> int:
@@ -205,13 +203,10 @@ class ApproachSummary:
 
 @dataclass(frozen=True)
 class SimSummary:
-    """Aggregated simulation results, one row per DoF source."""
+    """A setting's result: its config, one summary row per DoF source
+    in the order priced, and every replicate's record."""
 
-    scenario: int
-    n: int
-    s_dgp: int
-    replications: int
-    seed: int
+    config: ScenarioConfig
     approaches: tuple[ApproachSummary, ...]
     records: tuple[ReplicateRecord, ...]
 
@@ -222,19 +217,21 @@ class SimSummary:
         raise ValidationError(f"no results for DoF source {name!r}")
 
     def to_csv(self, path=None) -> str:
+        c = self.config
         return write_csv(
             ["scenario", "n", "s_dgp", "dof_approach", "replications",
              "mean_splits", "sd_splits", "mean_pred_loglik", "sd_pred_loglik"],
-            ([self.scenario, self.n, self.s_dgp, row.dof_name, self.replications,
+            ([c.scenario, c.n, c.s_dgp, row.dof_name, c.replications,
               repr(row.mean_splits), repr(row.sd_splits),
               repr(row.mean_pred_log_lik), repr(row.sd_pred_log_lik)]
              for row in self.approaches), path)
 
     def records_to_csv(self, path=None) -> str:
+        c = self.config
         return write_csv(
             ["scenario", "n", "s_dgp", "replicate", "dof_approach",
              "selected_splits", "pred_loglik"],
-            ([self.scenario, self.n, self.s_dgp, rec.replicate, rec.dof_name,
+            ([c.scenario, c.n, c.s_dgp, rec.replicate, rec.dof_name,
               rec.selected_s, repr(rec.pred_log_lik)] for rec in self.records), path)
 
 
@@ -248,33 +245,41 @@ def read_summary_csv(text: str) -> list[dict]:
 
 
 def _run_replicate(args):
-    config, replicate = args
+    config, specs, replicate = args
     train, test, _, _ = generate_scenario(config, replicate)
     path = fit_path(train, config.s_max, config.min_leaf)
-    selected = [prune_path(path, spec).selected_s for spec in config.dof_specs]
+    selected = [prune_path(path, spec).selected_s for spec in specs]
     # sources that select the same s share one model and its score
     log_lik = {s: predictive_log_lik(path.model_at(s), test) for s in set(selected)}
     return [
         ReplicateRecord(replicate=replicate, dof_name=spec.name, selected_s=s,
                         pred_log_lik=log_lik[s])
-        for spec, s in zip(config.dof_specs, selected)
+        for spec, s in zip(specs, selected)
     ]
 
 
-def run_simulation(config: ScenarioConfig, threads: int = 1) -> SimSummary:
-    """Run all replications of one setting and aggregate per DoF source.
+def run_simulation(config: ScenarioConfig,
+                   specs: tuple[DofSpec, ...] = (DofSpec("naive"), DofSpec("mfp")),
+                   threads: int = 1) -> SimSummary:
+    """Run all replications of the setting ``config`` and aggregate per
+    DoF source of ``specs`` (at least one, names unique), in order.
 
     One greedy path is fitted per replicate and shared by every DoF
     source; only the pruning differs.  Results are independent of
     ``threads`` (at least 1) because each replicate derives its own
     random stream.
     """
-    jobs = [(config, r) for r in range(config.replications)]
+    if not specs:
+        raise ValidationError("need at least one DoF source")
+    names = [spec.name for spec in specs]
+    if len(set(names)) != len(names):
+        raise ValidationError("DoF source names must be unique")
+    jobs = [(config, specs, r) for r in range(config.replications)]
     nested = map_jobs(_run_replicate, jobs, threads)
     records = tuple(rec for group in nested for rec in group)
 
     approaches = []
-    for spec in config.dof_specs:
+    for spec in specs:
         split_values = [r.selected_s for r in records if r.dof_name == spec.name]
         ll_values = [r.pred_log_lik for r in records if r.dof_name == spec.name]
         approaches.append(
@@ -286,15 +291,7 @@ def run_simulation(config: ScenarioConfig, threads: int = 1) -> SimSummary:
                 sd_pred_log_lik=_sd(ll_values),
             )
         )
-    return SimSummary(
-        scenario=config.scenario,
-        n=config.n,
-        s_dgp=config.s_dgp,
-        replications=config.replications,
-        seed=config.seed,
-        approaches=tuple(approaches),
-        records=records,
-    )
+    return SimSummary(config, tuple(approaches), records)
 
 
 def _sd(values) -> float:

@@ -363,11 +363,11 @@ def test_simulate_monte_carlo_dof_source(tmp_path):
 
 
 def test_simulate_keeps_dof_source_order(tmp_path, monkeypatch, capsys):
-    configs = []
+    calls = []
 
-    def recording_run_simulation(config, threads=1):
-        configs.append(config)
-        return tsvc.simulate.run_simulation(config, threads=threads)
+    def recording_run_simulation(config, specs, threads=1):
+        calls.append((config, specs))
+        return tsvc.simulate.run_simulation(config, specs, threads=threads)
 
     monkeypatch.setattr(tsvc.cli, "run_simulation", recording_run_simulation)
     out = tmp_path / "summary.csv"
@@ -379,11 +379,11 @@ def test_simulate_keeps_dof_source_order(tmp_path, monkeypatch, capsys):
     order = ["mfp", "mc-dgp", "naive", "mc-null"]
     reader = csv.DictReader(io.StringIO(out.read_text()))
     assert [row["dof_approach"] for row in reader] == order
-    (config,) = configs
-    specs = dict(zip(order, config.dof_specs))
-    assert [spec.name for spec in config.dof_specs] == order
-    assert specs["mc-dgp"].table == dof_specs(config, "mc-dgp", m=4, runs=2)[0].table
-    assert specs["mc-null"].table == dof_specs(config, "mc-null", m=4, runs=2)[0].table
+    ((config, specs),) = calls
+    assert [spec.name for spec in specs] == order
+    by_name = dict(zip(order, specs))
+    assert by_name["mc-dgp"].table == dof_specs(config, "mc-dgp", m=4, runs=2)[0].table
+    assert by_name["mc-null"].table == dof_specs(config, "mc-null", m=4, runs=2)[0].table
 
 
 def test_simulate_checks_every_name_before_monte_carlo(tmp_path, monkeypatch, capsys):
@@ -402,7 +402,8 @@ def test_simulate_checks_every_name_before_monte_carlo(tmp_path, monkeypatch, ca
                          (["mc-dgp,table"] + missing, "cannot read"),
                          # names are checked before the grid file is read
                          (["table,naive,naive"] + missing, "must be unique"),
-                         (["table,foo"] + missing, "unknown DoF source 'foo'")):
+                         (["table,foo"] + missing, "unknown DoF source 'foo'"),
+                         ([""], "need at least one DoF source")):
         assert main(base + ["--dof"] + dof) == 2
         assert message in capsys.readouterr().err
 

@@ -179,6 +179,13 @@ def test_mc_dof_no_estimate_error_names_the_fitter_it_priced():
         mc_dof(50, 3, McDofConfig(m=3, runs=1), TsvcPathFitter(s_max=2, min_leaf=30))
 
 
+def test_mc_dof_no_estimate_error_gives_the_leaf_hint_only_for_the_greedy_search():
+    # a fitter that never splits has no min_leaf to blame
+    with pytest.raises(ValidationError, match="no estimate") as caught:
+        mc_dof(40, 2, McDofConfig(m=3, runs=1), lambda Y, X: [{} for _ in Y])
+    assert "min_leaf" not in str(caught.value)
+
+
 def test_mc_dof_refuses_a_fitter_that_returns_too_few_fits():
     config = McDofConfig(m=3, runs=1, seed=0)
     with pytest.raises(ValidationError, match="returned 1 fits for 3 responses"):
@@ -212,7 +219,7 @@ def test_only_the_selected_models_are_built(monkeypatch, tmp_path, capsys):
     config = ScenarioConfig(scenario=1, s_dgp=1, n=100, replications=6, seed=3)
     selected = {(rec.replicate, rec.selected_s)
                 for rec in run_simulation(config, threads=1).records}
-    assert len(selected) < config.replications * len(config.dof_specs)
+    assert len(selected) < config.replications * 2  # the default naive and mfp
     assert len(built) == 1 + len(selected)
 
 

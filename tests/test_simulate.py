@@ -51,9 +51,9 @@ def test_config_rejects_bad_settings():
         ScenarioConfig(scenario=1, s_dgp=0, n=100, s_max=9)
     with pytest.raises(ValidationError):
         ScenarioConfig(scenario=1, s_dgp=0, n=100, replications=0)
-    with pytest.raises(ValidationError):
-        ScenarioConfig(scenario=1, s_dgp=0, n=100,
-                       dof_specs=(DofSpec("naive"), DofSpec("naive")))
+    with pytest.raises(ValidationError, match="DoF source names must be unique"):
+        run_simulation(ScenarioConfig(scenario=1, s_dgp=0, n=100),
+                       (DofSpec("naive"), DofSpec("naive")))
 
 
 def test_config_refuses_a_negative_seed_and_n_below_one():
@@ -256,7 +256,7 @@ def test_summary_csv_round_trip(tmp_path):
 
 
 def test_summary_reader_takes_columns_by_name_and_refuses_bad_cells():
-    summary = SimSummary(scenario=1, n=100, s_dgp=1, replications=2, seed=0,
+    summary = SimSummary(ScenarioConfig(scenario=1, s_dgp=1, n=100, replications=2),
                          approaches=(ApproachSummary("naive", 1.5, 0.5, -140.25, 0.1),
                                      ApproachSummary("mfp", 1.0, 0.0, -139.5, 2.0 / 3.0)),
                          records=())
@@ -282,10 +282,7 @@ def test_monte_carlo_dof_sources():
     assert null_spec.name == "mc-null"
     assert dgp_spec.name == "mc-dgp"
     assert null_spec.dof_for(1, cfg.p, cfg.n) > 0
-    cfg_run = ScenarioConfig(scenario=1, s_dgp=1, n=64, replications=2, seed=7,
-                             s_max=2, allow_nonstandard=True,
-                             dof_specs=(DofSpec("naive"), null_spec, dgp_spec))
-    summary = run_simulation(cfg_run)
+    summary = run_simulation(cfg, (DofSpec("naive"), null_spec, dgp_spec))
     assert {row.dof_name for row in summary.approaches} \
         == {"naive", "mc-null", "mc-dgp"}
 

@@ -13,9 +13,10 @@ constant, and ``core`` alone projects off a basis and freezes a solve's
 outputs; only the FP column table and a fitted surface's prediction
 build FP columns; the grid CSV has one writer,
 ``McDofTable.to_csv``; DoF source names become prices in ``dof`` and
-``simulate`` alone; and the Monte-Carlo estimator's settings are its
+``simulate`` alone; the Monte-Carlo estimator's settings are its
 own (``m``, ``runs``, ``seed``), the search it prices being the
-fitter's."""
+fitter's; and a simulation setting holds only what is simulated, its
+DoF sources passed beside it and its result keeping it whole."""
 
 import ast
 import dataclasses
@@ -325,6 +326,16 @@ def test_the_monte_carlo_config_holds_only_the_estimator():
     # search setting can be validated by the config and then ignored
     assert tuple(field.name for field in dataclasses.fields(tsvc.McDofConfig)) \
         == ("m", "runs", "seed")
+
+
+def test_a_simulation_setting_holds_only_what_is_simulated():
+    # the DoF sources are run_simulation's argument, and a summary keeps
+    # its setting instead of copies of some of its fields
+    assert tuple(field.name for field in dataclasses.fields(tsvc.ScenarioConfig)) \
+        == ("scenario", "s_dgp", "n", "replications", "seed", "s_max", "min_leaf",
+            "allow_nonstandard")
+    assert tuple(field.name for field in dataclasses.fields(tsvc.SimSummary)) \
+        == ("config", "approaches", "records")
 
 
 def test_dof_sources_resolve_in_dof_and_simulate_alone():
